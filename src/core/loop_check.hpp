@@ -1,16 +1,21 @@
 // Forwarding-loop checks (Algorithm 4).
 //
-// Two implementations are provided:
+// The schedulers check loops through timenet::TransitionState (the
+// guarded greedy: incremental and exact) and Algorithm4Context below (the
+// pure greedy: batched, at Fig. 10 scale). The free functions are the
+// per-call forms; only tests/core_test.cpp and the BM_ExactLoopCheck micro
+// bench call them:
 //
-// * exact_loop_check: the ground-truth variant used by the scheduler. It
-//   tentatively applies the candidate update and traces every injection
-//   class that can still be in flight (plus one representative future
-//   class); any revisited switch is a Definition-2 violation. This is the
-//   time-extended search the paper describes, made exhaustive.
+// * exact_loop_check: tentatively applies the candidate update and traces
+//   every injection class that can still be in flight (plus one
+//   representative future class); any revisited switch is a Definition-2
+//   violation. This is the time-extended search the paper describes, made
+//   exhaustive.
 // * structural_loop_check: the paper's upstream walk in literal form —
 //   updating v at t loops iff v's new next hop lies upstream of v on the
-//   forwarding path the in-flight flow has taken. Kept for exposition and
-//   as the cheap filter in the pure (unguarded) greedy ablation.
+//   forwarding path the in-flight flow has taken. Kept for exposition.
+// * algorithm4_loop_check: Algorithm 4 with its time-extended bookkeeping,
+//   as a one-shot Algorithm4Context query.
 #pragma once
 
 #include <set>
@@ -42,8 +47,8 @@ bool structural_loop_check(const net::UpdateInstance& inst,
 /// the continuously arriving flow (does v sit on the current forwarding
 /// path with its new next hop upstream?) and the in-flight old-path
 /// classes that can still reach v at or after t given the update times
-/// already scheduled upstream. O(|p_init|); used by the pure (unguarded)
-/// greedy mode, where exact tracing would be too costly at Fig. 10 scale.
+/// already scheduled upstream. O(|p_init|) per call; the pure (unguarded)
+/// greedy runs the same check batched through Algorithm4Context.
 bool algorithm4_loop_check(const net::UpdateInstance& inst,
                            const timenet::UpdateSchedule& scheduled,
                            const std::set<net::NodeId>& updated, net::NodeId v,

@@ -1,18 +1,15 @@
 // Arena-backed search-state vocabulary shared by the two branch-and-bound
-// solvers (mutp_bnb.cpp, order_bnb.cpp).
+// solvers (mutp_bnb.cpp, order_bnb.cpp). Each solve owns one util::Arena
+// for its whole search; every structure below draws from it, so a search
+// costs a few slab allocations instead of one heap allocation per node.
 //
-// Both searches are written once as templates over a traits bundle; the
-// heap traits keep the original std::set / std::map / ostringstream state
-// (the CHRONUS_ARENA=off escape hatch) while the arena traits swap in the
-// flat structures below. The differential harness
-// (tests/planner_differential_test.cpp) holds the two instantiations to
-// bit-identical schedules and logical metrics.
-//
-// Encoding note: the arena memo keys are fixed-width little-endian binary
-// (append_u32/append_u64) where the heap memo keys are decimal text. Both
-// encodings are injective on the same underlying tuples, so two states
-// collide under one encoding iff they collide under the other — the memo
-// hit sequence, and with it every search counter, is identical.
+// Encoding note: memo keys are fixed-width little-endian binary
+// (append_u32/append_u64). Where a key joins two variable-length runs
+// (MUTP's pending set, then its recent updates) the first ends in
+// kKeySeparator, which is never a node id, so the encoding is injective:
+// two search states share a memo entry iff their tuples are equal.
+// tests/planner_differential_test.cpp pins the resulting memo-hit and
+// node counters.
 #pragma once
 
 #include <algorithm>
@@ -101,5 +98,29 @@ T* arena_new(util::Arena* arena, Args&&... args) {
   T* p = alloc.allocate(1);
   return ::new (static_cast<void*>(p)) T(std::forward<Args>(args)...);
 }
+
+/// Per-depth candidate lists for a recursive search. Slots are arena_new'd,
+/// so the reference a recursion frame keeps across deeper calls survives
+/// pool growth; at_depth() hands its slot back cleared.
+class CandPool {
+ public:
+  using CandVec = util::ArenaVector<net::NodeId>;
+
+  explicit CandPool(util::Arena* arena)
+      : arena_(arena), pool_(util::ArenaAllocator<CandVec*>(arena)) {}
+
+  CandVec& at_depth(std::size_t d) {
+    while (d >= pool_.size()) {
+      pool_.push_back(arena_new<CandVec>(
+          arena_, util::ArenaAllocator<net::NodeId>(arena_)));
+    }
+    pool_[d]->clear();
+    return *pool_[d];
+  }
+
+ private:
+  util::Arena* arena_;
+  util::ArenaVector<CandVec*> pool_;
+};
 
 }  // namespace chronus::opt::arena_search

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <memory>
-#include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,126 +28,55 @@ bool is_clean(const net::UpdateInstance& inst,
   return !report.aborted && report.ok();
 }
 
-// ---------------------------------------------------------------------------
-// Search-state traits. The branch-and-bound below is written once, as a
-// template over this bundle; HeapTraits keeps the original std::set /
-// std::map<std::string> / ostringstream state (the CHRONUS_ARENA=off
-// escape hatch), ArenaTraits swaps in bump-allocated flat structures and
-// binary memo keys. Identical control flow by construction; identical
-// memo behaviour because both key encodings are injective on the same
-// tuples (see arena_search.hpp).
+// Search state lives in the solve's arena (opt/arena_search.hpp): a flat
+// sorted pending set, per-depth candidate lists and a dominance memo under
+// binary keys.
+using Pending = arena_search::SortedNodeVec;
+using CandVec = arena_search::CandPool::CandVec;
 
-struct HeapTraits {
-  // chronus-analyzer: allow(hot-alloc) — escape-hatch state, heap on purpose
-  using Pending = std::set<net::NodeId>;
-  // chronus-analyzer: allow(hot-alloc)
-  using CandVec = std::vector<net::NodeId>;
+struct Memo {
+  std::int64_t drain = 0;
+  util::ArenaString key;  // reused scratch; contents rebuilt per probe
+  std::map<util::ArenaString, timenet::TimePoint,
+           std::less<util::ArenaString>,
+           util::ArenaAllocator<
+               std::pair<const util::ArenaString, timenet::TimePoint>>>
+      memo;
 
-  // Pool slots are held by pointer so the reference a recursion frame
-  // keeps across deeper calls survives pool growth.
-  struct CandPool {
-    // chronus-analyzer: allow(hot-alloc)
-    std::vector<std::unique_ptr<CandVec>> pool;
-    CandVec& at_depth(std::size_t d) {
-      // chronus-analyzer: allow(hot-alloc)
-      while (d >= pool.size()) pool.push_back(std::make_unique<CandVec>());
-      pool[d]->clear();
-      return *pool[d];
-    }
-  };
-
-  struct Memo {
-    std::int64_t drain = 0;
-    // chronus-analyzer: allow(hot-alloc)
-    std::map<std::string, timenet::TimePoint> memo;
-
-    /// True if an at-least-as-early visit of this state is memoized;
-    /// records the visit otherwise.
-    bool probe(timenet::TimePoint t, const timenet::UpdateSchedule& sched,
-               const Pending& pending) {
-      // chronus-analyzer: allow(hot-alloc)
-      std::ostringstream os;
-      for (const net::NodeId v : pending) os << v << ',';
-      os << ';';
-      // Updates older than the drain bound cannot influence any class that
-      // is still in flight; only the recent update pattern (relative to t)
-      // matters for the remaining subproblem.
-      for (const auto& [v, tv] : sched.entries()) {
-        if (tv >= t - drain) os << v << ':' << (t - tv) << ',';
-      }
-      const std::string key = os.str();
-      const auto it = memo.find(key);
-      if (it != memo.end() && it->second <= t) return true;
-      memo[key] = t;
-      return false;
-    }
-  };
-};
-
-struct ArenaTraits {
-  using Pending = arena_search::SortedNodeVec;
-  using CandVec = util::ArenaVector<net::NodeId>;
-
-  // Pool slots are arena_new'd so their addresses survive pool growth
-  // (see HeapTraits::CandPool).
-  struct CandPool {
-    util::Arena* arena;
-    util::ArenaVector<CandVec*> pool;
-
-    explicit CandPool(util::Arena* a)
-        : arena(a), pool(util::ArenaAllocator<CandVec*>(a)) {}
-    CandVec& at_depth(std::size_t d) {
-      while (d >= pool.size()) {
-        pool.push_back(arena_search::arena_new<CandVec>(
-            arena, util::ArenaAllocator<net::NodeId>(arena)));
-      }
-      pool[d]->clear();
-      return *pool[d];
-    }
-  };
-
-  struct Memo {
-    std::int64_t drain = 0;
-    util::ArenaString key;  // reused scratch; contents rebuilt per probe
-    std::map<util::ArenaString, timenet::TimePoint,
-             std::less<util::ArenaString>,
+  explicit Memo(util::Arena* a)
+      : key(util::ArenaAllocator<char>(a)),
+        memo(std::less<util::ArenaString>(),
              util::ArenaAllocator<
-                 std::pair<const util::ArenaString, timenet::TimePoint>>>
-        memo;
+                 std::pair<const util::ArenaString, timenet::TimePoint>>(a)) {}
 
-    explicit Memo(util::Arena* a)
-        : key(util::ArenaAllocator<char>(a)),
-          memo(std::less<util::ArenaString>(),
-               util::ArenaAllocator<
-                   std::pair<const util::ArenaString, timenet::TimePoint>>(
-                   a)) {}
-
-    bool probe(timenet::TimePoint t, const timenet::UpdateSchedule& sched,
-               const Pending& pending) {
-      key.clear();
-      for (const net::NodeId v : pending) arena_search::append_u32(key, v);
-      arena_search::append_u32(key, arena_search::kKeySeparator);
-      for (const auto& [v, tv] : sched.entries()) {
-        if (tv >= t - drain) {
-          arena_search::append_u32(key, v);
-          arena_search::append_u64(key, static_cast<std::uint64_t>(t - tv));
-        }
+  /// True if an at-least-as-early visit of this state is memoized;
+  /// records the visit otherwise.
+  bool probe(timenet::TimePoint t, const timenet::UpdateSchedule& sched,
+             const Pending& pending) {
+    key.clear();
+    for (const net::NodeId v : pending) arena_search::append_u32(key, v);
+    arena_search::append_u32(key, arena_search::kKeySeparator);
+    // Updates older than the drain bound cannot influence any class that
+    // is still in flight; only the recent update pattern (relative to t)
+    // matters for the remaining subproblem.
+    for (const auto& [v, tv] : sched.entries()) {
+      if (tv >= t - drain) {
+        arena_search::append_u32(key, v);
+        arena_search::append_u64(key, static_cast<std::uint64_t>(t - tv));
       }
-      const auto it = memo.find(key);
-      if (it != memo.end()) {
-        if (it->second <= t) return true;
-        it->second = t;
-        return false;
-      }
-      memo.emplace(key, t);
+    }
+    const auto it = memo.find(key);
+    if (it != memo.end()) {
+      if (it->second <= t) return true;
+      it->second = t;
       return false;
     }
-  };
+    memo.emplace(key, t);
+    return false;
+  }
 };
 
-template <typename Traits>
 struct Search {
-  const net::UpdateInstance* inst = nullptr;
   timenet::TransitionState* state = nullptr;
   util::Deadline deadline{0};
   int max_candidates = 16;
@@ -167,22 +93,17 @@ struct Search {
   // excluded so mutp.nodes_visited >= mutp.incumbent_updates always holds
   // (property-tested in tests/property_test.cpp).
   std::uint64_t incumbent_updates = 0;
-  typename Traits::Memo memo;
-  typename Traits::CandPool cands;
+  Memo memo;
+  arena_search::CandPool cands;
 
-  Search(typename Traits::Memo m, typename Traits::CandPool c)
-      : memo(std::move(m)), cands(std::move(c)) {}
+  explicit Search(util::Arena* arena) : memo(arena), cands(arena) {}
 
-  void dfs(timenet::TimePoint t, std::size_t depth,
-           typename Traits::Pending& pending);
-  void branch(timenet::TimePoint t, std::size_t depth,
-              typename Traits::Pending& pending,
-              const typename Traits::CandVec& cand, std::size_t idx);
+  void dfs(timenet::TimePoint t, std::size_t depth, Pending& pending);
+  void branch(timenet::TimePoint t, std::size_t depth, Pending& pending,
+              const CandVec& cand, std::size_t idx);
 };
 
-template <typename Traits>
-void Search<Traits>::dfs(timenet::TimePoint t, std::size_t depth,
-                         typename Traits::Pending& pending) {
+void Search::dfs(timenet::TimePoint t, std::size_t depth, Pending& pending) {
   if (timed_out || deadline.expired()) {
     timed_out = true;
     return;
@@ -211,7 +132,7 @@ void Search<Traits>::dfs(timenet::TimePoint t, std::size_t depth,
     return;
   }
 
-  typename Traits::CandVec& cand = cands.at_depth(depth);
+  CandVec& cand = cands.at_depth(depth);
   for (const net::NodeId v : pending) {
     if (deadline.expired()) {  // candidate checks dominate at large n
       timed_out = true;
@@ -229,11 +150,8 @@ void Search<Traits>::dfs(timenet::TimePoint t, std::size_t depth,
   branch(t, depth, pending, cand, 0);
 }
 
-template <typename Traits>
-void Search<Traits>::branch(timenet::TimePoint t, std::size_t depth,
-                            typename Traits::Pending& pending,
-                            const typename Traits::CandVec& cand,
-                            std::size_t idx) {
+void Search::branch(timenet::TimePoint t, std::size_t depth, Pending& pending,
+                    const CandVec& cand, std::size_t idx) {
   if (timed_out || deadline.expired()) {
     timed_out = true;
     return;
@@ -256,98 +174,6 @@ void Search<Traits>::branch(timenet::TimePoint t, std::size_t depth,
   branch(t, depth, pending, cand, idx + 1);
 }
 
-/// What solve_mutp needs back from either instantiation.
-struct SearchOutcome {
-  std::int64_t incumbent = 0;
-  timenet::UpdateSchedule best;
-  bool found = false;
-  bool timed_out = false;
-  bool truncated = false;
-  std::uint64_t nodes = 0;
-  std::uint64_t prunes = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t incumbent_updates = 0;
-};
-
-struct SearchSeed {
-  bool found = false;
-  timenet::UpdateSchedule best;
-  std::int64_t incumbent = 0;
-  std::int64_t drain = 0;
-};
-
-template <typename Traits>
-SearchOutcome finish(Search<Traits>& s) {
-  SearchOutcome o;
-  o.incumbent = s.incumbent;
-  o.best = std::move(s.best);
-  o.found = s.found;
-  o.timed_out = s.timed_out;
-  o.truncated = s.truncated;
-  o.nodes = s.nodes;
-  o.prunes = s.prunes;
-  o.memo_hits = s.memo_hits;
-  o.incumbent_updates = s.incumbent_updates;
-  return o;
-}
-
-template <typename Traits>
-void seed_search(Search<Traits>& s, const net::UpdateInstance& inst,
-                 const MutpOptions& opts, const SearchSeed& seed) {
-  s.inst = &inst;
-  s.deadline = util::Deadline(opts.timeout_sec);
-  s.max_candidates = opts.max_candidates_exact;
-  s.memo.drain = seed.drain;
-  s.found = seed.found;
-  s.best = seed.best;
-  s.incumbent = seed.incumbent;
-}
-
-SearchOutcome search_heap(const net::UpdateInstance& inst,
-                          const MutpOptions& opts,
-                          const std::vector<net::NodeId>& to_update,
-                          const SearchSeed& seed) {
-  Search<HeapTraits> s{HeapTraits::Memo{}, HeapTraits::CandPool{}};
-  seed_search(s, inst, opts, seed);
-  timenet::TransitionState state(inst);
-  s.state = &state;
-  // chronus-analyzer: allow(hot-alloc)
-  std::set<net::NodeId> pending(to_update.begin(), to_update.end());
-  if (s.deadline.expired()) {
-    s.timed_out = true;  // the incumbent phase already consumed the budget
-  } else {
-    s.dfs(timenet::TimePoint{0}, 0, pending);
-  }
-  return finish(s);
-}
-
-SearchOutcome search_arena(const net::UpdateInstance& inst,
-                           const MutpOptions& opts,
-                           const std::vector<net::NodeId>& to_update,
-                           const SearchSeed& seed) {
-  util::Arena arena;
-  util::ArenaScope claim(arena);
-  Search<ArenaTraits> s{ArenaTraits::Memo(&arena),
-                        ArenaTraits::CandPool(&arena)};
-  seed_search(s, inst, opts, seed);
-  timenet::TransitionState state(inst);
-  s.state = &state;
-  ArenaTraits::Pending pending(&arena);
-  pending.assign_sorted(to_update.begin(), to_update.end());
-  if (s.deadline.expired()) {
-    s.timed_out = true;  // the incumbent phase already consumed the budget
-  } else {
-    s.dfs(timenet::TimePoint{0}, 0, pending);
-  }
-  SearchOutcome o = finish(s);
-  const util::ArenaStats& st = arena.stats();
-  obs::add("arena.mutp.bytes", st.bytes_requested);
-  obs::add("arena.mutp.allocs", st.allocs);
-  obs::add("arena.mutp.chunks", st.chunks);
-  obs::add("arena.mutp.high_water", st.high_water);
-  return o;
-}
-
 }  // namespace
 
 MutpResult solve_mutp(const net::UpdateInstance& inst,
@@ -363,8 +189,8 @@ MutpResult solve_mutp(const net::UpdateInstance& inst,
   }
 
   const net::Graph& g = inst.graph();
-  SearchSeed seed;
-  seed.drain = static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay();
+  const std::int64_t drain =
+      static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay();
 
   // Greedy incumbent: bounds the search and survives timeouts. The pure
   // (unguarded) greedy is tried first — it is the only variant that scales
@@ -386,23 +212,41 @@ MutpResult solve_mutp(const net::UpdateInstance& inst,
     guarded.record_steps = false;
     greedy = core::greedy_schedule(inst, guarded);
   }
-  if (greedy.feasible() &&
-      (fast_clean || is_clean(inst, greedy.schedule, validate_budget))) {
-    seed.found = true;
-    seed.best = greedy.schedule;
-    seed.incumbent =
+  const bool seeded =
+      greedy.feasible() &&
+      (fast_clean || is_clean(inst, greedy.schedule, validate_budget));
+
+  util::Arena arena;
+  util::ArenaScope claim(arena);
+  Search s(&arena);
+  s.deadline = util::Deadline(opts.timeout_sec);
+  s.max_candidates = opts.max_candidates_exact;
+  s.memo.drain = drain;
+  if (seeded) {
+    s.found = true;
+    s.incumbent =
         greedy.schedule.empty() ? 0 : greedy.schedule.last_time().count() + 1;
+    s.best = std::move(greedy.schedule);
   } else {
     // Horizon cap: beyond this every in-flight class has drained twice over;
     // a schedule longer than it gains nothing.
-    seed.incumbent =
-        2 * seed.drain + static_cast<std::int64_t>(to_update.size()) + 2;
+    s.incumbent = 2 * drain + static_cast<std::int64_t>(to_update.size()) + 2;
+  }
+  timenet::TransitionState state(inst);
+  s.state = &state;
+  Pending pending(&arena);
+  pending.assign_sorted(to_update.begin(), to_update.end());
+  if (s.deadline.expired()) {
+    s.timed_out = true;  // a micro-timeout can expire before the first node
+  } else {
+    s.dfs(timenet::TimePoint{0}, 0, pending);
   }
 
-  const SearchOutcome s = util::arena_enabled()
-                              ? search_arena(inst, opts, to_update, seed)
-                              : search_heap(inst, opts, to_update, seed);
-
+  const util::ArenaStats& st = arena.stats();
+  obs::add("arena.mutp.bytes", st.bytes_requested);
+  obs::add("arena.mutp.allocs", st.allocs);
+  obs::add("arena.mutp.chunks", st.chunks);
+  obs::add("arena.mutp.high_water", st.high_water);
   obs::add("mutp.calls");
   obs::add("mutp.nodes_visited", s.nodes);
   obs::add("mutp.prunes", s.prunes);
@@ -414,8 +258,8 @@ MutpResult solve_mutp(const net::UpdateInstance& inst,
   res.nodes_explored = s.nodes;
   if (s.found) {
     res.status = core::ScheduleStatus::kFeasible;
-    res.schedule = s.best;
     res.makespan = s.best.empty() ? 0 : s.best.last_time().count() + 1;
+    res.schedule = std::move(s.best);
     res.proved_optimal = !s.timed_out && !s.truncated;
     if (s.truncated) res.message = "branching truncated (candidate cap)";
     if (s.timed_out) res.message = "deadline hit; incumbent returned";

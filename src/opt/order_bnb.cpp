@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,9 +19,9 @@ namespace {
 
 /// Cycle check on the union graph (see header). Each switch contributes at
 /// most two outgoing edges, so this is O(V). This map-based form is the
-/// public round_is_loop_safe implementation and the CHRONUS_ARENA=off
-/// search backend; the arena search uses FlatLoopCheck below (same
-/// verdicts, flat epoch-stamped arrays instead of per-call maps).
+/// public round_is_loop_safe, which greedy_maximal and Dionysus call; the
+/// exact search uses FlatLoopCheck below (same verdicts, flat
+/// epoch-stamped arrays instead of per-call maps).
 bool union_graph_acyclic(const net::UpdateInstance& inst,
                          const std::set<net::NodeId>& updated,
                          const std::set<net::NodeId>& round) {
@@ -69,12 +67,12 @@ bool union_graph_acyclic(const net::UpdateInstance& inst,
   return true;
 }
 
-/// The arena search's union-graph cycle check: next-hop functions and the
-/// touched-node set are flattened once per search, and every safe() call
-/// reuses epoch-stamped color/adjacency arrays — no per-call allocation,
-/// no tree lookups. Verdict-identical to union_graph_acyclic (both decide
-/// acyclicity of the same union graph; held together by the differential
-/// harness).
+/// The exact search's union-graph cycle check: next-hop functions and the
+/// touched-node set are flattened once per search, and every safe_with()
+/// call reuses epoch-stamped color/adjacency arrays — no per-call
+/// allocation, no tree lookups. Verdict-identical to union_graph_acyclic
+/// (both decide acyclicity of the same union graph; tests/opt_test.cpp
+/// checks every round the search emits with round_is_loop_safe).
 class FlatLoopCheck {
  public:
   FlatLoopCheck(util::Arena* arena, const net::UpdateInstance& inst)
@@ -168,8 +166,7 @@ class FlatLoopCheck {
 
 /// A round under construction: sorted flat vector plus membership mask.
 /// branch() inserts candidates in ascending order and erases in LIFO
-/// order, so push_back/pop_back keep the vector sorted — iteration
-/// matches the std::set round of the heap backend exactly.
+/// order, so push_back/pop_back keep the vector sorted.
 class RoundVec {
  public:
   RoundVec(util::Arena* arena, std::size_t node_count)
@@ -203,232 +200,91 @@ class RoundVec {
   arena_search::NodeMask mask_;
 };
 
-// ---------------------------------------------------------------------------
-// Search-state traits: the branch-and-bound is one template; the heap
-// bundle keeps the original std::set / std::map<std::string> state (the
-// CHRONUS_ARENA=off escape hatch), the arena bundle swaps in the flat
-// structures. See mutp_bnb.cpp for the shared reasoning.
+// Search state lives in the solve's arena (opt/arena_search.hpp).
+using Pending = arena_search::SortedNodeVec;
+using Updated = arena_search::NodeMask;
+using CandVec = arena_search::CandPool::CandVec;
 
-struct HeapTraits {
-  // chronus-analyzer: allow(hot-alloc) — escape-hatch state, heap on purpose
-  using Pending = std::set<net::NodeId>;
-  // chronus-analyzer: allow(hot-alloc)
-  using Updated = std::set<net::NodeId>;
-  // chronus-analyzer: allow(hot-alloc)
-  using CandVec = std::vector<net::NodeId>;
-  // chronus-analyzer: allow(hot-alloc)
-  using Round = std::set<net::NodeId>;
+/// Per-depth rounds under construction; slots are arena_new'd for the
+/// same reason as arena_search::CandPool's.
+struct RoundPool {
+  util::Arena* arena;
+  std::size_t node_count;
+  util::ArenaVector<RoundVec*> pool;
 
-  // Pool slots are held by pointer so the reference a recursion frame
-  // keeps across deeper calls survives pool growth.
-  struct CandPool {
-    // chronus-analyzer: allow(hot-alloc)
-    std::vector<std::unique_ptr<CandVec>> pool;
-    CandVec& at_depth(std::size_t d) {
-      // chronus-analyzer: allow(hot-alloc)
-      while (d >= pool.size()) pool.push_back(std::make_unique<CandVec>());
-      pool[d]->clear();
-      return *pool[d];
+  RoundPool(util::Arena* a, std::size_t n)
+      : arena(a), node_count(n), pool(util::ArenaAllocator<RoundVec*>(a)) {}
+  RoundVec& at_depth(std::size_t d) {
+    while (d >= pool.size()) {
+      pool.push_back(
+          arena_search::arena_new<RoundVec>(arena, arena, node_count));
     }
-  };
-
-  struct RoundPool {
-    // chronus-analyzer: allow(hot-alloc)
-    std::vector<std::unique_ptr<Round>> pool;
-    Round& at_depth(std::size_t d) {
-      // chronus-analyzer: allow(hot-alloc)
-      while (d >= pool.size()) pool.push_back(std::make_unique<Round>());
-      pool[d]->clear();
-      return *pool[d];
-    }
-  };
-
-  struct Rounds {
-    // chronus-analyzer: allow(hot-alloc)
-    std::vector<std::vector<net::NodeId>> rounds;
-    template <typename RoundT>
-    void push(const RoundT& r) {
-      rounds.emplace_back(r.begin(), r.end());
-    }
-    void pop() { rounds.pop_back(); }
-    std::size_t size() const { return rounds.size(); }
-    std::vector<std::vector<net::NodeId>> snapshot() const { return rounds; }
-  };
-
-  struct Memo {
-    // chronus-analyzer: allow(hot-alloc)
-    std::map<std::string, std::size_t> memo;  // pending-set -> fewest rounds
-
-    template <typename PendingT>
-    bool probe(const PendingT& pending, std::size_t used) {
-      // chronus-analyzer: allow(hot-alloc)
-      std::ostringstream os;
-      for (const net::NodeId v : pending) os << v << ',';
-      const std::string key = os.str();
-      const auto it = memo.find(key);
-      if (it != memo.end() && it->second <= used) return true;
-      memo[key] = used;
-      return false;
-    }
-  };
-
-  struct LoopCheck {
-    const net::UpdateInstance* inst = nullptr;
-
-    bool safe(const Updated& updated, const Round& round) {
-      return round_is_loop_safe(*inst, updated, round);
-    }
-    bool safe_single(const Updated& updated, net::NodeId v) {
-      return round_is_loop_safe(*inst, updated, {v});
-    }
-  };
-
-  struct Bundle {
-    Memo memo;
-    LoopCheck loops;
-    CandPool cands;
-    RoundPool round_pool;
-    Rounds current;
-
-    explicit Bundle(const net::UpdateInstance& inst) { loops.inst = &inst; }
-  };
+    pool[d]->clear();
+    return *pool[d];
+  }
 };
 
-struct ArenaTraits {
-  using Pending = arena_search::SortedNodeVec;
-  using Updated = arena_search::NodeMask;
-  using CandVec = util::ArenaVector<net::NodeId>;
-  using Round = RoundVec;
+/// Stack of completed rounds: per-depth slots are assigned in place so
+/// a long search never grows the arena with dead round copies.
+struct Rounds {
+  util::Arena* arena;
+  util::ArenaVector<util::ArenaVector<net::NodeId>*> pool;
+  std::size_t n = 0;
 
-  // Pool slots are arena_new'd so their addresses survive pool growth
-  // (see HeapTraits::CandPool).
-  struct CandPool {
-    util::Arena* arena;
-    util::ArenaVector<CandVec*> pool;
-
-    explicit CandPool(util::Arena* a)
-        : arena(a), pool(util::ArenaAllocator<CandVec*>(a)) {}
-    CandVec& at_depth(std::size_t d) {
-      while (d >= pool.size()) {
-        pool.push_back(arena_search::arena_new<CandVec>(
-            arena, util::ArenaAllocator<net::NodeId>(arena)));
-      }
-      pool[d]->clear();
-      return *pool[d];
+  explicit Rounds(util::Arena* a)
+      : arena(a),
+        pool(util::ArenaAllocator<util::ArenaVector<net::NodeId>*>(a)) {}
+  void push(const RoundVec& r) {
+    if (n == pool.size()) {
+      pool.push_back(arena_search::arena_new<util::ArenaVector<net::NodeId>>(
+          arena, util::ArenaAllocator<net::NodeId>(arena)));
     }
-  };
-
-  struct RoundPool {
-    util::Arena* arena;
-    std::size_t node_count;
-    util::ArenaVector<Round*> pool;
-
-    RoundPool(util::Arena* a, std::size_t n)
-        : arena(a), node_count(n), pool(util::ArenaAllocator<Round*>(a)) {}
-    Round& at_depth(std::size_t d) {
-      while (d >= pool.size()) {
-        pool.push_back(arena_search::arena_new<Round>(arena, arena,
-                                                      node_count));
-      }
-      pool[d]->clear();
-      return *pool[d];
+    pool[n]->assign(r.begin(), r.end());
+    ++n;
+  }
+  void pop() { --n; }
+  std::size_t size() const { return n; }
+  std::vector<std::vector<net::NodeId>> snapshot() const {
+    std::vector<std::vector<net::NodeId>> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out.emplace_back(pool[i]->begin(), pool[i]->end());
     }
-  };
+    return out;
+  }
+};
 
-  /// Stack of completed rounds: per-depth slots are assigned in place so
-  /// a long search never grows the arena with dead round copies.
-  struct Rounds {
-    util::Arena* arena;
-    util::ArenaVector<util::ArenaVector<net::NodeId>*> pool;
-    std::size_t n = 0;
+/// Dominance memo: pending set -> fewest rounds used to reach it.
+struct Memo {
+  util::ArenaString key;  // reused scratch; contents rebuilt per probe
+  std::map<util::ArenaString, std::size_t, std::less<util::ArenaString>,
+           util::ArenaAllocator<
+               std::pair<const util::ArenaString, std::size_t>>>
+      memo;
 
-    explicit Rounds(util::Arena* a)
-        : arena(a),
-          pool(util::ArenaAllocator<util::ArenaVector<net::NodeId>*>(a)) {}
-    template <typename RoundT>
-    void push(const RoundT& r) {
-      if (n == pool.size()) {
-        pool.push_back(
-            arena_search::arena_new<util::ArenaVector<net::NodeId>>(
-                arena, util::ArenaAllocator<net::NodeId>(arena)));
-      }
-      pool[n]->assign(r.begin(), r.end());
-      ++n;
-    }
-    void pop() { --n; }
-    std::size_t size() const { return n; }
-    std::vector<std::vector<net::NodeId>> snapshot() const {
-      std::vector<std::vector<net::NodeId>> out;
-      out.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        out.emplace_back(pool[i]->begin(), pool[i]->end());
-      }
-      return out;
-    }
-  };
-
-  struct Memo {
-    util::ArenaString key;  // reused scratch; contents rebuilt per probe
-    std::map<util::ArenaString, std::size_t, std::less<util::ArenaString>,
+  explicit Memo(util::Arena* a)
+      : key(util::ArenaAllocator<char>(a)),
+        memo(std::less<util::ArenaString>(),
              util::ArenaAllocator<
-                 std::pair<const util::ArenaString, std::size_t>>>
-        memo;
+                 std::pair<const util::ArenaString, std::size_t>>(a)) {}
 
-    explicit Memo(util::Arena* a)
-        : key(util::ArenaAllocator<char>(a)),
-          memo(std::less<util::ArenaString>(),
-               util::ArenaAllocator<
-                   std::pair<const util::ArenaString, std::size_t>>(a)) {}
-
-    template <typename PendingT>
-    bool probe(const PendingT& pending, std::size_t used) {
-      key.clear();
-      for (const net::NodeId v : pending) arena_search::append_u32(key, v);
-      const auto it = memo.find(key);
-      if (it != memo.end()) {
-        if (it->second <= used) return true;
-        it->second = used;
-        return false;
-      }
-      memo.emplace(key, used);
+  /// True if the pending set was already reached within `used` rounds;
+  /// records the visit otherwise.
+  bool probe(const Pending& pending, std::size_t used) {
+    key.clear();
+    for (const net::NodeId v : pending) arena_search::append_u32(key, v);
+    const auto it = memo.find(key);
+    if (it != memo.end()) {
+      if (it->second <= used) return true;
+      it->second = used;
       return false;
     }
-  };
-
-  struct LoopCheck {
-    FlatLoopCheck flat;
-
-    LoopCheck(util::Arena* a, const net::UpdateInstance& inst)
-        : flat(a, inst) {}
-    bool safe(const Updated& updated, const Round& round) {
-      return flat.safe_with(updated,
-                            [&round](net::NodeId w) { return round.contains(w); });
-    }
-    bool safe_single(const Updated& updated, net::NodeId v) {
-      return flat.safe_with(updated,
-                            [v](net::NodeId w) { return w == v; });
-    }
-  };
-
-  struct Bundle {
-    Memo memo;
-    LoopCheck loops;
-    CandPool cands;
-    RoundPool round_pool;
-    Rounds current;
-
-    Bundle(util::Arena* a, const net::UpdateInstance& inst)
-        : memo(a),
-          loops(a, inst),
-          cands(a),
-          round_pool(a, inst.graph().node_count()),
-          current(a) {}
-  };
+    memo.emplace(key, used);
+    return false;
+  }
 };
 
-template <typename Traits>
 struct Search {
-  const net::UpdateInstance* inst = nullptr;
   util::Deadline deadline{0};
 
   std::size_t incumbent = std::numeric_limits<std::size_t>::max();
@@ -439,61 +295,63 @@ struct Search {
   std::uint64_t prunes = 0;
   std::uint64_t memo_hits = 0;
   std::uint64_t incumbent_updates = 0;  // dfs-internal only (see mutp_bnb)
-  typename Traits::Bundle b;
+  Memo memo;
+  FlatLoopCheck loops;
+  arena_search::CandPool cands;
+  RoundPool round_pool;
+  Rounds current;
 
-  explicit Search(typename Traits::Bundle bundle) : b(std::move(bundle)) {}
+  Search(util::Arena* arena, const net::UpdateInstance& inst)
+      : memo(arena),
+        loops(arena, inst),
+        cands(arena),
+        round_pool(arena, inst.graph().node_count()),
+        current(arena) {}
 
-  void dfs(std::size_t depth, typename Traits::Pending& pending,
-           typename Traits::Updated& updated);
-  void branch(std::size_t depth, typename Traits::Pending& pending,
-              typename Traits::Updated& updated,
-              const typename Traits::CandVec& cand, std::size_t idx,
-              typename Traits::Round& round);
+  void dfs(std::size_t depth, Pending& pending, Updated& updated);
+  void branch(std::size_t depth, Pending& pending, Updated& updated,
+              const CandVec& cand, std::size_t idx, RoundVec& round);
 };
 
-template <typename Traits>
-void Search<Traits>::dfs(std::size_t depth, typename Traits::Pending& pending,
-                         typename Traits::Updated& updated) {
+void Search::dfs(std::size_t depth, Pending& pending, Updated& updated) {
   if (timed_out || deadline.expired()) {
     timed_out = true;
     return;
   }
   ++nodes;
   if (pending.empty()) {
-    if (b.current.size() < incumbent) {
-      incumbent = b.current.size();
-      best = b.current.snapshot();
+    if (current.size() < incumbent) {
+      incumbent = current.size();
+      best = current.snapshot();
       found = true;
       ++incumbent_updates;
     }
     return;
   }
-  if (b.current.size() + 1 >= incumbent) {
+  if (current.size() + 1 >= incumbent) {
     ++prunes;
     return;
   }
 
-  if (b.memo.probe(pending, b.current.size())) {
+  if (memo.probe(pending, current.size())) {
     ++memo_hits;
     return;
   }
 
-  typename Traits::CandVec& cand = b.cands.at_depth(depth);
+  CandVec& cand = cands.at_depth(depth);
   for (const net::NodeId v : pending) {
-    if (b.loops.safe_single(updated, v)) cand.push_back(v);
+    if (loops.safe_with(updated, [v](net::NodeId w) { return w == v; })) {
+      cand.push_back(v);
+    }
   }
   if (cand.empty()) return;  // stuck: no single switch is safe
 
-  typename Traits::Round& round = b.round_pool.at_depth(depth);
+  RoundVec& round = round_pool.at_depth(depth);
   branch(depth, pending, updated, cand, 0, round);
 }
 
-template <typename Traits>
-void Search<Traits>::branch(std::size_t depth,
-                            typename Traits::Pending& pending,
-                            typename Traits::Updated& updated,
-                            const typename Traits::CandVec& cand,
-                            std::size_t idx, typename Traits::Round& round) {
+void Search::branch(std::size_t depth, Pending& pending, Updated& updated,
+                    const CandVec& cand, std::size_t idx, RoundVec& round) {
   if (timed_out || deadline.expired()) {
     timed_out = true;
     return;
@@ -504,9 +362,9 @@ void Search<Traits>::branch(std::size_t depth,
       pending.erase(v);
       updated.insert(v);
     }
-    b.current.push(round);
+    current.push(round);
     dfs(depth + 1, pending, updated);
-    b.current.pop();
+    current.pop();
     for (const net::NodeId v : round) {
       updated.erase(v);
       pending.insert(v);
@@ -515,7 +373,8 @@ void Search<Traits>::branch(std::size_t depth,
   }
   const net::NodeId v = cand[idx];
   round.insert(v);
-  if (b.loops.safe(updated, round)) {
+  if (loops.safe_with(updated,
+                      [&round](net::NodeId w) { return round.contains(w); })) {
     branch(depth, pending, updated, cand, idx + 1, round);
   }
   round.erase(v);
@@ -541,80 +400,6 @@ std::vector<std::vector<net::NodeId>> greedy_maximal(
     rounds.emplace_back(round.begin(), round.end());
   }
   return rounds;
-}
-
-/// What solve_order_replacement needs back from either instantiation.
-struct SearchOutcome {
-  std::vector<std::vector<net::NodeId>> best;
-  bool found = false;
-  bool timed_out = false;
-  std::uint64_t nodes = 0;
-  std::uint64_t prunes = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t incumbent_updates = 0;
-};
-
-template <typename Traits>
-SearchOutcome finish(Search<Traits>& s) {
-  SearchOutcome o;
-  o.best = std::move(s.best);
-  o.found = s.found;
-  o.timed_out = s.timed_out;
-  o.nodes = s.nodes;
-  o.prunes = s.prunes;
-  o.memo_hits = s.memo_hits;
-  o.incumbent_updates = s.incumbent_updates;
-  return o;
-}
-
-SearchOutcome search_heap(const net::UpdateInstance& inst,
-                          const util::Deadline& deadline,
-                          const std::set<net::NodeId>& pending_in,
-                          const std::set<net::NodeId>& pre_installed,
-                          const std::vector<std::vector<net::NodeId>>& greedy) {
-  Search<HeapTraits> s{HeapTraits::Bundle(inst)};
-  s.inst = &inst;
-  s.deadline = deadline;
-  if (!greedy.empty()) {
-    s.found = true;
-    s.best = greedy;
-    s.incumbent = greedy.size();
-  }
-  // chronus-analyzer: allow(hot-alloc)
-  std::set<net::NodeId> pending = pending_in;
-  // chronus-analyzer: allow(hot-alloc)
-  std::set<net::NodeId> updated = pre_installed;
-  s.dfs(0, pending, updated);
-  return finish(s);
-}
-
-SearchOutcome search_arena(const net::UpdateInstance& inst,
-                           const util::Deadline& deadline,
-                           const std::set<net::NodeId>& pending_in,
-                           const std::set<net::NodeId>& pre_installed,
-                           const std::vector<std::vector<net::NodeId>>& greedy) {
-  util::Arena arena;
-  util::ArenaScope claim(arena);
-  Search<ArenaTraits> s{ArenaTraits::Bundle(&arena, inst)};
-  s.inst = &inst;
-  s.deadline = deadline;
-  if (!greedy.empty()) {
-    s.found = true;
-    s.best = greedy;
-    s.incumbent = greedy.size();
-  }
-  ArenaTraits::Pending pending(&arena);
-  pending.assign_sorted(pending_in.begin(), pending_in.end());
-  ArenaTraits::Updated updated(&arena, inst.graph().node_count());
-  for (const net::NodeId v : pre_installed) updated.insert(v);
-  s.dfs(0, pending, updated);
-  SearchOutcome o = finish(s);
-  const util::ArenaStats& st = arena.stats();
-  obs::add("arena.order.bytes", st.bytes_requested);
-  obs::add("arena.order.allocs", st.allocs);
-  obs::add("arena.order.chunks", st.chunks);
-  obs::add("arena.order.high_water", st.high_water);
-  return o;
 }
 
 }  // namespace
@@ -659,7 +444,7 @@ OrderResult solve_order_replacement(const net::UpdateInstance& inst,
   const std::set<net::NodeId> pre_installed(fresh.begin(), fresh.end());
 
   const util::Deadline deadline(opts.timeout_sec);
-  const auto greedy = greedy_maximal(inst, pending, pre_installed, deadline);
+  auto greedy = greedy_maximal(inst, pending, pre_installed, deadline);
   const auto with_fresh_round = [&](std::vector<std::vector<net::NodeId>> rounds) {
     if (!fresh.empty()) rounds.insert(rounds.begin(), fresh);
     return rounds;
@@ -674,11 +459,26 @@ OrderResult solve_order_replacement(const net::UpdateInstance& inst,
     return res;
   }
 
-  const SearchOutcome s =
-      util::arena_enabled()
-          ? search_arena(inst, deadline, pending, pre_installed, greedy)
-          : search_heap(inst, deadline, pending, pre_installed, greedy);
+  util::Arena arena;
+  util::ArenaScope claim(arena);
+  Search s(&arena, inst);
+  s.deadline = deadline;
+  if (!greedy.empty()) {
+    s.found = true;
+    s.incumbent = greedy.size();
+    s.best = std::move(greedy);
+  }
+  Pending open(&arena);
+  open.assign_sorted(pending.begin(), pending.end());
+  Updated updated(&arena, inst.graph().node_count());
+  for (const net::NodeId v : pre_installed) updated.insert(v);
+  s.dfs(0, open, updated);
 
+  const util::ArenaStats& st = arena.stats();
+  obs::add("arena.order.bytes", st.bytes_requested);
+  obs::add("arena.order.allocs", st.allocs);
+  obs::add("arena.order.chunks", st.chunks);
+  obs::add("arena.order.high_water", st.high_water);
   obs::add("order.calls");
   obs::add("order.nodes_visited", s.nodes);
   obs::add("order.prunes", s.prunes);
@@ -689,7 +489,7 @@ OrderResult solve_order_replacement(const net::UpdateInstance& inst,
   res.timed_out = s.timed_out;
   res.nodes_explored = s.nodes;
   res.feasible = s.found;
-  res.rounds = with_fresh_round(s.best);
+  res.rounds = with_fresh_round(std::move(s.best));
   res.proved_optimal = s.found && !s.timed_out;
   if (s.timed_out) res.message = "deadline hit; incumbent returned";
   if (!s.found) res.message = "no loop-free round sequence found";

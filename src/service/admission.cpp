@@ -86,7 +86,7 @@ bool AdmissionController::statically_feasible(const Footprint& fp) const {
 
 AdmissionRound AdmissionController::decide(
     const std::vector<PendingRequest>& pending, CapacityLedger& ledger,
-    sim::SimTime now) const {
+    sim::SimTime now, bool joint) const {
   AdmissionRound round;
   const AdmissionTally tally{&round};
   // Candidates that survived the reject filters, in service order, with a
@@ -124,7 +124,7 @@ AdmissionRound AdmissionController::decide(
   };
   const bool any_rescuable =
       std::any_of(cands.begin(), cands.end(), rescuable);
-  if (!policy_.allow_joint || !any_rescuable) {
+  if (!joint || !any_rescuable) {
     for (const Candidate& c : cands) {
       (c.reserved ? round.singles : round.deferred).push_back(c.idx);
     }

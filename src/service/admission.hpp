@@ -45,8 +45,6 @@ struct AdmissionPolicy {
   /// completion cycles at the default epoch/dispatch lead, so contended
   /// requests wait out transient congestion instead of starving.
   int max_defers = 64;
-  /// Form joint batches from conflicting leftovers (else defer them).
-  bool allow_joint = true;
   /// Rounds a leftover must have waited before it may trigger a joint
   /// batch. Batching pulls conflicting singles out of their fast path, so
   /// it is reserved for requests that plain in-flight turnover has not
@@ -98,8 +96,12 @@ class AdmissionController {
 
   /// One admission round over `pending` (already in service order).
   /// Reserves capacity for singles and joint groups as described above.
+  /// `joint` gates joint batching for this round: when false, leftovers
+  /// are deferred instead of batched. The service clears it on the
+  /// greedy-only degradation rung.
   AdmissionRound decide(const std::vector<PendingRequest>& pending,
-                        CapacityLedger& ledger, sim::SimTime now) const;
+                        CapacityLedger& ledger, sim::SimTime now,
+                        bool joint) const;
 
  private:
   const net::Graph* base_;

@@ -280,11 +280,6 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
   };
 
   AdmissionController admission(base_, opts_.admission);
-  // The greedy-only rung plans through the same controller with joint
-  // batching disabled — the cheapest way to keep admitting under pressure.
-  AdmissionPolicy greedy_policy = opts_.admission;
-  greedy_policy.allow_joint = false;
-  AdmissionController greedy_admission(base_, greedy_policy);
   CapacityLedger ledger(base_);
   WorkerPool pool(opts_.workers);
 
@@ -450,9 +445,11 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
         view.push_back(
             {&requests[p.req_idx], p.footprint, p.defers, p.joint_cooldown});
       }
-      AdmissionRound round = effective == DegradationMode::kGreedyOnly
-                                 ? greedy_admission.decide(view, ledger, now)
-                                 : admission.decide(view, ledger, now);
+      // The greedy-only rung plans through the same controller with joint
+      // batching off — the cheapest way to keep admitting under pressure.
+      AdmissionRound round =
+          admission.decide(view, ledger, now,
+                           effective != DegradationMode::kGreedyOnly);
       ++report.admission_rounds;
 
       std::vector<char> resolved(pending.size(), 0);

@@ -1,7 +1,6 @@
 #include "timenet/path_enum.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "obs/metrics.hpp"
 #include "util/arena.hpp"
@@ -10,37 +9,12 @@ namespace chronus::timenet {
 
 namespace {
 
-// Heap backend (CHRONUS_ARENA=off escape hatch): the original recursion
-// with a std::set visited filter — one tree-node allocation per edge step.
+// Depth-first walk over the base graph's out-links. The visited filter is a
+// flat byte mask and the growing path lives in bump-allocated scratch, so
+// a step costs two array writes.
 void dfs(const net::Graph& g, net::NodeId dst, const EnumerateOptions& opts,
-         TimedPath& current, std::set<net::NodeId>& visited,
+         util::ArenaVector<TimedNode>& current, unsigned char* visited,
          std::vector<TimedPath>& out) {
-  if (out.size() >= opts.max_paths) return;
-  const TimedNode at = current.back();  // by value: push_back reallocates
-  if (at.node == dst) {
-    out.push_back(current);
-    return;
-  }
-  for (const net::LinkId id : g.out_links(at.node)) {
-    const net::Link& l = g.link(id);
-    const TimePoint arrival = at.time + l.delay;
-    if (arrival > opts.t_end) continue;
-    if (visited.count(l.dst)) continue;  // Definition 2: no switch twice
-    visited.insert(l.dst);
-    current.push_back(TimedNode{l.dst, arrival});
-    dfs(g, dst, opts, current, visited, out);
-    current.pop_back();
-    visited.erase(l.dst);
-  }
-}
-
-// Arena backend: identical traversal, but the visited filter is a flat
-// byte mask and the growing path lives in bump-allocated scratch — the
-// per-step cost is two array writes instead of a red-black rebalance.
-void dfs_arena(const net::Graph& g, net::NodeId dst,
-               const EnumerateOptions& opts,
-               util::ArenaVector<TimedNode>& current, unsigned char* visited,
-               std::vector<TimedPath>& out) {
   if (out.size() >= opts.max_paths) return;
   const TimedNode at = current.back();
   if (at.node == dst) {
@@ -54,7 +28,7 @@ void dfs_arena(const net::Graph& g, net::NodeId dst,
     if (visited[l.dst] != 0) continue;  // Definition 2: no switch twice
     visited[l.dst] = 1;
     current.push_back(TimedNode{l.dst, arrival});
-    dfs_arena(g, dst, opts, current, visited, out);
+    dfs(g, dst, opts, current, visited, out);
     current.pop_back();
     visited[l.dst] = 0;
   }
@@ -66,18 +40,10 @@ std::vector<TimedPath> enumerate_timed_paths(const net::Graph& g,
                                              net::NodeId src, TimePoint t0,
                                              net::NodeId dst,
                                              const EnumerateOptions& opts) {
-  // The result type is the public heap vocabulary in both modes; only the
-  // enumeration scratch changes backing.
+  // The result is the public heap vocabulary; only the enumeration
+  // scratch lives in the arena.
   // chronus-analyzer: allow(hot-alloc)
   std::vector<TimedPath> out;
-  if (!util::arena_enabled()) {
-    TimedPath current{TimedNode{src, t0}};
-    // chronus-analyzer: allow(hot-alloc)
-    std::set<net::NodeId> visited{src};
-    dfs(g, dst, opts, current, visited, out);
-    return out;
-  }
-
   util::Arena arena;
   util::ArenaScope claim(arena);
   auto* visited = arena.allocate_array<unsigned char>(g.node_count());
@@ -86,7 +52,7 @@ std::vector<TimedPath> enumerate_timed_paths(const net::Graph& g,
       util::ArenaAllocator<TimedNode>(&arena)};
   current.push_back(TimedNode{src, t0});
   visited[src] = 1;
-  dfs_arena(g, dst, opts, current, visited, out);
+  dfs(g, dst, opts, current, visited, out);
 
   const util::ArenaStats& st = arena.stats();
   obs::add("arena.pathenum.bytes", st.bytes_requested);

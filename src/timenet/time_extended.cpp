@@ -13,7 +13,6 @@ TimeExtendedNetwork::TimeExtendedNetwork(const net::Graph& g, TimePoint t_begin,
     : base_(&g),
       t_begin_(t_begin),
       t_end_(t_end),
-      arena_mode_(util::arena_enabled()),
       from_node_(util::ArenaAllocator<net::NodeId>(&arena_)),
       to_node_(util::ArenaAllocator<net::NodeId>(&arena_)),
       from_time_(util::ArenaAllocator<TimePoint>(&arena_)),
@@ -23,43 +22,15 @@ TimeExtendedNetwork::TimeExtendedNetwork(const net::Graph& g, TimePoint t_begin,
       slot_off_(util::ArenaAllocator<std::uint32_t>(&arena_)),
       slot_links_(util::ArenaAllocator<std::uint32_t>(&arena_)) {
   if (t_begin > t_end) throw std::invalid_argument("empty time window");
-  if (arena_mode_) {
-    build_arena(g, keep_boundary_links);
-    const util::ArenaStats& st = arena_.stats();
-    obs::add("arena.gt.bytes", st.bytes_requested);
-    obs::add("arena.gt.allocs", st.allocs);
-    obs::add("arena.gt.chunks", st.chunks);
-    obs::add("arena.gt.high_water", st.high_water);
-  } else {
-    build_heap(g, keep_boundary_links);
-  }
+  build(g, keep_boundary_links);
+  const util::ArenaStats& st = arena_.stats();
+  obs::add("arena.gt.bytes", st.bytes_requested);
+  obs::add("arena.gt.allocs", st.allocs);
+  obs::add("arena.gt.chunks", st.chunks);
+  obs::add("arena.gt.high_water", st.high_water);
 }
 
-void TimeExtendedNetwork::build_heap(const net::Graph& g,
-                                     bool keep_boundary_links) {
-  // The original per-push layout, kept verbatim as the CHRONUS_ARENA=off
-  // escape hatch and as the reference the differential harness compares
-  // the arena backend against.
-  out_index_.resize(g.node_count() * time_steps());
-  for (TimePoint t = t_begin_; t <= t_end_; ++t) {
-    for (net::LinkId id = 0; id < g.link_count(); ++id) {
-      const net::Link& l = g.link(id);
-      const TimePoint head = t + l.delay;
-      if (head > t_end_ && !keep_boundary_links) continue;
-      TimedLink tl;
-      tl.from = TimedNode{l.src, t};
-      tl.to = TimedNode{l.dst, head};
-      tl.capacity = l.capacity;
-      tl.base_link = id;
-      out_index_[slot(l.src, t)].push_back(
-          static_cast<std::uint32_t>(links_.size()));
-      links_.push_back(tl);
-    }
-  }
-}
-
-void TimeExtendedNetwork::build_arena(const net::Graph& g,
-                                      bool keep_boundary_links) {
+void TimeExtendedNetwork::build(const net::Graph& g, bool keep_boundary_links) {
   util::ArenaScope claim(arena_);
   const std::size_t slots = g.node_count() * time_steps();
 
@@ -85,8 +56,8 @@ void TimeExtendedNetwork::build_arena(const net::Graph& g,
   base_id_.reserve(total);
   slot_links_.resize(total);
 
-  // Fill pass in the same (t, base_link) order as the heap backend, so
-  // timed-link ids and per-slot orders match it bit for bit.
+  // Fill pass in (t, base_link) order: that order defines the timed-link
+  // ids, and within a slot the CSR lists links in ascending id.
   util::ArenaVector<std::uint32_t> cursor(slot_off_.begin(),
                                           slot_off_.end() - 1,
                                           util::ArenaAllocator<std::uint32_t>(
@@ -113,12 +84,11 @@ std::size_t TimeExtendedNetwork::node_copies() const {
 }
 
 std::size_t TimeExtendedNetwork::link_count() const {
-  return arena_mode_ ? from_node_.size() : links_.size();
+  return from_node_.size();
 }
 
 TimedLink TimeExtendedNetwork::link(std::size_t i) const {
   CHRONUS_EXPECTS(i < link_count(), "timed-link id out of range");
-  if (!arena_mode_) return links_[i];
   TimedLink tl;
   tl.from = TimedNode{from_node_[i], from_time_[i]};
   tl.to = TimedNode{to_node_[i], to_time_[i]};
@@ -128,7 +98,6 @@ TimedLink TimeExtendedNetwork::link(std::size_t i) const {
 }
 
 std::vector<TimedLink> TimeExtendedNetwork::links() const {
-  if (!arena_mode_) return links_;
   // chronus-analyzer: allow(hot-alloc) compat accessor, heap copy by contract
   std::vector<TimedLink> out;
   out.reserve(link_count());
@@ -152,10 +121,6 @@ std::vector<TimedLink> TimeExtendedNetwork::out_links(net::NodeId v,
   std::vector<TimedLink> out;
   if (t < t_begin_ || t > t_end_ || v >= base_->node_count()) return out;
   const std::size_t s = slot(v, t);
-  if (!arena_mode_) {
-    for (const auto idx : out_index_[s]) out.push_back(links_[idx]);
-    return out;
-  }
   out.reserve(slot_off_[s + 1] - slot_off_[s]);
   for (std::uint32_t i = slot_off_[s]; i < slot_off_[s + 1]; ++i) {
     out.push_back(link(slot_links_[i]));

@@ -6,18 +6,12 @@
 // explicit expansion is exposed for tests, exposition (Fig. 2/5) and the
 // OPT formulation, matching the paper's model one-to-one.
 //
-// Two storage backends sit behind one API (DESIGN.md §16):
-//
-//   * arena (default): structure-of-arrays columns for the timed links
-//     (endpoints, times, capacities, base ids) plus a CSR out-index
-//     (per-slot offsets into one flat id array), all bump-allocated from
-//     a per-network util::Arena sized in a counting pre-pass — one slab
-//     walk instead of one heap allocation per slot.
-//   * heap (CHRONUS_ARENA=off): the original array-of-structs layout with
-//     a vector-of-vectors out-index, kept verbatim as the escape hatch.
-//
-// Both backends expose bit-identical link ids, orders and contents
-// (asserted by tests/planner_differential_test.cpp).
+// Storage (DESIGN.md §16): structure-of-arrays columns for the timed
+// links (endpoints, times, capacities, base ids) plus a CSR out-index
+// (per-slot offsets into one flat id array), all bump-allocated from a
+// per-network util::Arena sized in a counting pre-pass — one slab walk
+// instead of one heap allocation per slot. The public accessors hand out
+// the TimedLink value vocabulary below.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +46,8 @@ class TimeExtendedNetwork {
   TimeExtendedNetwork(const net::Graph& g, TimePoint t_begin, TimePoint t_end,
                       bool keep_boundary_links = false);
 
-  // The arena backend hands out addresses inside the owned arena, so the
-  // network is pinned: neither backend is copyable or movable.
+  // The columns live inside the owned arena, so the network is pinned:
+  // it is neither copyable nor movable.
   TimeExtendedNetwork(const TimeExtendedNetwork&) = delete;
   TimeExtendedNetwork& operator=(const TimeExtendedNetwork&) = delete;
 
@@ -69,8 +63,8 @@ class TimeExtendedNetwork {
   /// Number of timed links in the expansion.
   std::size_t link_count() const;
 
-  /// The timed link with id `i` (ids are stable across both backends:
-  /// ascending (t, base_link) construction order).
+  /// The timed link with id `i` (ids follow ascending (t, base_link)
+  /// construction order).
   TimedLink link(std::size_t i) const;
 
   /// All timed links in id order, materialized.
@@ -89,19 +83,13 @@ class TimeExtendedNetwork {
   std::string to_string(const TimedLink& l) const;
 
  private:
-  void build_heap(const net::Graph& g, bool keep_boundary_links);
-  void build_arena(const net::Graph& g, bool keep_boundary_links);
+  void build(const net::Graph& g, bool keep_boundary_links);
 
   const net::Graph* base_;
   TimePoint t_begin_;
   TimePoint t_end_;
-  bool arena_mode_;
 
-  // Heap backend (escape hatch): AoS links + per-slot index vectors.
-  std::vector<TimedLink> links_;
-  std::vector<std::vector<std::uint32_t>> out_index_;
-
-  // Arena backend: SoA columns + CSR out-index, all inside arena_.
+  // SoA columns + CSR out-index, all inside arena_.
   util::Arena arena_;
   util::ArenaVector<net::NodeId> from_node_;
   util::ArenaVector<net::NodeId> to_node_;

@@ -33,16 +33,10 @@
 //     std containers and is exempt from the analysis (the scope that owns
 //     the container owns the confinement); a second live ArenaScope on
 //     the same arena is a cheap-contract violation at runtime.
-//
-// The runtime backing switch (`CHRONUS_ARENA`, default on; `off`/`0`/
-// `heap` select the legacy heap code paths) lives here too so every hot
-// layer keys off one decision point, and tests/benches can flip it
-// in-process with `ScopedArenaBacking`.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <new>
 #include <string>
@@ -74,67 +68,6 @@ void __asan_unpoison_memory_region(void const volatile* addr, std::size_t n);
 // clang-format on
 
 namespace chronus::util {
-
-/// Which backing the hot paths should use this process (or this scope).
-enum class ArenaBacking : int {
-  kArena = 0,  ///< bump-allocated rewrite (default)
-  kHeap = 1,   ///< legacy per-object heap paths (escape hatch)
-};
-
-namespace arena_detail {
-/// In-process override installed by ScopedArenaBacking; -1 means "none".
-inline int g_backing_override = -1;
-
-inline ArenaBacking env_backing() {
-  // Computed once per process: the env var is the operator-facing escape
-  // hatch (CHRONUS_ARENA=off), the scoped override is the test-facing one.
-  static const ArenaBacking cached = [] {
-    const char* raw = std::getenv("CHRONUS_ARENA");
-    if (raw == nullptr) return ArenaBacking::kArena;
-    std::string v(raw);
-    for (char& c : v) {
-      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-    }
-    if (v == "off" || v == "0" || v == "heap" || v == "false" || v == "no") {
-      return ArenaBacking::kHeap;
-    }
-    return ArenaBacking::kArena;
-  }();
-  return cached;
-}
-}  // namespace arena_detail
-
-/// The backing the hot layers should select right now. Reads the scoped
-/// override first, then the (cached) CHRONUS_ARENA environment variable.
-inline ArenaBacking arena_backing() noexcept {
-  const int ov = arena_detail::g_backing_override;
-  if (ov >= 0) return static_cast<ArenaBacking>(ov);
-  return arena_detail::env_backing();
-}
-
-/// True when the arena-backed code paths are selected.
-inline bool arena_enabled() noexcept {
-  return arena_backing() == ArenaBacking::kArena;
-}
-
-/// RAII in-process backing override for tests and benches. Not
-/// thread-safe: install before spawning workers (the service snapshot of
-/// the flag happens on the submitting thread), exactly like the
-/// CHRONUS_METRICS veto.
-class ScopedArenaBacking {
- public:
-  explicit ScopedArenaBacking(ArenaBacking b) noexcept
-      : prev_(arena_detail::g_backing_override) {
-    arena_detail::g_backing_override = static_cast<int>(b);
-  }
-  ~ScopedArenaBacking() { arena_detail::g_backing_override = prev_; }
-
-  ScopedArenaBacking(const ScopedArenaBacking&) = delete;
-  ScopedArenaBacking& operator=(const ScopedArenaBacking&) = delete;
-
- private:
-  int prev_;
-};
 
 /// Deterministic allocation accounting: pure functions of the allocation
 /// sequence (sizes and order), never of addresses or time, so they can be

@@ -1,7 +1,7 @@
 // The arena allocator's own contract (DESIGN.md §16): granule rounding
 // and alignment, chunk-growth geometry, reset-and-replay address
-// stability, deterministic stats accounting, the runtime backing switch,
-// and — under AddressSanitizer — the use-after-reset trap.
+// stability, deterministic stats accounting, and — under
+// AddressSanitizer — the use-after-reset trap.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,28 +16,10 @@ namespace {
 
 using util::Arena;
 using util::ArenaAllocator;
-using util::ArenaBacking;
 using util::ArenaScope;
-using util::ScopedArenaBacking;
 
 std::uintptr_t addr(const void* p) {
   return reinterpret_cast<std::uintptr_t>(p);
-}
-
-TEST(ArenaBackingSwitch, ScopedOverrideWinsAndNests) {
-  const bool initial = util::arena_enabled();
-  {
-    ScopedArenaBacking heap(ArenaBacking::kHeap);
-    EXPECT_FALSE(util::arena_enabled());
-    EXPECT_EQ(util::arena_backing(), ArenaBacking::kHeap);
-    {
-      ScopedArenaBacking arena(ArenaBacking::kArena);
-      EXPECT_TRUE(util::arena_enabled());
-    }
-    // The inner override pops back to the outer one, not to the env.
-    EXPECT_FALSE(util::arena_enabled());
-  }
-  EXPECT_EQ(util::arena_enabled(), initial);
 }
 
 TEST(Arena, AllocationsAreGranuleRoundedAndAligned) {

@@ -1,10 +1,13 @@
 // Bench-trajectory conformance: every checked-in BENCH_*.json must parse
 // and carry the machinery the CI perf gate relies on — required keys, the
 // `*_wall_us` masking convention (wall-clock columns are the only fields
-// the cross-run comparison may strip), and the declared noise bands /
-// speedup floors the bench-smoke job enforces. A BENCH file that drifts
-// out of this schema would silently disarm the regression gate, so the
-// schema itself is a tier-1 test.
+// the cross-run comparison may strip), and a declared noise band. The CI
+// bench-smoke comparison reads only the `meta.noise_band_pct` of the
+// util::JsonWriter row files (BENCH_service.json's throughput floor); the
+// micro file's `chronus_noise_band_pct` is for manual comparisons, and CI
+// checks only that its benchmark names are still present. A BENCH file
+// that drifts out of this schema would silently disarm the regression
+// gate, so the schema itself is a tier-1 test.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -258,42 +261,15 @@ void validate_micro(const Json& doc, const std::string& where) {
       std::atof(required_string(*ctx, "chronus_noise_band_pct", where).c_str());
   EXPECT_GE(band, 0.0) << where;
   EXPECT_LE(band, 100.0) << where;
-  const double floor = std::atof(
-      required_string(*ctx, "chronus_arena_min_speedup", where).c_str());
-  EXPECT_GE(floor, 1.0) << where;
 
-  std::set<std::string> names;
   for (const Json& b : benchmarks->arr) {
     const std::string name = required_string(b, "name", where);
     EXPECT_FALSE(name.empty()) << where;
-    names.insert(name);
     if (required_string(b, "run_type", where) != "iteration") continue;
     EXPECT_GE(required_number(b, "iterations", where + "/" + name), 1.0);
     EXPECT_GE(required_number(b, "real_time", where + "/" + name), 0.0);
     EXPECT_GE(required_number(b, "cpu_time", where + "/" + name), 0.0);
     EXPECT_EQ(required_string(b, "time_unit", where + "/" + name), "ns");
-  }
-
-  // Every declared arena family must be present in both backings, or the
-  // CI speedup gate would pass vacuously.
-  const std::string families =
-      required_string(*ctx, "chronus_arena_families", where);
-  EXPECT_FALSE(families.empty()) << where;
-  std::istringstream split(families);
-  std::string family;
-  while (std::getline(split, family, ',')) {
-    for (const char* backing : {"arena:0", "arena:1"}) {
-      bool found = false;
-      for (const std::string& name : names) {
-        if (name.rfind(family + "/", 0) == 0 &&
-            name.find(backing) != std::string::npos) {
-          found = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(found) << where << ": family " << family << " missing a "
-                         << backing << " variant";
-    }
   }
 }
 

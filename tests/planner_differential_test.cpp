@@ -1,69 +1,47 @@
-// The differential digest harness for the allocator rewrite: every hot
-// path that grew an arena backend (G_T construction, path enumeration,
-// both branch-and-bound planners, the whole update service) is replayed
-// under CHRONUS_ARENA=off (the verbatim legacy heap code) and under the
-// arena backing, and the outputs are held bit-identical — schedules,
-// rounds, timed-link ids, enumerated paths, ServiceReport digests and the
-// logical() metric slice. The arena may only change *where* the bytes
-// live, never *what* the planner computes.
+// The planner golden digest: a 25-instance property corpus replayed
+// through G_T construction (Definition 4), timed path enumeration, the
+// greedy and both branch-and-bound baselines (OPT: MUTP, OR: order
+// replacement), every output folded into one canonical transcript and
+// hashed with 64-bit FNV-1a. The pinned value was recorded while a
+// second, heap-backed implementation of each structure still existed and
+// replayed the corpus to the same digest, so it holds the single arena
+// layout to what both computed: schedules, round structures, node
+// counts, optimality flags, timed-link ids and per-slot orders, the
+// enumerated paths, and the mutp.* / order.* search counters. The order
+// search finds round-minimal sequences a greedy cannot (Amiri et al.,
+// "Being Greedy is Hard"); its other tests check only round safety and a
+// few round counts, so this is where a drift in its exact output shows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/greedy_scheduler.hpp"
-#include "io/trace_io.hpp"
 #include "net/generators.hpp"
 #include "obs/metrics.hpp"
 #include "opt/mutp_bnb.hpp"
 #include "opt/order_bnb.hpp"
-#include "service/service.hpp"
-#include "service/workload.hpp"
 #include "timenet/path_enum.hpp"
 #include "timenet/time_extended.hpp"
-#include "util/arena.hpp"
 
 namespace chronus {
 namespace {
 
 using timenet::TimePoint;
-using util::ArenaBacking;
-using util::ScopedArenaBacking;
 
-/// A timed link flattened to an equality-comparable tuple. Capacity is
-/// omitted deliberately: both backends read it off the same base link id,
-/// so base-link equality subsumes it.
-struct LinkKey {
-  net::NodeId u = net::kInvalidNode;
-  std::int64_t tu = 0;
-  net::NodeId v = net::kInvalidNode;
-  std::int64_t tv = 0;
-  net::LinkId base = net::kInvalidLink;
+/// FNV-1a of the transcript; see the header comment for its provenance.
+constexpr std::uint64_t kGoldenDigest = 0x1b16ceb822c2cb20ULL;
 
-  bool operator==(const LinkKey&) const = default;
-};
-
-LinkKey key(const timenet::TimedLink& l) {
-  return LinkKey{l.from.node, l.from.time.count(), l.to.node,
-                 l.to.time.count(), l.base_link};
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
-
-/// Everything one corpus replay produces, flattened for operator==.
-struct Transcript {
-  std::vector<core::ScheduleStatus> greedy_status;
-  std::vector<timenet::UpdateSchedule> greedy;
-  std::vector<core::ScheduleStatus> mutp_status;
-  std::vector<timenet::UpdateSchedule> mutp;
-  std::vector<std::uint64_t> mutp_nodes;
-  std::vector<bool> mutp_optimal;
-  std::vector<bool> order_feasible;
-  std::vector<std::vector<std::vector<net::NodeId>>> rounds;
-  std::vector<std::uint64_t> order_nodes;
-  std::vector<LinkKey> gt_links;      // id order, then per-slot out order
-  std::vector<timenet::TimedPath> paths;
-  obs::MetricsSnapshot logical;
-};
 
 std::vector<net::UpdateInstance> make_corpus() {
   // The property-test corpus: seeds 800+p, five instances per seed.
@@ -77,44 +55,58 @@ std::vector<net::UpdateInstance> make_corpus() {
   return corpus;
 }
 
-Transcript replay(const std::vector<net::UpdateInstance>& corpus,
-                  ArenaBacking backing) {
+void put(std::ostream& os, const timenet::UpdateSchedule& s) {
+  for (const auto& [v, t] : s.entries()) os << ' ' << v << '@' << t.count();
+}
+
+void put(std::ostream& os, const timenet::TimedLink& l) {
+  os << ' ' << l.from.node << '@' << l.from.time.count() << '>' << l.to.node
+     << '@' << l.to.time.count() << '#' << l.base_link;
+}
+
+struct Replay {
+  std::string transcript;
+  obs::MetricsSnapshot logical;
+};
+
+Replay replay(const std::vector<net::UpdateInstance>& corpus) {
   obs::MetricsRegistry reg;
   obs::ScopedMetrics metrics(reg);
-  ScopedArenaBacking arena(backing);
 
-  Transcript t;
+  std::ostringstream os;
   for (const net::UpdateInstance& inst : corpus) {
     core::GreedyOptions gopts;
     gopts.record_steps = false;
     const auto plan = core::greedy_schedule(inst, gopts);
-    t.greedy_status.push_back(plan.status);
-    t.greedy.push_back(plan.schedule);
+    os << "greedy " << static_cast<int>(plan.status);
+    put(os, plan.schedule);
 
     const auto m = opt::solve_mutp(inst);
-    t.mutp_status.push_back(m.status);
-    t.mutp.push_back(m.schedule);
-    t.mutp_nodes.push_back(m.nodes_explored);
-    t.mutp_optimal.push_back(m.proved_optimal);
+    os << "\nmutp " << static_cast<int>(m.status) << ' ' << m.nodes_explored
+       << ' ' << m.proved_optimal;
+    put(os, m.schedule);
 
     const auto o = opt::solve_order_replacement(inst);
-    t.order_feasible.push_back(o.feasible);
-    t.rounds.push_back(o.rounds);
-    t.order_nodes.push_back(o.nodes_explored);
+    os << "\norder " << o.feasible << ' ' << o.nodes_explored << ' '
+       << o.proved_optimal;
+    for (const auto& round : o.rounds) {
+      os << " |";
+      for (const net::NodeId v : round) os << ' ' << v;
+    }
 
-    // G_T expansion: ids, contents and per-slot CSR out-orders.
+    // G_T expansion: ids and contents, then per-slot out-orders.
     const net::Graph& g = inst.graph();
     const TimePoint t0{0};
     const TimePoint t1{3};
     timenet::TimeExtendedNetwork gt(g, t0, t1);
-    for (std::size_t i = 0; i < gt.link_count(); ++i) {
-      t.gt_links.push_back(key(gt.link(i)));
-    }
+    os << "\ngt";
+    for (std::size_t i = 0; i < gt.link_count(); ++i) put(os, gt.link(i));
+    os << "\nslots";
     for (std::size_t v = 0; v < g.node_count(); ++v) {
       for (TimePoint tt = t0; tt <= t1; tt += 1) {
         for (const timenet::TimedLink& l :
              gt.out_links(static_cast<net::NodeId>(v), tt)) {
-          t.gt_links.push_back(key(l));
+          put(os, l);
         }
       }
     }
@@ -123,26 +115,26 @@ Transcript replay(const std::vector<net::UpdateInstance>& corpus,
     timenet::EnumerateOptions popts;
     popts.t_end = TimePoint{6};
     popts.max_paths = 2000;
-    const auto paths = timenet::enumerate_timed_paths(
-        g, inst.p_init().front(), TimePoint{0}, inst.p_init().back(), popts);
-    t.paths.insert(t.paths.end(), paths.begin(), paths.end());
+    for (const auto& path : timenet::enumerate_timed_paths(
+             g, inst.p_init().front(), TimePoint{0}, inst.p_init().back(),
+             popts)) {
+      os << "\npath";
+      for (const timenet::TimedNode& n : path) {
+        os << ' ' << n.node << '@' << n.time.count();
+      }
+    }
+    os << '\n';
   }
-  t.logical = reg.snapshot().logical();
-  return t;
-}
 
-/// The arena runs additionally flush their allocator telemetry
-/// (arena.gt.*, arena.pathenum.*, arena.mutp.*, arena.order.*), which the
-/// heap runs by definition cannot emit; everything else must match.
-obs::MetricsSnapshot drop_arena_counters(obs::MetricsSnapshot s) {
-  for (auto it = s.counters.begin(); it != s.counters.end();) {
-    if (it->first.rfind("arena.", 0) == 0) {
-      it = s.counters.erase(it);
-    } else {
-      ++it;
+  Replay r;
+  r.logical = reg.snapshot().logical();
+  for (const auto& [name, value] : r.logical.counters) {
+    if (name.rfind("mutp.", 0) == 0 || name.rfind("order.", 0) == 0) {
+      os << name << '=' << value << '\n';
     }
   }
-  return s;
+  r.transcript = os.str();
+  return r;
 }
 
 std::uint64_t arena_counter_total(const obs::MetricsSnapshot& s) {
@@ -153,72 +145,25 @@ std::uint64_t arena_counter_total(const obs::MetricsSnapshot& s) {
   return total;
 }
 
-TEST(ArenaDifferential, CorpusReplaysBitIdenticallyAcrossBackings) {
-  const auto corpus = make_corpus();
-  const Transcript heap = replay(corpus, ArenaBacking::kHeap);
-  const Transcript arena = replay(corpus, ArenaBacking::kArena);
-
-  EXPECT_EQ(heap.greedy_status, arena.greedy_status);
-  EXPECT_EQ(heap.greedy, arena.greedy);
-  EXPECT_EQ(heap.mutp_status, arena.mutp_status);
-  EXPECT_EQ(heap.mutp, arena.mutp);
-  EXPECT_EQ(heap.mutp_nodes, arena.mutp_nodes);
-  EXPECT_EQ(heap.mutp_optimal, arena.mutp_optimal);
-  EXPECT_EQ(heap.order_feasible, arena.order_feasible);
-  EXPECT_EQ(heap.rounds, arena.rounds);
-  EXPECT_EQ(heap.order_nodes, arena.order_nodes);
-  EXPECT_EQ(heap.gt_links, arena.gt_links);
-  EXPECT_EQ(heap.paths, arena.paths);
-
-  // Logical metric slices match once the arena's own telemetry — absent
-  // by construction from the heap run — is set aside.
-  EXPECT_EQ(arena_counter_total(heap.logical), 0u);
-  EXPECT_GT(arena_counter_total(arena.logical), 0u);
-  EXPECT_EQ(heap.logical, drop_arena_counters(arena.logical));
+TEST(ArenaDifferential, CorpusReplayMatchesGoldenDigest) {
+  const Replay r = replay(make_corpus());
+  EXPECT_NE(r.transcript.find("mutp.nodes_visited="), std::string::npos);
+  EXPECT_NE(r.transcript.find("order.nodes_visited="), std::string::npos);
+  const std::uint64_t digest = fnv1a(r.transcript);
+  EXPECT_EQ(digest, kGoldenDigest)
+      << "planner outputs drifted: transcript digest 0x" << std::hex << digest;
 }
 
 TEST(ArenaDifferential, ArenaReplayIsSelfDeterministic) {
-  // Bump-vs-bump: two arena replays agree on everything *including* the
-  // arena.* telemetry, which is a pure function of the allocation
-  // sequence (no addresses, no clocks).
+  // Two replays agree on everything *including* the arena.* telemetry,
+  // which is a pure function of the allocation sequence (no addresses,
+  // no clocks).
   const auto corpus = make_corpus();
-  const Transcript once = replay(corpus, ArenaBacking::kArena);
-  const Transcript twice = replay(corpus, ArenaBacking::kArena);
-  EXPECT_EQ(once.mutp, twice.mutp);
-  EXPECT_EQ(once.rounds, twice.rounds);
+  const Replay once = replay(corpus);
+  const Replay twice = replay(corpus);
+  EXPECT_EQ(once.transcript, twice.transcript);
   EXPECT_EQ(once.logical, twice.logical);
   EXPECT_GT(arena_counter_total(once.logical), 0u);
-}
-
-std::string run_digest(const service::ServiceTrace& trace, int workers,
-                       ArenaBacking backing) {
-  ScopedArenaBacking arena(backing);
-  service::ServiceOptions opts;
-  opts.workers = workers;
-  return service::UpdateService(trace.graph, opts).run(trace.requests).digest();
-}
-
-TEST(ArenaDifferential, WorkloadDigestMatchesAcrossBackings) {
-  // The 200-request synthetic workload (the bench driver's default) end
-  // to end through the service: admission, worker-pool planning, timed
-  // execution. One digest, both backings.
-  const service::ServiceTrace trace = service::make_workload({});
-  ASSERT_EQ(trace.requests.size(), 200u);
-  const std::string heap = run_digest(trace, 4, ArenaBacking::kHeap);
-  const std::string arena = run_digest(trace, 4, ArenaBacking::kArena);
-  EXPECT_EQ(heap, arena);
-
-  // And the pool-size invariance holds in arena mode too: the arenas are
-  // per-request, never shared across workers.
-  EXPECT_EQ(run_digest(trace, 1, ArenaBacking::kArena), arena);
-}
-
-TEST(ArenaDifferential, RecordedTraceDigestMatchesAcrossBackings) {
-  const service::ServiceTrace trace =
-      io::read_trace_file(std::string(CHRONUS_TESTDATA_DIR) + "/sample.trace");
-  ASSERT_FALSE(trace.requests.empty());
-  EXPECT_EQ(run_digest(trace, 4, ArenaBacking::kHeap),
-            run_digest(trace, 4, ArenaBacking::kArena));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -212,6 +213,17 @@ TEST(TraceIo, RoundTrips) {
     EXPECT_EQ(back.requests[i].p_init, trace.requests[i].p_init);
     EXPECT_EQ(back.requests[i].p_fin, trace.requests[i].p_fin);
   }
+
+  // The checked-in sample trace (the one EXPERIMENTS.md serves) must still
+  // parse, hold requests, and survive the same round trip.
+  const ServiceTrace sample =
+      io::read_trace_file(std::string(CHRONUS_TESTDATA_DIR) + "/sample.trace");
+  ASSERT_FALSE(sample.requests.empty());
+  std::stringstream sample_buf;
+  io::write_trace(sample_buf, sample);
+  const ServiceTrace sample_back = io::read_trace(sample_buf);
+  EXPECT_EQ(sample_back.graph.link_count(), sample.graph.link_count());
+  EXPECT_EQ(sample_back.requests.size(), sample.requests.size());
 }
 
 TEST(TraceIo, RejectsDuplicateIds) {
