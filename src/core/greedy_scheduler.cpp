@@ -1,6 +1,7 @@
 #include "core/greedy_scheduler.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/loop_check.hpp"
 #include "obs/metrics.hpp"
@@ -87,8 +88,11 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
   std::set<net::NodeId> updated;
   timenet::TimePoint t{};
   std::int64_t stall = 0;
-  Algorithm4Context alg4(inst);          // batched checks for the pure mode
-  timenet::TransitionState state(inst);  // incremental checks, guarded mode
+  Algorithm4Context alg4(inst);  // batched checks for the pure mode
+  // Incremental checks, guarded mode only: the pure greedy (Fig. 10 scale)
+  // never probes it.
+  std::optional<timenet::TransitionState> state;
+  if (opts.guard_with_verifier) state.emplace(inst);
 
   auto fail = [&](const std::string& why) {
     tally.infeasible = true;
@@ -125,11 +129,9 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
       // The O(1) Algorithm 4 verdict first: a positive proves a concrete
       // in-flight class would revisit a switch, sparing the probe.
       if (alg4.loops(head, t)) continue;
-      if (opts.guard_with_verifier) {
-        // One incremental probe covers both the loop-free and the
-        // congestion-free condition (and applies the update on success).
-        if (!state.try_update(head, t)) continue;
-      }
+      // One incremental probe covers both the loop-free and the
+      // congestion-free condition (and applies the update on success).
+      if (state && !state->try_update(head, t)) continue;
       res.schedule.set(head, t);
       updated.insert(head);
       pending.erase(head);

@@ -13,18 +13,19 @@ bool exact_loop_check(const net::UpdateInstance& inst,
                       const timenet::UpdateSchedule& scheduled, net::NodeId v,
                       timenet::TimePoint t) {
   obs::add("loopcheck.exact_invocations");
-  timenet::UpdateSchedule tentative = scheduled;
-  tentative.set(v, t);
-
   const net::Graph& g = inst.graph();
+  timenet::RuleTable rules(g, inst);
+  rules.set_schedule(scheduled);
+  rules.set_update(v, t);  // the tentative update
+  timenet::Tracer tracer(g.node_count());
+
   const std::int64_t span =
       static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay();
   // Classes injected before t - span pass every switch before t and are
   // unaffected by this update; classes injected at >= t all see the same
   // (final, static) configuration, so tracing one representative suffices.
   for (timenet::TimePoint tau = t - span; tau <= t + 1; ++tau) {
-    const timenet::Trace trace = trace_class(inst, tentative, tau);
-    if (trace.looped()) return true;
+    if (tracer.run(rules, tau).looped()) return true;
   }
   return false;
 }

@@ -1,7 +1,6 @@
 #include "timenet/transition_state.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "util/contracts.hpp"
@@ -29,42 +28,41 @@ TransitionState::TransitionState(
   }
   d_ = static_cast<std::int64_t>(graph_->node_count() + 2) *
        graph_->max_delay();
-  flows_.resize(flows.size());
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    FlowState& fs = flows_[f];
-    fs.inst = flows[f];
+  load_.reset(graph_->link_count(), TimePoint{0}, TimePoint{-1});
+  tracer_ = Tracer(graph_->node_count());
+  flows_.reserve(flows.size());
+  for (const auto* inst : flows) {
+    FlowState& fs = flows_.emplace_back(*inst);
+    fs.steady_entry.assign(graph_->link_count(), kOffTail);
     // Unscheduled flows are one steady stream on their old path; the
     // tail's start is "always" so its load applies at every entry step.
-    fs.steady_shape = trace_class(*fs.inst, fs.sched, TimePoint{0});
+    tracer_.run(fs.rules, TimePoint{0}, fs.steady_shape.hops);
     fs.steady_from = kAlways;
-    for (std::size_t i = 0; i + 1 < fs.steady_shape.hops.size(); ++i) {
-      const auto link = graph_->find_link(fs.steady_shape.hops[i].node,
-                                          fs.steady_shape.hops[i + 1].node);
-      fs.steady_entry[*link] = kAlways;
-    }
+    set_tail(fs, true);
   }
 }
 
 bool TransitionState::initial_state_valid() const {
-  std::map<net::LinkId, net::Demand> static_load;
+  // chronus-analyzer: allow(hot-alloc) one demand per link, once per call
+  std::vector<net::Demand> static_load(graph_->link_count());
   for (const FlowState& fs : flows_) {
     for (const net::LinkId id :
          net::path_links(*graph_, fs.inst->p_init())) {
       static_load[id] += fs.inst->demand();
     }
   }
-  for (const auto& [id, x] : static_load) {
-    if (x > graph_->link(id).capacity + net::Demand{kEps}) return false;
+  for (net::LinkId id = 0; id < static_load.size(); ++id) {
+    if (static_load[id] > graph_->link(id).capacity + net::Demand{kEps}) {
+      return false;
+    }
   }
   return true;
 }
 
-void TransitionState::add_loads(const Trace& trace, net::Demand demand,
+void TransitionState::add_loads(const ClassTrace& trace, net::Demand demand,
                                 double sign) {
   for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
-    const auto link =
-        graph_->find_link(trace.hops[i].node, trace.hops[i + 1].node);
-    load_[*link][trace.hops[i].arrival] += sign * demand;
+    load_.at(trace.hops[i].link, trace.hops[i].arrival) += sign * demand;
   }
 }
 
@@ -72,68 +70,90 @@ net::Demand TransitionState::steady_load(net::LinkId link,
                                           TimePoint entry) const {
   net::Demand x{};
   for (const FlowState& fs : flows_) {
-    const auto it = fs.steady_entry.find(link);
-    if (it != fs.steady_entry.end() && entry >= it->second) {
-      x += fs.inst->demand();
-    }
+    if (entry >= fs.steady_entry[link]) x += fs.inst->demand();
   }
   return x;
 }
 
-bool TransitionState::retrace(std::size_t flow, TimePoint tau,
-                              UndoRecord& record,
-                              std::vector<LoadKey>* touched) {
-  FlowState& fs = flows_[flow];
-  std::optional<Trace> prev;
-  const auto it = fs.traces.find(tau);
-  if (it != fs.traces.end()) {
-    prev = std::move(it->second);
-    add_loads(*prev, fs.inst->demand(), -1.0);
+TransitionState::ClassTrace& TransitionState::class_slot(FlowState& fs,
+                                                         TimePoint tau) {
+  if (fs.classes.empty()) {
+    fs.class_base = tau;
+    fs.classes.resize(1);
+  } else if (tau < fs.class_base) {
+    fs.classes.insert(fs.classes.begin(),
+                      static_cast<std::size_t>(fs.class_base - tau),
+                      ClassTrace{});
+    fs.class_base = tau;
+  } else if (tau - fs.class_base >=
+             static_cast<std::int64_t>(fs.classes.size())) {
+    fs.classes.resize(static_cast<std::size_t>(tau - fs.class_base) + 1);
   }
-  Trace trace = trace_class(*fs.inst, fs.sched, tau);
-  const bool bad = trace.looped() || trace.end == TraceEnd::kBlackhole;
-
-  for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
-    const auto link =
-        graph_->find_link(trace.hops[i].node, trace.hops[i + 1].node);
-    load_[*link][trace.hops[i].arrival] += fs.inst->demand();
-    if (touched) touched->emplace_back(*link, trace.hops[i].arrival);
-  }
-  record.replaced.emplace_back(flow, tau, std::move(prev));
-  fs.traces[tau] = std::move(trace);
-  return bad;
+  return fs.classes[static_cast<std::size_t>(tau - fs.class_base)];
 }
 
-bool TransitionState::refresh_steady(std::size_t flow) {
+bool TransitionState::retrace(std::size_t flow, TimePoint tau, bool track) {
   FlowState& fs = flows_[flow];
-  fs.steady_from = fs.sched.last_time();
-  fs.steady_shape = trace_class(*fs.inst, fs.sched, fs.steady_from);
-  fs.steady_entry.clear();
-  bool bad = fs.steady_shape.looped() ||
-             fs.steady_shape.end == TraceEnd::kBlackhole;
-  for (std::size_t i = 0; i + 1 < fs.steady_shape.hops.size(); ++i) {
-    const auto link = graph_->find_link(fs.steady_shape.hops[i].node,
-                                        fs.steady_shape.hops[i + 1].node);
-    fs.steady_entry[*link] = fs.steady_shape.hops[i].arrival;
-  }
-  if (bad) return false;
+  const net::Demand demand = fs.inst->demand();
+  ClassTrace& slot = class_slot(fs, tau);
+  if (log_size_ == log_.size()) log_.emplace_back();
+  LogEntry& entry = log_[log_size_++];
+  entry.flow = flow;
+  entry.tau = tau;
+  // The displaced trace moves into the log; the slot takes the entry's
+  // spare buffer to trace into.
+  std::swap(entry.prev, slot);
+  if (!entry.prev.hops.empty()) add_loads(entry.prev, demand, -1.0);
 
-  for (const auto& [link, start] : fs.steady_entry) {
+  slot.bad = !tracer_.run(fs.rules, tau, slot.hops).clean();
+  for (std::size_t i = 0; i + 1 < slot.hops.size(); ++i) {
+    const FlatHop& hop = slot.hops[i];
+    load_.at(hop.link, hop.arrival) += demand;
+    if (track) touched_.emplace_back(hop.link, hop.arrival);
+  }
+  return slot.bad;
+}
+
+void TransitionState::set_tail(FlowState& fs, bool always) {
+  for (const net::LinkId link : fs.tail_links) {
+    fs.steady_entry[link] = kOffTail;
+  }
+  fs.tail_links.clear();
+  const auto& hops = fs.steady_shape.hops;
+  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
+    fs.steady_entry[hops[i].link] = always ? kAlways : hops[i].arrival;
+    fs.tail_links.push_back(hops[i].link);
+  }
+}
+
+bool TransitionState::refresh_steady(std::size_t flow, TimePoint from) {
+  FlowState& fs = flows_[flow];
+  fs.steady_from = from;
+  fs.steady_shape.bad =
+      !tracer_.run(fs.rules, fs.steady_from, fs.steady_shape.hops).clean();
+  set_tail(fs, false);
+  if (fs.steady_shape.bad) return false;
+
+  for (const net::LinkId link : fs.tail_links) {
+    const TimePoint start = fs.steady_entry[link];
     const net::Capacity cap = graph_->link(link).capacity;
     // Tail-vs-tail: every tail containing this link enters it once per
     // step from its start on, so from max(starts) onward they all share
     // the link forever.
     net::Demand tails{};
     for (const FlowState& other : flows_) {
-      if (other.steady_entry.count(link)) tails += other.inst->demand();
+      if (other.steady_entry[link] != kOffTail) tails += other.inst->demand();
     }
     if (tails > cap + net::Demand{kEps}) return false;
     // Tail-vs-transitional: any traced load at or past the tail's start
-    // collides with it (plus any other tail active there).
-    const auto lit = load_.find(link);
-    if (lit == load_.end()) continue;
-    for (auto e = lit->second.lower_bound(start); e != lit->second.end(); ++e) {
-      if (e->second + steady_load(link, e->first) > cap + net::Demand{kEps}) {
+    // collides with it (plus any other tail active there). A cell no class
+    // entered holds 0 and passes: the tails bound above covers every
+    // subset of tails.
+    const std::span<const net::Demand> column = load_.column(link);
+    const std::int64_t skip = std::max<std::int64_t>(start - load_.first(), 0);
+    for (auto i = static_cast<std::size_t>(skip); i < column.size(); ++i) {
+      const TimePoint entry = load_.first() + static_cast<std::int64_t>(i);
+      if (column[i] + steady_load(link, entry) > cap + net::Demand{kEps}) {
         return false;
       }
     }
@@ -141,52 +161,38 @@ bool TransitionState::refresh_steady(std::size_t flow) {
   return true;
 }
 
-void TransitionState::rollback(UndoRecord& rec) {
-  for (auto r = rec.replaced.rbegin(); r != rec.replaced.rend(); ++r) {
-    auto& [flow, tau, prev] = *r;
-    FlowState& fs = flows_[flow];
-    add_loads(fs.traces.at(tau), fs.inst->demand(), -1.0);
-    if (prev) {
-      add_loads(*prev, fs.inst->demand(), 1.0);
-      fs.traces[tau] = std::move(*prev);
-    } else {
-      fs.traces.erase(tau);
-    }
-  }
-  for (std::size_t f = 0; f < flows_.size(); ++f) {
-    flows_[f].lo = rec.prev_lo[f];
-    flows_[f].hi = rec.prev_hi[f];
-  }
-  if (rec.prev_steady_shape) {
-    FlowState& fs = flows_[rec.flow];
-    fs.steady_from = rec.prev_steady_from;
-    fs.steady_shape = std::move(*rec.prev_steady_shape);
-    fs.steady_entry.clear();
-    for (std::size_t i = 0; i + 1 < fs.steady_shape.hops.size(); ++i) {
-      const auto link = graph_->find_link(fs.steady_shape.hops[i].node,
-                                          fs.steady_shape.hops[i + 1].node);
-      const TimePoint at = rec.prev_steady_from == kAlways
-                               ? kAlways
-                               : fs.steady_shape.hops[i].arrival;
-      fs.steady_entry[*link] = at;
-    }
+void TransitionState::rewind(std::size_t log_begin) {
+  while (log_size_ > log_begin) {
+    LogEntry& entry = log_[--log_size_];
+    FlowState& fs = flows_[entry.flow];
+    ClassTrace& slot = class_slot(fs, entry.tau);
+    add_loads(slot, fs.inst->demand(), -1.0);
+    if (!entry.prev.hops.empty()) add_loads(entry.prev, fs.inst->demand(), 1.0);
+    std::swap(slot, entry.prev);
+    entry.prev.hops.clear();  // a spare from here on
   }
 }
 
-void TransitionState::extend_windows_down(TimePoint want_lo) {
-  UndoRecord* host = undo_stack_.empty() ? &base_ : &undo_stack_.back();
-  if (host->prev_lo.empty()) {
-    // The base record never rolls back; give it window placeholders.
-    host->prev_lo.assign(flows_.size(), TimePoint{});
-    host->prev_hi.assign(flows_.size(), TimePoint{-1});
+void TransitionState::rollback(Step& step) {
+  rewind(step.log_begin);
+  for (std::size_t f = 0; f < flows_.size(); ++f) {
+    flows_[f].lo = step.prev_window[f].first;
+    flows_[f].hi = step.prev_window[f].second;
   }
+  FlowState& fs = flows_[step.flow];
+  fs.steady_from = step.prev_steady_from;
+  std::swap(fs.steady_shape, step.prev_steady_shape);
+  set_tail(fs, step.prev_steady_from == kAlways);
+}
+
+void TransitionState::extend_windows_down(TimePoint want_lo) {
   for (std::size_t f = 0; f < flows_.size(); ++f) {
     FlowState& fs = flows_[f];
     if (fs.sched.empty()) continue;  // pure tail, nothing transitional
     if (fs.hi < fs.lo) continue;     // window set when first scheduled
-    for (TimePoint tau = want_lo; tau < fs.lo; ++tau) {
-      retrace(f, tau, *host, nullptr);
-    }
+    // A scheduled flow means an applied step, which owns these entries.
+    CHRONUS_INVARIANT(depth_ > 0, "window extension with no step to own it");
+    for (TimePoint tau = want_lo; tau < fs.lo; ++tau) retrace(f, tau, false);
     fs.lo = std::min(fs.lo, want_lo);
   }
 }
@@ -212,29 +218,35 @@ bool TransitionState::try_update(std::size_t flow, net::NodeId v,
   }
   extend_windows_down(global_first - 2 * d_);
 
-  UndoRecord rec;
+  if (depth_ == steps_.size()) steps_.emplace_back();
+  Step& rec = steps_[depth_];
   rec.flow = flow;
   rec.v = v;
-  for (const FlowState& g : flows_) {
-    rec.prev_lo.push_back(g.lo);
-    rec.prev_hi.push_back(g.hi);
-  }
-  rec.prev_steady_shape = fs.steady_shape;
+  rec.log_begin = log_size_;
+  rec.prev_window.clear();
+  for (const FlowState& g : flows_) rec.prev_window.emplace_back(g.lo, g.hi);
+  // The tail shape is only rewritten by refresh_steady below; park it in
+  // the step and let refresh_steady trace into the step's spare buffer.
+  std::swap(rec.prev_steady_shape, fs.steady_shape);
   rec.prev_steady_from = fs.steady_from;
 
+  // The candidate goes into the rule table only; the schedule map takes it
+  // once it is accepted, so a rejected probe never touches the map.
   const bool was_empty = fs.hi < fs.lo;
-  fs.sched.set(v, t);
+  const TimePoint last =
+      fs.sched.empty() ? t : std::max(fs.sched.last_time(), t);
+  fs.rules.set_update(v, t);
   if (was_empty) fs.lo = global_first - 2 * d_;  // first update: open it
-  const TimePoint new_top = fs.sched.last_time() - 1;
+  const TimePoint new_top = last - 1;
   const TimePoint old_hi = was_empty ? fs.lo - 1 : fs.hi;
 
   bool bad = false;
-  std::vector<LoadKey> touched;
+  touched_.clear();
 
   // Classes that left the analytic steady tail (a later update time makes
   // them transitional) are materialized under the new schedule.
   for (TimePoint tau = old_hi + 1; tau <= new_top && !bad; ++tau) {
-    bad = retrace(flow, tau, rec, &touched);
+    bad = retrace(flow, tau, true);
   }
   fs.hi = std::max(old_hi, new_top);
 
@@ -243,28 +255,24 @@ bool TransitionState::try_update(std::size_t flow, net::NodeId v,
   // every other class — rules are per flow).
   const TimePoint from = std::max(fs.lo, t - d_);
   for (TimePoint tau = from; tau <= old_hi && !bad; ++tau) {
-    const auto it = fs.traces.find(tau);
-    if (it == fs.traces.end()) continue;
-    bool visits = false;
-    for (const TraceHop& hop : it->second.hops) {
-      if (hop.node == v && hop.arrival >= t) {
-        visits = true;
-        break;
-      }
-    }
-    if (visits) bad = retrace(flow, tau, rec, &touched);
+    const std::vector<FlatHop>& hops = class_slot(fs, tau).hops;
+    const bool visits =
+        std::any_of(hops.begin(), hops.end(), [&](const FlatHop& hop) {
+          return hop.node == v && hop.arrival >= t;
+        });
+    if (visits) bad = retrace(flow, tau, true);
   }
 
   // The flow's steady tail under its new final configuration, and that
   // tail's collisions with transitional loads and other tails.
-  if (!bad) bad = !refresh_steady(flow);
+  if (!bad) bad = !refresh_steady(flow, last);
 
   // Capacity on every touched key, including every tail's share — judged
   // only now, after *all* affected classes moved (a class leaving a link
   // can compensate for another arriving on it).
   if (!bad) {
-    for (const auto& [link, entry] : touched) {
-      const net::Demand x = load_[link][entry] + steady_load(link, entry);
+    for (const auto& [link, entry] : touched_) {
+      const net::Demand x = load_.at(link, entry) + steady_load(link, entry);
       if (x > graph_->link(link).capacity + net::Demand{kEps}) {
         bad = true;
         break;
@@ -274,19 +282,20 @@ bool TransitionState::try_update(std::size_t flow, net::NodeId v,
 
   if (bad) {
     rollback(rec);
-    fs.sched.erase(v);
+    fs.rules.clear_update(v);
     return false;
   }
-  undo_stack_.push_back(std::move(rec));
+  fs.sched.set(v, t);
+  ++depth_;
   return true;
 }
 
 void TransitionState::undo() {
-  if (undo_stack_.empty()) throw std::logic_error("nothing to undo");
-  UndoRecord rec = std::move(undo_stack_.back());
-  undo_stack_.pop_back();
+  if (depth_ == 0) throw std::logic_error("nothing to undo");
+  Step& rec = steps_[--depth_];
   rollback(rec);
   flows_[rec.flow].sched.erase(rec.v);
+  flows_[rec.flow].rules.clear_update(rec.v);
 }
 
 }  // namespace chronus::timenet

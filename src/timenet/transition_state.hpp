@@ -25,12 +25,23 @@
 // schedule only when the invariant is preserved; undo() rolls back the
 // most recent successful try_update (LIFO, for branch-and-bound
 // backtracking). Rules are per flow, so a probe re-traces only the probed
-// flow's classes; the shared load map catches cross-flow collisions.
+// flow's classes; the shared load ledger catches cross-flow collisions.
+//
+// Storage is flat (the same layout the verifier uses, timenet/trajectory.hpp):
+// each flow's rules are one RuleTable whose update times follow its
+// schedule, class traces sit in a dense window indexed by injection step,
+// and load_ is one dense Demand column per link a class has entered. A
+// probe logs every class it retraces in an append-only undo log; the
+// displaced trace rides in the log entry and the buffers circulate between
+// window and log, so once warm a probe — accepted or rejected — allocates
+// nothing. Loads are added and removed in exactly the order of the
+// map-based original (tests/verifier_oracle.hpp keeps its verifier), so
+// every verdict is bit-for-bit the same.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "net/instance.hpp"
@@ -66,7 +77,7 @@ class TransitionState {
   void undo();
 
   /// Number of updates currently applied (== depth of the undo stack).
-  std::size_t depth() const { return undo_stack_.size(); }
+  std::size_t depth() const { return depth_; }
 
   std::size_t flow_count() const { return flows_.size(); }
   const UpdateSchedule& schedule(std::size_t flow = 0) const {
@@ -74,48 +85,79 @@ class TransitionState {
   }
 
  private:
-  using LoadKey = std::pair<net::LinkId, TimePoint>;
+  /// One traced class; no hops means no class is stored in the slot.
+  struct ClassTrace {
+    std::vector<FlatHop> hops;
+    bool bad = false;  ///< loops or blackholes
+  };
 
   struct FlowState {
+    explicit FlowState(const net::UpdateInstance& i)
+        : inst(&i), rules(i.graph(), i) {}
+
     const net::UpdateInstance* inst = nullptr;
     UpdateSchedule sched;
-    std::map<TimePoint, Trace> traces;  // transitional classes
+    RuleTable rules;  // sched's update times, plus the probe in flight
+    // Transitional classes: classes[i] is the class injected at
+    // class_base + i. Slots in [lo, hi] hold a trace; the rest are spares.
+    std::vector<ClassTrace> classes;
+    TimePoint class_base{};
     TimePoint lo{};
     TimePoint hi{-1};  // traced range [lo, hi]; empty when hi < lo
-    // Steady tail: trajectory of every class injected >= steady_from.
-    Trace steady_shape;
-    std::map<net::LinkId, TimePoint> steady_entry;
+    // Steady tail: trajectory of every class injected >= steady_from, and
+    // per link the step its first class enters (kOffTail: not on it).
+    ClassTrace steady_shape;
+    std::vector<TimePoint> steady_entry;
+    std::vector<net::LinkId> tail_links;  // links set in steady_entry
     TimePoint steady_from{};
   };
 
-  struct UndoRecord {
+  /// One retraced class. `prev` holds the trace it displaced (no hops: the
+  /// class was new); once rewound it holds a spare buffer.
+  struct LogEntry {
+    std::size_t flow = 0;
+    TimePoint tau{};
+    ClassTrace prev;
+  };
+
+  /// An applied update, or the probe in flight. Its log entries run from
+  /// log_begin to the next step's log_begin (the log's end for the top
+  /// step), so window extensions made while it is on top undo with it.
+  struct Step {
     std::size_t flow = 0;
     net::NodeId v = net::kInvalidNode;
-    // (flow, tau, previous trace or nullopt) for every class replaced or
-    // newly created by this step, in application order.
-    std::vector<std::tuple<std::size_t, TimePoint, std::optional<Trace>>>
-        replaced;
-    // Per-flow window and steady-tail state before this step.
-    std::vector<TimePoint> prev_lo;
-    std::vector<TimePoint> prev_hi;
-    std::optional<Trace> prev_steady_shape;
+    std::size_t log_begin = 0;
+    std::vector<std::pair<TimePoint, TimePoint>> prev_window;  // (lo, hi)
+    ClassTrace prev_steady_shape;
     TimePoint prev_steady_from{};
   };
 
-  /// (Re)traces transitional class tau of `flow` under its current
-  /// schedule, maintaining load_. Reports loop/blackhole.
-  bool retrace(std::size_t flow, TimePoint tau, UndoRecord& record,
-               std::vector<LoadKey>* touched);
+  static constexpr TimePoint kOffTail = std::numeric_limits<TimePoint>::max();
 
-  void rollback(UndoRecord& rec);
-  void add_loads(const Trace& trace, net::Demand demand, double sign);
+  /// (Re)traces transitional class tau of `flow` under its current
+  /// schedule, maintaining load_ and logging the displaced trace; `track`
+  /// records the loads it adds in touched_. True on loop/blackhole.
+  bool retrace(std::size_t flow, TimePoint tau, bool track);
+
+  /// The slot of class tau, widening the flow's class window to reach it.
+  ClassTrace& class_slot(FlowState& fs, TimePoint tau);
+
+  /// Undoes the log down to `log_begin`, last entry first.
+  void rewind(std::size_t log_begin);
+  void rollback(Step& step);
+  void add_loads(const ClassTrace& trace, net::Demand demand, double sign);
 
   /// Combined steady-tail load of every flow on (link, entry-step).
   net::Demand steady_load(net::LinkId link, TimePoint entry) const;
 
-  /// Recomputes `flow`'s steady tail; false when the tail loops,
-  /// blackholes, or collides with traced loads or other tails.
-  bool refresh_steady(std::size_t flow);
+  /// Points fs.steady_entry at fs.steady_shape's links: from "always"
+  /// (a never-updated flow) or from each link's entry step.
+  void set_tail(FlowState& fs, bool always);
+
+  /// Recomputes `flow`'s steady tail from `from` (its latest update time);
+  /// false when the tail loops, blackholes, or collides with traced loads
+  /// or other tails.
+  bool refresh_steady(std::size_t flow, TimePoint from);
 
   /// Widens every flow's traced window to cover [want_lo, inf) classes
   /// down to want_lo, under the current schedules.
@@ -126,10 +168,16 @@ class TransitionState {
 
   std::vector<FlowState> flows_;
   // Per-link entry-step loads from transitional classes, all flows.
-  std::map<net::LinkId, std::map<TimePoint, net::Demand>> load_;
+  LoadColumns load_;
+  Tracer tracer_;
 
-  std::vector<UndoRecord> undo_stack_;
-  UndoRecord base_;  // window extensions under empty schedules
+  // Undo log and step stack; entries past log_size_ / depth_ are recycled.
+  std::vector<LogEntry> log_;
+  std::size_t log_size_ = 0;
+  std::vector<Step> steps_;
+  std::size_t depth_ = 0;
+  // (link, entry) of every load the probe in flight added.
+  std::vector<std::pair<net::LinkId, TimePoint>> touched_;
 };
 
 }  // namespace chronus::timenet

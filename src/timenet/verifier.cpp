@@ -1,7 +1,7 @@
 #include "timenet/verifier.hpp"
 
 #include <algorithm>
-#include <set>
+#include <span>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -69,6 +69,38 @@ Window make_window(const net::Graph& g,
   return w;
 }
 
+/// The ledger of one verification: every class injected in the trace
+/// window enters its last link before trace_end + d.
+LoadColumns make_ledger(const net::Graph& g, const Window& w) {
+  LoadColumns load;
+  load.reset(g.link_count(), w.trace_begin, w.trace_end + trajectory_bound(g));
+  return load;
+}
+
+FlowView view_of(const net::Graph& g, const FlowTransition& f) {
+  FlowView view;
+  view.graph = &g;
+  view.instance = f.instance;
+  view.schedule = f.schedule;
+  view.per_packet_flip = f.per_packet_flip;
+  return view;
+}
+
+/// The one load accumulation of the verifier and link_loads(): traces
+/// class `tau` and adds `demand` on every time-extended link it occupies.
+TraceResult load_class(Tracer& tracer, const RuleTable& rules, TimePoint tau,
+                       net::Demand demand, LoadColumns& load) {
+  const TraceResult trace = tracer.run(rules, tau);
+  const std::span<const FlatHop> hops = tracer.hops();
+  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
+    load.at(hops[i].link, hops[i].arrival) += demand;
+  }
+  return trace;
+}
+
+/// Demands are positive, so a cell holds a load iff some class entered it.
+bool entered(net::Demand x) { return x != net::Demand{}; }
+
 }  // namespace
 
 TransitionReport verify_transitions(const std::vector<FlowTransition>& flows,
@@ -85,18 +117,18 @@ TransitionReport verify_transitions(const std::vector<FlowTransition>& flows,
   const util::Deadline deadline(opts.deadline_sec);
 
   // Per time-extended link loads, summed over flows.
-  std::map<std::pair<net::LinkId, TimePoint>, net::Demand> load;
-  std::set<net::NodeId> loop_nodes_seen;
-  std::set<net::NodeId> blackhole_nodes_seen;
+  LoadColumns load = make_ledger(g, w);
+  Tracer tracer(g.node_count());
+  // Each looping / blackholing switch is reported once; a persistent loop
+  // would otherwise repeat for every class in the window.
+  constexpr std::uint8_t kLoopSeen = 1;
+  constexpr std::uint8_t kBlackholeSeen = 2;
+  // chronus-analyzer: allow(hot-alloc) one flag byte per switch, once per call
+  std::vector<std::uint8_t> seen(g.node_count(), 0);
 
   for (const auto& f : flows) {
-    FlowView view;
-    view.graph = &g;
-    view.instance = f.instance;
-    view.schedule = f.schedule;
-    view.demand = f.instance->demand();
-    view.per_packet_flip = f.per_packet_flip;
-
+    const RuleTable rules(view_of(g, f));
+    const net::Demand demand = f.instance->demand();
     for (TimePoint tau = w.trace_begin; tau <= w.trace_end; ++tau) {
       if ((tau.count() & 0xff) == 0 && deadline.expired()) {
         report.aborted = true;
@@ -104,41 +136,38 @@ TransitionReport verify_transitions(const std::vector<FlowTransition>& flows,
         return report;
       }
       ++tally.classes_traced;
-      const Trace trace = trace_class(view, tau);
-      for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
-        const auto link = g.find_link(trace.hops[i].node, trace.hops[i + 1].node);
-        // trace_class only follows existing links.
-        load[{*link, trace.hops[i].arrival}] += view.demand;
+      const TraceResult trace = load_class(tracer, rules, tau, demand, load);
+      if (trace.looped() && (seen[trace.loop_node] & kLoopSeen) == 0) {
+        seen[trace.loop_node] |= kLoopSeen;
+        report.loops.push_back(LoopEvent{tau, trace.loop_node});
+        ++tally.violations;
+        if (opts.first_violation_only) return report;
       }
-      if (trace.looped()) {
-        // Report each looping switch once; a persistent loop would
-        // otherwise repeat for every class in the window.
-        if (loop_nodes_seen.insert(trace.loop_node).second) {
-          report.loops.push_back(LoopEvent{tau, trace.loop_node});
-          ++tally.violations;
-          if (opts.first_violation_only) return report;
-        }
-      }
-      if (trace.end == TraceEnd::kBlackhole) {
-        if (blackhole_nodes_seen.insert(trace.fault_node).second) {
-          report.blackholes.push_back(BlackholeEvent{tau, trace.fault_node});
-          ++tally.violations;
-          if (opts.first_violation_only) return report;
-        }
+      if (trace.end == TraceEnd::kBlackhole &&
+          (seen[trace.fault_node] & kBlackholeSeen) == 0) {
+        seen[trace.fault_node] |= kBlackholeSeen;
+        report.blackholes.push_back(BlackholeEvent{tau, trace.fault_node});
+        ++tally.violations;
+        if (opts.first_violation_only) return report;
       }
     }
   }
 
+  // Link-major, entry step ascending: the order the events are reported in.
   constexpr double kEps = 1e-9;
-  for (const auto& [key, x] : load) {
-    const auto& [link_id, enter] = key;
-    if (enter < w.eval_begin || enter > w.eval_end) continue;
-    ++tally.links_checked;
-    const net::Capacity cap = g.link(link_id).capacity;
-    if (x > cap + net::Demand{kEps}) {
-      report.congestion.push_back(CongestionEvent{link_id, enter, x, cap});
-      ++tally.violations;
-      if (opts.first_violation_only) return report;
+  for (net::LinkId link = 0; link < g.link_count(); ++link) {
+    const std::span<const net::Demand> column = load.column(link);
+    const net::Capacity cap = g.link(link).capacity;
+    for (std::size_t i = 0; i < column.size(); ++i) {
+      const TimePoint enter = load.first() + static_cast<std::int64_t>(i);
+      const net::Demand x = column[i];
+      if (!entered(x) || enter < w.eval_begin || enter > w.eval_end) continue;
+      ++tally.links_checked;
+      if (x > cap + net::Demand{kEps}) {
+        report.congestion.push_back(CongestionEvent{link, enter, x, cap});
+        ++tally.violations;
+        if (opts.first_violation_only) return report;
+      }
     }
   }
   return report;
@@ -159,21 +188,23 @@ std::map<std::pair<net::LinkId, TimePoint>, net::Demand> link_loads(
   FlowTransition ft;
   ft.instance = &inst;
   ft.schedule = &sched;
-  Window w = make_window(g, {ft});
-  std::map<std::pair<net::LinkId, TimePoint>, net::Demand> load;
-  FlowView view;
-  view.graph = &g;
-  view.instance = &inst;
-  view.schedule = &sched;
-  view.demand = inst.demand();
+  const Window w = make_window(g, {ft});
+  LoadColumns load = make_ledger(g, w);
+  Tracer tracer(g.node_count());
+  const RuleTable rules(view_of(g, ft));
   for (TimePoint tau = w.trace_begin; tau <= w.trace_end; ++tau) {
-    const Trace trace = trace_class(view, tau);
-    for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
-      const auto link = g.find_link(trace.hops[i].node, trace.hops[i + 1].node);
-      load[{*link, trace.hops[i].arrival}] += view.demand;
+    load_class(tracer, rules, tau, inst.demand(), load);
+  }
+  std::map<std::pair<net::LinkId, TimePoint>, net::Demand> out;
+  for (net::LinkId link = 0; link < g.link_count(); ++link) {
+    const std::span<const net::Demand> column = load.column(link);
+    for (std::size_t i = 0; i < column.size(); ++i) {
+      if (!entered(column[i])) continue;
+      out.emplace(std::pair{link, load.first() + static_cast<std::int64_t>(i)},
+                  column[i]);
     }
   }
-  return load;
+  return out;
 }
 
 void TransitionReport::merge(const TransitionReport& other) {

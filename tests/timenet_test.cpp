@@ -159,7 +159,6 @@ TEST(Trajectory, PerPacketFlipSelectsWholePath) {
   view.graph = &inst.graph();
   view.instance = &inst;
   view.schedule = &empty;
-  view.demand = net::Demand{1.0};
   view.per_packet_flip = timenet::TimePoint{5};
   const Trace before = trace_class(view, timenet::TimePoint{4});
   const Trace after = trace_class(view, timenet::TimePoint{5});

@@ -1,11 +1,13 @@
 // Tests for the incremental transition verifier: every verdict must agree
-// with the from-scratch exact verifier, across random probe sequences and
-// undo/redo patterns (the branch-and-bound usage).
+// with the from-scratch map-based verifier (tests/verifier_oracle.hpp),
+// across random probe sequences and undo/redo patterns (the
+// branch-and-bound usage).
 #include <gtest/gtest.h>
 
 #include "net/generators.hpp"
 #include "timenet/transition_state.hpp"
 #include "timenet/verifier.hpp"
+#include "verifier_oracle.hpp"
 
 namespace chronus::timenet {
 namespace {
@@ -16,7 +18,7 @@ bool full_verify_ok(const net::UpdateInstance& inst,
                     const UpdateSchedule& sched) {
   VerifyOptions vo;
   vo.first_violation_only = true;
-  return verify_transition(inst, sched, vo).ok();
+  return oracle::verify_transition(inst, sched, vo).ok();
 }
 
 TEST(TransitionStateT, AcceptsThePaperSchedule) {
@@ -155,7 +157,7 @@ TEST_P(MultiStateVsVerifier, JointVerdictsMatchFullVerification) {
       FlowTransition ft1{&sibling, f == 1 ? &tentative : &applied[1], {}};
       VerifyOptions vo;
       vo.first_violation_only = true;
-      const bool expect_ok = verify_transitions({ft0, ft1}, vo).ok();
+      const bool expect_ok = oracle::verify_transitions({ft0, ft1}, vo).ok();
       const bool got_ok = state.try_update(f, v, t);
       ASSERT_EQ(got_ok, expect_ok)
           << "flow " << f << " switch " << g.name(v) << " at t=" << t;
@@ -173,6 +175,125 @@ TEST_P(MultiStateVsVerifier, JointVerdictsMatchFullVerification) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiStateVsVerifier, ::testing::Range(0, 4));
+
+// Branch-and-bound usage: probe, descend, then backtrack several levels at
+// once before probing again. Probe times also fall below earlier ones, so
+// window extensions land on the step on top and must unwind with it.
+// Every verdict must match the oracle on the schedule the stack of applied
+// updates spells out.
+struct Applied {
+  std::size_t flow = 0;
+  NodeId v = net::kInvalidNode;
+  TimePoint t{};
+};
+
+UpdateSchedule schedule_of(const std::vector<Applied>& stack,
+                           std::size_t flow) {
+  UpdateSchedule sched;
+  for (const Applied& a : stack) {
+    if (a.flow == flow) sched.set(a.v, a.t);
+  }
+  return sched;
+}
+
+/// Pops 1..depth levels at once; false when the coin says probe instead.
+bool maybe_backtrack(util::Rng& rng, TransitionState& state,
+                     std::vector<Applied>& stack) {
+  if (stack.empty() || !rng.chance(0.25)) return false;
+  const std::size_t levels = 1 + rng.index(stack.size());
+  for (std::size_t i = 0; i < levels; ++i) {
+    state.undo();
+    stack.pop_back();
+  }
+  return true;
+}
+
+class BranchAndBoundVsOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(BranchAndBoundVsOracle, DeepUndoSequencesKeepVerdictsExact) {
+  util::Rng rng(1600 + static_cast<std::uint64_t>(GetParam()));
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int rep = 0; rep < 6; ++rep) {
+    net::RandomInstanceOptions opt;
+    opt.n = 6 + rng.index(7);
+    opt.slack_prob = rng.chance(0.5) ? 0.0 : 0.8;
+    const auto inst = net::random_instance(opt, rng);
+    const auto to_update = inst.switches_to_update();
+    if (to_update.empty()) continue;
+    TransitionState state(inst);
+    std::vector<Applied> stack;
+    for (int op = 0; op < 40; ++op) {
+      if (maybe_backtrack(rng, state, stack)) {
+        ASSERT_EQ(state.depth(), stack.size());
+        ASSERT_EQ(state.schedule(), schedule_of(stack, 0));
+        continue;
+      }
+      const NodeId v = to_update[rng.index(to_update.size())];
+      UpdateSchedule tentative = schedule_of(stack, 0);
+      if (tentative.contains(v)) continue;
+      const TimePoint t{rng.uniform_int(-2, 8)};
+      tentative.set(v, t);
+      const bool expect_ok = full_verify_ok(inst, tentative);
+      ASSERT_EQ(state.try_update(v, t), expect_ok)
+          << "switch " << inst.graph().name(v) << " at t=" << t
+          << " depth " << stack.size();
+      if (expect_ok) {
+        stack.push_back(Applied{0, v, t});
+        ++accepted;
+      } else {
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST_P(BranchAndBoundVsOracle, TwoFlowDeepUndoSequencesKeepVerdictsExact) {
+  util::Rng rng(1700 + static_cast<std::uint64_t>(GetParam()));
+  for (int rep = 0; rep < 6; ++rep) {
+    net::RandomInstanceOptions opt;
+    opt.n = 6 + rng.index(5);
+    opt.slack_prob = 0.8;
+    const auto base = net::random_instance(opt, rng);
+    if (!net::path_exists_in(base.graph(), base.p_fin())) continue;
+    const auto sibling = net::UpdateInstance::from_paths(
+        base.graph(), base.p_fin(), base.p_init(), base.demand());
+    const std::vector<const net::UpdateInstance*> flows{&base, &sibling};
+    TransitionState state(flows);
+    if (!state.initial_state_valid()) continue;
+    std::vector<Applied> stack;
+    for (int op = 0; op < 40; ++op) {
+      if (maybe_backtrack(rng, state, stack)) {
+        ASSERT_EQ(state.depth(), stack.size());
+        ASSERT_EQ(state.schedule(0), schedule_of(stack, 0));
+        ASSERT_EQ(state.schedule(1), schedule_of(stack, 1));
+        continue;
+      }
+      const std::size_t f = rng.index(2);
+      const auto to_update = flows[f]->switches_to_update();
+      if (to_update.empty()) continue;
+      const NodeId v = to_update[rng.index(to_update.size())];
+      UpdateSchedule sched[2] = {schedule_of(stack, 0), schedule_of(stack, 1)};
+      if (sched[f].contains(v)) continue;
+      const TimePoint t{rng.uniform_int(-2, 8)};
+      sched[f].set(v, t);
+      VerifyOptions vo;
+      vo.first_violation_only = true;
+      const bool expect_ok =
+          oracle::verify_transitions(
+              {{&base, &sched[0], {}}, {&sibling, &sched[1], {}}}, vo)
+              .ok();
+      ASSERT_EQ(state.try_update(f, v, t), expect_ok)
+          << "flow " << f << " switch " << base.graph().name(v)
+          << " at t=" << t << " depth " << stack.size();
+      if (expect_ok) stack.push_back(Applied{f, v, t});
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BranchAndBoundVsOracle, ::testing::Range(0, 6));
 
 TEST(TransitionStateT, InitialValidityDetectsOverload) {
   net::Graph g;
