@@ -58,9 +58,7 @@ BENCHMARK(BM_ExactLoopCheck);
 
 void BM_Algorithm4Batched(benchmark::State& state) {
   const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 3);
-  core::Algorithm4Context ctx(inst);
-  timenet::UpdateSchedule sched;
-  ctx.begin_step({}, sched);
+  const core::Algorithm4Context ctx(inst);  // nothing updated yet
   const auto to_update = inst.switches_to_update();
   for (auto _ : state) {
     for (const auto v : to_update) benchmark::DoNotOptimize(ctx.loops(v, timenet::TimePoint{0}));

@@ -38,28 +38,20 @@ struct GreedyTally {
 /// Completes a schedule that has no safe continuation: remaining switches
 /// are updated one per step, preferring loop-free candidates. Used when the
 /// evaluation requires the transition to finish regardless (Figs. 7/8 count
-/// the congestion such forced updates produce).
-void complete_best_effort(const net::UpdateInstance& inst,
-                          std::set<net::NodeId>& pending,
+/// the congestion such forced updates produce). `alg4` has every update of
+/// `schedule` noted.
+void complete_best_effort(std::vector<net::NodeId>& pending,
+                          Algorithm4Context& alg4,
                           timenet::UpdateSchedule& schedule,
                           timenet::TimePoint t) {
-  Algorithm4Context alg4(inst);
-  std::set<net::NodeId> updated;
-  for (const net::NodeId v : inst.switches_to_update()) {
-    if (!pending.count(v)) updated.insert(v);
-  }
   while (!pending.empty()) {
-    alg4.begin_step(updated, schedule);
-    net::NodeId chosen = *pending.begin();
-    for (const net::NodeId v : pending) {
-      if (!alg4.loops(v, t)) {
-        chosen = v;
-        break;
-      }
-    }
-    schedule.set(chosen, t);
+    alg4.begin_step();
+    const auto loop_free = [&](net::NodeId v) { return !alg4.loops(v, t); };
+    auto chosen = std::find_if(pending.begin(), pending.end(), loop_free);
+    if (chosen == pending.end()) chosen = pending.begin();
+    schedule.set(*chosen, t);
+    alg4.note_update(*chosen, t);
     pending.erase(chosen);
-    updated.insert(chosen);
     ++t;
   }
 }
@@ -71,8 +63,10 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
   CHRONUS_SPAN("greedy.schedule");
   GreedyTally tally;
   ScheduleResult res;
-  std::set<net::NodeId> pending;
-  for (const net::NodeId v : inst.switches_to_update()) pending.insert(v);
+  // Pending switches in ascending id order, plus a live flag per node that
+  // an accepted head clears; the list is compacted once per step.
+  // chronus-analyzer: allow(hot-alloc) once per call, compacted in place
+  std::vector<net::NodeId> pending = inst.switches_to_update();
   if (pending.empty()) {
     res.status = ScheduleStatus::kFeasible;
     res.message = "nothing to update";
@@ -85,10 +79,15 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
           ? opts.stall_limit
           : static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay() + 2;
 
-  std::set<net::NodeId> updated;
+  // chronus-analyzer: allow(hot-alloc) per-call live flags, one byte per node
+  std::vector<std::uint8_t> live(g.node_count(), 0);
+  for (const net::NodeId v : pending) live[v] = 1;
+  DependencyTable alg3(inst, pending);
+  // chronus-analyzer: allow(hot-alloc) per-call head buffer, reused every step
+  std::vector<net::NodeId> heads;
   timenet::TimePoint t{};
   std::int64_t stall = 0;
-  Algorithm4Context alg4(inst);  // batched checks for the pure mode
+  Algorithm4Context alg4(inst);  // batched checks, folded in once per step
   // Incremental checks, guarded mode only: the pure greedy (Fig. 10 scale)
   // never probes it.
   std::optional<timenet::TransitionState> state;
@@ -98,7 +97,7 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
     tally.infeasible = true;
     res.message = why;
     if (opts.force_complete) {
-      complete_best_effort(inst, pending, res.schedule, t + 1);
+      complete_best_effort(pending, alg4, res.schedule, t + 1);
       res.status = ScheduleStatus::kBestEffort;
     } else {
       res.status = ScheduleStatus::kInfeasible;
@@ -108,23 +107,26 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
 
   while (!pending.empty()) {
     ++tally.rounds;
-    DependencySet deps = find_dependencies(inst, updated, pending);
-    ++tally.dep_rebuilds;
     StepLog log;
     log.time = t;
-    if (opts.record_steps) log.dependencies = deps;
+    bool has_cycle = false;
+    if (opts.record_steps) {
+      log.dependencies = alg3.build(pending, live);
+      heads = log.dependencies.heads();
+      has_cycle = log.dependencies.has_cycle;
+    } else {
+      has_cycle = alg3.heads(pending, live, heads);
+    }
+    ++tally.dep_rebuilds;
 
-    if (deps.has_cycle) {
+    if (has_cycle) {
       if (opts.record_steps) res.steps.push_back(std::move(log));
       return fail("dependency cycle at t=" + std::to_string(t.count()));
     }
 
-    std::vector<net::NodeId> heads = deps.heads();
-    std::sort(heads.begin(), heads.end());
-    alg4.begin_step(updated, res.schedule);
-
+    alg4.begin_step();
     bool progressed = false;
-    for (const net::NodeId head : heads) {
+    for (const net::NodeId head : heads) {  // ascending id
       ++tally.heads_expanded;
       // The O(1) Algorithm 4 verdict first: a positive proves a concrete
       // in-flight class would revisit a switch, sparing the probe.
@@ -133,12 +135,13 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
       // congestion-free condition (and applies the update on success).
       if (state && !state->try_update(head, t)) continue;
       res.schedule.set(head, t);
-      updated.insert(head);
-      pending.erase(head);
-      log.updated.push_back(head);
+      alg4.note_update(head, t);
+      live[head] = 0;
+      if (opts.record_steps) log.updated.push_back(head);
       ++tally.updates;
       progressed = true;
     }
+    std::erase_if(pending, [&](net::NodeId v) { return !live[v]; });
 
     if (opts.record_steps) res.steps.push_back(std::move(log));
     if (pending.empty()) break;

@@ -9,6 +9,15 @@
 // declared infeasible (dependency cycle, or no progress for longer than any
 // in-flight traffic can take to drain).
 //
+// The step state is built once per call: the Algorithm 3 DependencyTable
+// (each switch's static candidate predecessor), the Algorithm 4 context
+// (dense per-node arrays, folded in incrementally) and the pending switches
+// as an ascending id list with a live flag per node, compacted once per
+// step. A step is then one pass over the pending ids plus the part of the
+// Algorithm 4 state the last step's updates changed; no set or map is
+// built per round. With `record_steps` off (the service and Fig. 10) the
+// pass yields the chain heads only.
+//
 // With `guard_with_verifier` (the default) every accepted update is also
 // checked against the exact time-extended verifier, which upholds
 // Theorem 3 (the emitted sequence is congestion- and loop-free) for

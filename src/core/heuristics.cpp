@@ -1,8 +1,9 @@
 #include "core/heuristics.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "core/dependency.hpp"
 #include "core/loop_check.hpp"
@@ -22,8 +23,7 @@ ScheduleResult greedy_with_order(
     const std::function<std::vector<net::NodeId>(const DependencySet&)>&
         order) {
   ScheduleResult res;
-  std::set<net::NodeId> pending;
-  for (const net::NodeId v : inst.switches_to_update()) pending.insert(v);
+  std::vector<net::NodeId> pending = inst.switches_to_update();
   if (pending.empty()) {
     res.status = ScheduleStatus::kFeasible;
     return res;
@@ -33,29 +33,32 @@ ScheduleResult greedy_with_order(
   const std::int64_t stall_limit =
       static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay() + 2;
 
-  std::set<net::NodeId> updated;
+  std::vector<std::uint8_t> live(g.node_count(), 0);
+  for (const net::NodeId v : pending) live[v] = 1;
+  DependencyTable alg3(inst, pending);
   timenet::TransitionState state(inst);
   Algorithm4Context alg4(inst);
   timenet::TimePoint t{};
   std::int64_t stall = 0;
 
   while (!pending.empty()) {
-    const DependencySet deps = find_dependencies(inst, updated, pending);
+    const DependencySet deps = alg3.build(pending, live);
     if (deps.has_cycle) {
       res.status = ScheduleStatus::kInfeasible;
       res.message = "dependency cycle";
       return res;
     }
-    alg4.begin_step(updated, res.schedule);
+    alg4.begin_step();
     bool progressed = false;
     for (const net::NodeId head : order(deps)) {
       if (alg4.loops(head, t)) continue;
       if (!state.try_update(head, t)) continue;
       res.schedule.set(head, t);
-      updated.insert(head);
-      pending.erase(head);
+      alg4.note_update(head, t);
+      live[head] = 0;
       progressed = true;
     }
+    std::erase_if(pending, [&](net::NodeId v) { return !live[v]; });
     if (pending.empty()) break;
     ++t;
     stall = progressed ? 0 : stall + 1;

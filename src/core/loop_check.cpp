@@ -6,6 +6,7 @@
 #include "core/config.hpp"
 #include "obs/metrics.hpp"
 #include "timenet/trajectory.hpp"
+#include "util/contracts.hpp"
 
 namespace chronus::core {
 
@@ -34,60 +35,104 @@ bool algorithm4_loop_check(const net::UpdateInstance& inst,
                            const timenet::UpdateSchedule& scheduled,
                            const std::set<net::NodeId>& updated, net::NodeId v,
                            timenet::TimePoint t) {
+  CHRONUS_EXPECTS(updated.size() == scheduled.size() &&
+                      std::all_of(updated.begin(), updated.end(),
+                                  [&](net::NodeId u) {
+                                    return scheduled.contains(u);
+                                  }),
+                  "the updated switches are the scheduled ones");
   Algorithm4Context ctx(inst);
-  ctx.begin_step(updated, scheduled);
+  for (const auto& [u, tu] : scheduled.entries()) ctx.note_update(u, tu);
+  ctx.begin_step();
   return ctx.loops(v, t);
 }
 
 Algorithm4Context::Algorithm4Context(const net::UpdateInstance& inst)
-    : inst_(&inst), invocations_(obs::counter_ptr("loopcheck.invocations")) {
-  const net::Path& p_init = inst.p_init();
+    : invocations_(obs::counter_ptr("loopcheck.invocations")),
+      src_(inst.source()),
+      dst_(inst.destination()) {
   const net::Graph& g = inst.graph();
-  init_prefix_delay_.resize(p_init.size(), 0);
-  init_pos_.reserve(p_init.size());
+  switches_.resize(g.node_count());
+  for (net::NodeId v = 0; v < switches_.size(); ++v) {
+    Switch& s = switches_[v];
+    const auto old_next = inst.old_next(v);
+    if (old_next && g.has_link(v, *old_next)) s.old_hop = *old_next;
+    const auto new_next = inst.new_next(v);
+    if (!new_next) continue;
+    s.new_next = *new_next;
+    if (g.has_link(v, *new_next)) s.new_hop = *new_next;
+  }
+  const net::Path& p_init = inst.p_init();
+  init_prefix_delay_.assign(p_init.size(), 0);
   for (std::size_t i = 0; i < p_init.size(); ++i) {
-    init_pos_[p_init[i]] = i;
+    switches_[p_init[i]].init_pos = static_cast<std::uint32_t>(i);
     if (i + 1 < p_init.size()) {
       init_prefix_delay_[i + 1] =
           init_prefix_delay_[i] + g.delay(p_init[i], p_init[i + 1]);
     }
   }
-}
-
-void Algorithm4Context::begin_step(const std::set<net::NodeId>& updated,
-                                   const timenet::UpdateSchedule& scheduled) {
-  cur_pos_.clear();
-  const auto path = current_forwarding_path(*inst_, updated);
-  if (path) {
-    for (std::size_t i = 0; i < path->size(); ++i) cur_pos_[(*path)[i]] = i;
-  }
-  const net::Path& p_init = inst_->p_init();
+  init_time_.assign(p_init.size(), kNever);
   tau_max_prefix_.assign(p_init.size(),
                          std::numeric_limits<timenet::TimePoint>::max());
-  for (std::size_t i = 1; i < p_init.size(); ++i) {
+  walk_current_path();
+}
+
+void Algorithm4Context::note_update(net::NodeId v, timenet::TimePoint t) {
+  noted_.emplace_back(v, t);
+}
+
+void Algorithm4Context::begin_step() {
+  if (noted_.empty()) return;
+  std::size_t first_changed = tau_max_prefix_.size();
+  for (const auto& [v, t] : noted_) {
+    Switch& s = switches_[v];
+    s.updated = true;
+    if (s.init_pos == kNoPos) continue;
+    init_time_[s.init_pos] = t;
+    first_changed = std::min<std::size_t>(first_changed, s.init_pos + 1);
+  }
+  noted_.clear();
+  for (std::size_t i = first_changed; i < tau_max_prefix_.size(); ++i) {
     timenet::TimePoint bound = tau_max_prefix_[i - 1];
-    const auto upd = scheduled.at(p_init[i - 1]);
-    if (upd) {
-      bound = std::min(bound, *upd - init_prefix_delay_[i - 1] - 1);
+    if (init_time_[i - 1] != kNever) {
+      bound = std::min(bound,
+                       init_time_[i - 1] - init_prefix_delay_[i - 1] - 1);
     }
     tau_max_prefix_[i] = bound;
   }
+  walk_current_path();
+}
+
+void Algorithm4Context::walk_current_path() {
+  for (const net::NodeId v : cur_path_) switches_[v].cur_pos = kNoPos;
+  cur_path_.clear();
+  net::NodeId at = src_;
+  while (switches_[at].cur_pos == kNoPos) {
+    Switch& s = switches_[at];
+    s.cur_pos = static_cast<std::uint32_t>(cur_path_.size());
+    cur_path_.push_back(at);
+    if (at == dst_) return;
+    at = s.updated ? s.new_hop : s.old_hop;
+    if (at == net::kInvalidNode) break;  // blackhole
+  }
+  // The configuration loops or blackholes: there is no steady path.
+  for (const net::NodeId v : cur_path_) switches_[v].cur_pos = kNoPos;
+  cur_path_.clear();
 }
 
 bool Algorithm4Context::loops(net::NodeId v, timenet::TimePoint t) const {
   // Hot path: the slot handle was resolved once in the constructor, so an
   // enabled check costs one relaxed increment and a disabled one a branch.
   if (invocations_ != nullptr) invocations_->add(1);
-  const auto new_next = inst_->new_next(v);
-  if (!new_next) return false;
+  const Switch& s = switches_[v];
+  if (s.new_next == net::kInvalidNode) return false;
+  const Switch& next = switches_[s.new_next];
 
   // (a) Continuously arriving flow: if v carries flow in the current
   // configuration and its new next hop lies upstream on that path, every
   // redirected class revisits the next hop.
-  const auto cv = cur_pos_.find(v);
-  const auto cn = cur_pos_.find(*new_next);
-  if (cv != cur_pos_.end() && cn != cur_pos_.end() &&
-      cn->second < cv->second) {
+  if (s.cur_pos != kNoPos && next.cur_pos != kNoPos &&
+      next.cur_pos < s.cur_pos) {
     return true;
   }
 
@@ -96,12 +141,10 @@ bool Algorithm4Context::loops(net::NodeId v, timenet::TimePoint t) const {
   // been updated by the time the class passed it. If such a class can
   // still reach v at or after t, and v's new next hop is one of the
   // switches the class already visited, updating v at t loops it.
-  const auto iv = init_pos_.find(v);
-  if (iv == init_pos_.end()) return false;
-  const auto jn = init_pos_.find(*new_next);
-  if (jn == init_pos_.end() || jn->second >= iv->second) return false;
+  if (s.init_pos == kNoPos) return false;
+  if (next.init_pos == kNoPos || next.init_pos >= s.init_pos) return false;
 
-  const std::size_t i = iv->second;
+  const std::size_t i = s.init_pos;
   const timenet::TimePoint tau_low = t - init_prefix_delay_[i];
   return tau_low <= tau_max_prefix_[i];
 }

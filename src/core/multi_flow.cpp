@@ -1,6 +1,7 @@
 #include "core/multi_flow.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "core/dependency.hpp"
@@ -48,15 +49,21 @@ MultiFlowResult schedule_flows_jointly(
   const std::int64_t stall_limit =
       static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay() + 2;
 
-  std::vector<std::set<net::NodeId>> pending(flows.size());
-  std::vector<std::set<net::NodeId>> updated(flows.size());
+  // Per flow: one relation table, the pending switches ascending and a
+  // live flag per node that an accepted head clears.
+  std::vector<DependencyTable> tables;
+  std::vector<std::vector<net::NodeId>> pending(flows.size());
+  std::vector<std::vector<std::uint8_t>> live(flows.size());
   std::size_t remaining = 0;
+  tables.reserve(flows.size());
   for (std::size_t f = 0; f < flows.size(); ++f) {
-    for (const net::NodeId v : flows[f].switches_to_update()) {
-      pending[f].insert(v);
-    }
+    pending[f] = flows[f].switches_to_update();
+    tables.emplace_back(flows[f], pending[f]);
+    live[f].assign(flows[f].graph().node_count(), 0);
+    for (const net::NodeId v : pending[f]) live[f][v] = 1;
     remaining += pending[f].size();
   }
+  std::vector<net::NodeId> heads;
 
   timenet::TimePoint t{};
   std::int64_t stall = 0;
@@ -64,21 +71,18 @@ MultiFlowResult schedule_flows_jointly(
     bool progressed = false;
     for (std::size_t f = 0; f < flows.size(); ++f) {
       if (pending[f].empty()) continue;
-      DependencySet deps = find_dependencies(flows[f], updated[f], pending[f]);
-      if (deps.has_cycle) {
+      if (tables[f].heads(pending[f], live[f], heads)) {
         res.status = ScheduleStatus::kInfeasible;
         res.message = "flow " + std::to_string(f) + ": dependency cycle";
         return res;
       }
-      std::vector<net::NodeId> heads = deps.heads();
-      std::sort(heads.begin(), heads.end());
-      for (const net::NodeId head : heads) {
+      for (const net::NodeId head : heads) {  // ascending id
         if (!state.try_update(f, head, t)) continue;
-        updated[f].insert(head);
-        pending[f].erase(head);
+        live[f][head] = 0;
         --remaining;
         progressed = true;
       }
+      std::erase_if(pending[f], [&](net::NodeId v) { return !live[f][v]; });
     }
     ++t;
     stall = progressed ? 0 : stall + 1;

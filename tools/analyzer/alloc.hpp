@@ -8,7 +8,9 @@
 // acknowledgement (same line, line above, or a block comment — the same
 // three placements every other rule honours).
 //
-// Scope: .cpp files under src/timenet/ and src/opt/ only. Headers are out
+// Scope: .cpp files under src/timenet/ and src/opt/, plus the greedy's
+// per-step loop in src/core/ (dependency, loop_check, greedy_scheduler:
+// dense per-call tables, nothing allocated per step). Headers are out
 // (they declare types for every caller, hot or not), and so is the rest of
 // the tree — the heap is the right default everywhere the arena does not
 // reach. src/fixture/ is the self-test mount point.
@@ -32,14 +34,17 @@
 
 namespace chronus_analyzer {
 
-/// Arena-managed modules only, and only where code runs (.cpp). The
-/// src/fixture/ prefix is where the --self-test harness mounts fixture
-/// files, so the seeded bad_hot-alloc fixtures reach the pass.
+/// Arena-managed modules and the greedy's step loop only, and only where
+/// code runs (.cpp). The src/fixture/ prefix is where the --self-test
+/// harness mounts fixture files, so the seeded bad_hot-alloc fixtures
+/// reach the pass.
 inline bool hot_alloc_in_scope(const std::string& rel) {
   if (rel.size() < 4 || rel.compare(rel.size() - 4, 4, ".cpp") != 0) {
     return false;
   }
   return rel.rfind("src/timenet/", 0) == 0 || rel.rfind("src/opt/", 0) == 0 ||
+         rel == "src/core/dependency.cpp" || rel == "src/core/loop_check.cpp" ||
+         rel == "src/core/greedy_scheduler.cpp" ||
          rel.rfind("src/fixture/", 0) == 0;
 }
 
