@@ -70,6 +70,7 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
   if (pending.empty()) {
     res.status = ScheduleStatus::kFeasible;
     res.message = "nothing to update";
+    res.verified = opts.guard_with_verifier;
     return res;
   }
 
@@ -92,6 +93,7 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
   // never probes it.
   std::optional<timenet::TransitionState> state;
   if (opts.guard_with_verifier) state.emplace(inst);
+  bool settled = false;  // every probe from here on repeats a rejection
 
   auto fail = [&](const std::string& why) {
     tally.infeasible = true;
@@ -133,7 +135,7 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
       if (alg4.loops(head, t)) continue;
       // One incremental probe covers both the loop-free and the
       // congestion-free condition (and applies the update on success).
-      if (state && !state->try_update(head, t)) continue;
+      if (settled || (state && !state->try_update(head, t))) continue;
       res.schedule.set(head, t);
       alg4.note_update(head, t);
       live[head] = 0;
@@ -146,6 +148,11 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
     if (opts.record_steps) res.steps.push_back(std::move(log));
     if (pending.empty()) break;
 
+    // A stalled round at or after the settle time repeats forever: the
+    // probes' verdicts repeat by definition, and so do Alg. 4's, since
+    // the old-path class its in-flight check fears is a traced class,
+    // which arrives before the settle time.
+    if (state && !progressed && !settled) settled = t >= state->settle_time();
     ++t;
     stall = progressed ? 0 : stall + 1;
     if (stall > stall_limit) {
@@ -155,6 +162,7 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
   }
 
   res.status = ScheduleStatus::kFeasible;
+  res.verified = opts.guard_with_verifier;
   CHRONUS_ENSURES(res.schedule.size() == inst.switches_to_update().size(),
                   "a feasible plan schedules every switch exactly once");
   CHRONUS_ENSURES(res.schedule.first_time() >= timenet::TimePoint{0} &&

@@ -21,9 +21,16 @@
 // With `guard_with_verifier` (the default) every accepted update is also
 // checked against the exact time-extended verifier, which upholds
 // Theorem 3 (the emitted sequence is congestion- and loop-free) for
-// arbitrary link delays; switching the guard off gives the paper's pure
-// dependency + structural-loop-check behaviour (the ablation in
-// bench/ablation_greedy_variants).
+// arbitrary link delays, and the result is marked `verified`; switching
+// the guard off gives the paper's pure dependency + structural-loop-check
+// behaviour (the ablation in bench/ablation_greedy_variants), whose plans
+// the verifier may reject.
+//
+// A guarded stall settles: once a round makes no progress at or after
+// TransitionState::settle_time(), every later round repeats its verdicts
+// (the Alg. 3 heads, Alg. 4's answers and every probe's). The loop then
+// skips the probes but still walks to the stall limit, so results and
+// counters are those of probing every round.
 #pragma once
 
 #include <string>
@@ -36,7 +43,7 @@
 namespace chronus::core {
 
 enum class ScheduleStatus {
-  kFeasible,    ///< complete schedule, verified congestion- and loop-free
+  kFeasible,    ///< complete schedule (checked by the guard iff `verified`)
   kInfeasible,  ///< no congestion- and loop-free sequence found
   kBestEffort,  ///< infeasible, but a completing schedule was forced
 };
@@ -53,6 +60,9 @@ struct ScheduleResult {
   timenet::UpdateSchedule schedule;
   std::vector<StepLog> steps;
   std::string message;
+  /// The exact guard checked every step of this complete schedule, so it
+  /// is congestion- and loop-free. Never set in pure mode.
+  bool verified = false;
 
   bool feasible() const { return status == ScheduleStatus::kFeasible; }
 };

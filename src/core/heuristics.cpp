@@ -26,6 +26,7 @@ ScheduleResult greedy_with_order(
   std::vector<net::NodeId> pending = inst.switches_to_update();
   if (pending.empty()) {
     res.status = ScheduleStatus::kFeasible;
+    res.verified = true;
     return res;
   }
 
@@ -69,6 +70,7 @@ ScheduleResult greedy_with_order(
     }
   }
   res.status = ScheduleStatus::kFeasible;
+  res.verified = true;  // every step passed the TransitionState guard
   return res;
 }
 

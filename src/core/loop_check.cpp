@@ -53,14 +53,12 @@ Algorithm4Context::Algorithm4Context(const net::UpdateInstance& inst)
       dst_(inst.destination()) {
   const net::Graph& g = inst.graph();
   switches_.resize(g.node_count());
-  for (net::NodeId v = 0; v < switches_.size(); ++v) {
-    Switch& s = switches_[v];
-    const auto old_next = inst.old_next(v);
-    if (old_next && g.has_link(v, *old_next)) s.old_hop = *old_next;
-    const auto new_next = inst.new_next(v);
-    if (!new_next) continue;
-    s.new_next = *new_next;
-    if (g.has_link(v, *new_next)) s.new_hop = *new_next;
+  for (const auto& [v, next] : inst.old_rules()) {
+    if (g.has_link(v, next)) switches_[v].old_hop = next;
+  }
+  for (const auto& [v, next] : inst.new_rules()) {
+    switches_[v].new_next = next;
+    if (g.has_link(v, next)) switches_[v].new_hop = next;
   }
   const net::Path& p_init = inst.p_init();
   init_prefix_delay_.assign(p_init.size(), 0);

@@ -19,8 +19,8 @@ void subtract_static_load(net::Graph& g, const net::UpdateInstance& other,
                           bool transitioned) {
   const net::Path& p = transitioned ? other.p_fin() : other.p_init();
   for (const net::LinkId id : net::path_links(g, p)) {
-    net::Link& l = g.mutable_link(id);
-    l.capacity = std::max(l.capacity - other.demand(), net::Capacity{1e-6});
+    g.set_capacity(id, std::max(g.link(id).capacity - other.demand(),
+                                net::Capacity{1e-6}));
   }
 }
 

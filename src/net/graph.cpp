@@ -29,6 +29,7 @@ LinkId Graph::add_link(NodeId u, NodeId v, Capacity cap, Delay delay) {
   if (has_link(u, v)) throw std::invalid_argument("duplicate link");
   const auto id = static_cast<LinkId>(links_.size());
   links_.push_back(Link{u, v, cap, delay});
+  max_delay_ = std::max(max_delay_, delay);
   out_[u].push_back(id);
   in_[v].push_back(id);
   return id;
@@ -39,9 +40,9 @@ const Link& Graph::link(LinkId id) const {
   return links_[id];
 }
 
-Link& Graph::mutable_link(LinkId id) {
+void Graph::set_capacity(LinkId id, Capacity capacity) {
   if (id >= links_.size()) throw std::out_of_range("bad link id");
-  return links_[id];
+  links_[id].capacity = capacity;
 }
 
 std::optional<LinkId> Graph::find_link(NodeId u, NodeId v) const {
@@ -83,12 +84,6 @@ Delay Graph::delay(NodeId u, NodeId v) const {
   const auto id = find_link(u, v);
   if (!id) throw std::invalid_argument("no such link");
   return links_[*id].delay;
-}
-
-Delay Graph::max_delay() const {
-  Delay d = 1;
-  for (const Link& l : links_) d = std::max(d, l.delay);
-  return d;
 }
 
 void Graph::check_node(NodeId v) const {

@@ -54,7 +54,10 @@ class Graph {
   std::size_t link_count() const { return links_.size(); }
 
   const Link& link(LinkId id) const;
-  Link& mutable_link(LinkId id);
+
+  /// Sets the capacity of an existing link (the only link field that may
+  /// change after add_link, so max_delay() stays valid).
+  void set_capacity(LinkId id, Capacity capacity);
 
   /// Link id of <u,v>, if it exists.
   std::optional<LinkId> find_link(NodeId u, NodeId v) const;
@@ -72,8 +75,8 @@ class Graph {
   Capacity capacity(NodeId u, NodeId v) const;
   Delay delay(NodeId u, NodeId v) const;
 
-  /// Largest link delay in the graph (1 if no links).
-  Delay max_delay() const;
+  /// Largest link delay in the graph (1 if no links), kept by add_link.
+  Delay max_delay() const { return max_delay_; }
 
  private:
   void check_node(NodeId v) const;
@@ -82,6 +85,7 @@ class Graph {
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> out_;
   std::vector<std::vector<LinkId>> in_;
+  Delay max_delay_ = 1;
 };
 
 }  // namespace chronus::net

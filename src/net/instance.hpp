@@ -39,6 +39,15 @@ class UpdateInstance {
   std::optional<NodeId> old_next(NodeId v) const;
   std::optional<NodeId> new_next(NodeId v) const;
 
+  /// Every old / new rule as switch -> next hop, in unspecified order:
+  /// the switches without an entry have no rule in that configuration.
+  const std::unordered_map<NodeId, NodeId>& old_rules() const {
+    return old_next_;
+  }
+  const std::unordered_map<NodeId, NodeId>& new_rules() const {
+    return new_next_;
+  }
+
   /// Installs (or overrides) a final-configuration rule for v. The link
   /// <v, next> must exist. Used for paper-style redirect rules on switches
   /// that lie only on the old path.

@@ -108,7 +108,7 @@ net::Graph CapacityLedger::restricted_graph(const net::Graph& g,
                                             const Footprint& fp) const {
   net::Graph out = g;
   for (const auto& [id, amount] : fp) {
-    out.mutable_link(id).capacity = util::capacity_for(amount);
+    out.set_capacity(id, util::capacity_for(amount));
   }
   return out;
 }

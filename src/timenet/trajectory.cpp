@@ -12,17 +12,17 @@ RuleTable::RuleTable(const net::Graph& g, const net::UpdateInstance& inst)
       update_(g.node_count(), kNever),
       src_(inst.source()),
       dst_(inst.destination()) {
-  const auto compile = [&](net::NodeId v, std::optional<net::NodeId> next,
-                           Rule& rule) {
-    if (!next) return;
-    const auto link = g.find_link(v, *next);
-    if (!link) return;  // a rule over a missing link blackholes
-    rule = Rule{*next, *link, g.link(*link).delay};
+  // Only switches with a rule are visited; every other one keeps "no
+  // rule" (a blackhole).
+  const auto compile = [&](const auto& rules, std::vector<Rule>& into) {
+    for (const auto& [v, next] : rules) {
+      const auto link = g.find_link(v, next);
+      if (!link) continue;  // a rule over a missing link blackholes
+      into[v] = Rule{next, *link, g.link(*link).delay};
+    }
   };
-  for (net::NodeId v = 0; v < g.node_count(); ++v) {
-    compile(v, inst.old_next(v), old_[v]);
-    compile(v, inst.new_next(v), new_[v]);
-  }
+  compile(inst.old_rules(), old_);
+  compile(inst.new_rules(), new_);
 }
 
 RuleTable::RuleTable(const FlowView& flow)

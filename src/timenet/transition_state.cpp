@@ -34,9 +34,13 @@ TransitionState::TransitionState(
   for (const auto* inst : flows) {
     FlowState& fs = flows_.emplace_back(*inst);
     fs.steady_entry.assign(graph_->link_count(), kOffTail);
+    fs.head_end.assign(graph_->link_count(), kNoHead);
     // Unscheduled flows are one steady stream on their old path; the
     // tail's start is "always" so its load applies at every entry step.
+    // The class injected at 0 also gives the old head its shape.
     tracer_.run(fs.rules, TimePoint{0}, fs.steady_shape.hops);
+    fs.old_shape = fs.steady_shape.hops;
+    fs.old_span = fs.old_shape.back().arrival - TimePoint{0};
     fs.steady_from = kAlways;
     set_tail(fs, true);
   }
@@ -66,11 +70,20 @@ void TransitionState::add_loads(const ClassTrace& trace, net::Demand demand,
   }
 }
 
-net::Demand TransitionState::steady_load(net::LinkId link,
-                                          TimePoint entry) const {
+net::Demand TransitionState::tail_load(net::LinkId link,
+                                       TimePoint entry) const {
   net::Demand x{};
   for (const FlowState& fs : flows_) {
     if (entry >= fs.steady_entry[link]) x += fs.inst->demand();
+  }
+  return x;
+}
+
+net::Demand TransitionState::steady_load(net::LinkId link,
+                                          TimePoint entry) const {
+  net::Demand x = tail_load(link, entry);
+  for (const FlowState& fs : flows_) {
+    if (entry < fs.head_end[link]) x += fs.inst->demand();
   }
   return x;
 }
@@ -92,7 +105,7 @@ TransitionState::ClassTrace& TransitionState::class_slot(FlowState& fs,
   return fs.classes[static_cast<std::size_t>(tau - fs.class_base)];
 }
 
-bool TransitionState::retrace(std::size_t flow, TimePoint tau, bool track) {
+bool TransitionState::retrace(std::size_t flow, TimePoint tau) {
   FlowState& fs = flows_[flow];
   const net::Demand demand = fs.inst->demand();
   ClassTrace& slot = class_slot(fs, tau);
@@ -109,7 +122,7 @@ bool TransitionState::retrace(std::size_t flow, TimePoint tau, bool track) {
   for (std::size_t i = 0; i + 1 < slot.hops.size(); ++i) {
     const FlatHop& hop = slot.hops[i];
     load_.at(hop.link, hop.arrival) += demand;
-    if (track) touched_.emplace_back(hop.link, hop.arrival);
+    touched_.emplace_back(hop.link, hop.arrival);
   }
   return slot.bad;
 }
@@ -123,6 +136,13 @@ void TransitionState::set_tail(FlowState& fs, bool always) {
   for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
     fs.steady_entry[hops[i].link] = always ? kAlways : hops[i].arrival;
     fs.tail_links.push_back(hops[i].link);
+  }
+}
+
+void TransitionState::set_head(FlowState& fs, bool scheduled) {
+  for (std::size_t i = 0; i + 1 < fs.old_shape.size(); ++i) {
+    fs.head_end[fs.old_shape[i].link] =
+        scheduled ? fs.lo + (fs.old_shape[i].arrival - TimePoint{0}) : kNoHead;
   }
 }
 
@@ -153,8 +173,24 @@ bool TransitionState::refresh_steady(std::size_t flow, TimePoint from) {
     const std::int64_t skip = std::max<std::int64_t>(start - load_.first(), 0);
     for (auto i = static_cast<std::size_t>(skip); i < column.size(); ++i) {
       const TimePoint entry = load_.first() + static_cast<std::int64_t>(i);
-      if (column[i] + steady_load(link, entry) > cap + net::Demand{kEps}) {
+      if (column[i] + tail_load(link, entry) > cap + net::Demand{kEps}) {
         return false;
+      }
+    }
+    // Tail-vs-head: another flow's old head still runs on this link from
+    // the tail's start to its end; those steps are judged again with the
+    // heads included. A flow's own head ends before its first update.
+    for (const FlowState& other : flows_) {
+      if (&other == &fs || other.head_end[link] <= start) continue;
+      for (TimePoint entry = start; entry < other.head_end[link]; ++entry) {
+        const std::int64_t i = entry - load_.first();
+        const net::Demand traced =
+            i >= 0 && i < static_cast<std::int64_t>(column.size())
+                ? column[static_cast<std::size_t>(i)]
+                : net::Demand{};
+        if (traced + steady_load(link, entry) > cap + net::Demand{kEps}) {
+          return false;
+        }
       }
     }
   }
@@ -175,26 +211,14 @@ void TransitionState::rewind(std::size_t log_begin) {
 
 void TransitionState::rollback(Step& step) {
   rewind(step.log_begin);
-  for (std::size_t f = 0; f < flows_.size(); ++f) {
-    flows_[f].lo = step.prev_window[f].first;
-    flows_[f].hi = step.prev_window[f].second;
-  }
   FlowState& fs = flows_[step.flow];
+  fs.lo = step.prev_lo;
+  fs.hi = step.prev_hi;
   fs.steady_from = step.prev_steady_from;
   std::swap(fs.steady_shape, step.prev_steady_shape);
-  set_tail(fs, step.prev_steady_from == kAlways);
-}
-
-void TransitionState::extend_windows_down(TimePoint want_lo) {
-  for (std::size_t f = 0; f < flows_.size(); ++f) {
-    FlowState& fs = flows_[f];
-    if (fs.sched.empty()) continue;  // pure tail, nothing transitional
-    if (fs.hi < fs.lo) continue;     // window set when first scheduled
-    // A scheduled flow means an applied step, which owns these entries.
-    CHRONUS_INVARIANT(depth_ > 0, "window extension with no step to own it");
-    for (TimePoint tau = want_lo; tau < fs.lo; ++tau) retrace(f, tau, false);
-    fs.lo = std::min(fs.lo, want_lo);
-  }
+  const bool scheduled = step.prev_steady_from != kAlways;
+  set_tail(fs, !scheduled);
+  set_head(fs, scheduled);
 }
 
 bool TransitionState::try_update(std::size_t flow, net::NodeId v,
@@ -207,24 +231,13 @@ bool TransitionState::try_update(std::size_t flow, net::NodeId v,
     throw std::logic_error("switch already scheduled for this flow");
   }
 
-  // Global earliest schedule time (including the candidate): every
-  // scheduled flow's transitional window must reach 2d below it so that
-  // all cross-flow collisions in the evaluation region are counted.
-  TimePoint global_first = t;
-  for (const FlowState& g : flows_) {
-    if (!g.sched.empty()) {
-      global_first = std::min(global_first, g.sched.first_time());
-    }
-  }
-  extend_windows_down(global_first - 2 * d_);
-
   if (depth_ == steps_.size()) steps_.emplace_back();
   Step& rec = steps_[depth_];
   rec.flow = flow;
   rec.v = v;
   rec.log_begin = log_size_;
-  rec.prev_window.clear();
-  for (const FlowState& g : flows_) rec.prev_window.emplace_back(g.lo, g.hi);
+  rec.prev_lo = fs.lo;
+  rec.prev_hi = fs.hi;
   // The tail shape is only rewritten by refresh_steady below; park it in
   // the step and let refresh_steady trace into the step's spare buffer.
   std::swap(rec.prev_steady_shape, fs.steady_shape);
@@ -232,35 +245,45 @@ bool TransitionState::try_update(std::size_t flow, net::NodeId v,
 
   // The candidate goes into the rule table only; the schedule map takes it
   // once it is accepted, so a rejected probe never touches the map.
-  const bool was_empty = fs.hi < fs.lo;
-  const TimePoint last =
-      fs.sched.empty() ? t : std::max(fs.sched.last_time(), t);
+  const bool was_empty = fs.sched.empty();
+  const TimePoint first = was_empty ? t : std::min(fs.sched.first_time(), t);
+  const TimePoint last = was_empty ? t : std::max(fs.sched.last_time(), t);
   fs.rules.set_update(v, t);
-  if (was_empty) fs.lo = global_first - 2 * d_;  // first update: open it
+  // Classes injected before first - old_span meet no update: the head.
+  const TimePoint new_lo = first - fs.old_span;
+  const TimePoint old_lo = was_empty ? new_lo : fs.lo;
+  const TimePoint old_hi = was_empty ? new_lo - 1 : fs.hi;
   const TimePoint new_top = last - 1;
-  const TimePoint old_hi = was_empty ? fs.lo - 1 : fs.hi;
 
   bool bad = false;
   touched_.clear();
 
+  // Classes that left the old head (an update before the first one) are
+  // materialized under the new schedule.
+  for (TimePoint tau = new_lo; tau < old_lo && !bad; ++tau) {
+    bad = retrace(flow, tau);
+  }
+  fs.lo = new_lo;
+  set_head(fs, true);
+
   // Classes that left the analytic steady tail (a later update time makes
   // them transitional) are materialized under the new schedule.
   for (TimePoint tau = old_hi + 1; tau <= new_top && !bad; ++tau) {
-    bad = retrace(flow, tau, true);
+    bad = retrace(flow, tau);
   }
   fs.hi = std::max(old_hi, new_top);
 
   // Transitional classes the candidate can affect: those whose current
   // trajectory visits v at or after t (v's rule change is invisible to
   // every other class — rules are per flow).
-  const TimePoint from = std::max(fs.lo, t - d_);
+  const TimePoint from = std::max(old_lo, t - d_);
   for (TimePoint tau = from; tau <= old_hi && !bad; ++tau) {
     const std::vector<FlatHop>& hops = class_slot(fs, tau).hops;
     const bool visits =
         std::any_of(hops.begin(), hops.end(), [&](const FlatHop& hop) {
           return hop.node == v && hop.arrival >= t;
         });
-    if (visits) bad = retrace(flow, tau, true);
+    if (visits) bad = retrace(flow, tau);
   }
 
   // The flow's steady tail under its new final configuration, and that
@@ -288,6 +311,22 @@ bool TransitionState::try_update(std::size_t flow, net::NodeId v,
   fs.sched.set(v, t);
   ++depth_;
   return true;
+}
+
+TimePoint TransitionState::settle_time() const {
+  CHRONUS_EXPECTS(flows_.size() == 1, "settle_time is defined for one flow");
+  const FlowState& fs = flows_.front();
+  // A never-updated flow is one steady stream: every instant is alike.
+  if (fs.sched.empty()) return kAlways;
+  TimePoint latest = fs.steady_from;
+  for (TimePoint tau = fs.lo; tau <= fs.hi; ++tau) {
+    const std::vector<FlatHop>& hops =
+        fs.classes[static_cast<std::size_t>(tau - fs.class_base)].hops;
+    latest = std::max(latest, hops.back().arrival);
+  }
+  const std::int64_t tail_span =
+      fs.steady_shape.hops.back().arrival - fs.steady_from;
+  return latest + 2 * tail_span + 1;
 }
 
 void TransitionState::undo() {

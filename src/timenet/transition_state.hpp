@@ -7,7 +7,11 @@
 // maintains the verifier's state and updates only what a probe can affect,
 // giving the same verdict orders of magnitude faster.
 //
-// State representation (per flow):
+// State representation (per flow), sized by the flow's own paths:
+//  * the old head — every class injected before lo (= the first update
+//    minus the old path's span) reaches each switch before any update, so
+//    all of them follow the all-old shape; per link, the head holds one
+//    class per entry step up to head_end (kept next to steady_entry);
 //  * transitional classes — injected in [lo, steady_from): traced
 //    individually; their per-(link, entry-step) loads are summed across
 //    flows in load_;
@@ -15,10 +19,10 @@
 //    (= the flow's latest scheduled update) sees only final rules, so all
 //    of them share one trajectory shape; they are represented by that
 //    single shape plus, per link, the first entry step (one class enters
-//    each shape link every step from there on);
-//  * classes before lo are pure-old steady state; with a valid initial
-//    configuration (see initial_state_valid) they collide with nothing
-//    that is not already accounted for.
+//    each shape link every step from there on).
+// A flow with no update is one steady stream on its old path. Where old
+// heads and such streams meet, they meet as in the all-old initial state,
+// which initial_state_valid() judges.
 //
 // The maintained invariant: the current schedules are jointly congestion-
 // and loop-free at every moment in time. try_update() extends a flow's
@@ -34,9 +38,9 @@
 // probe logs every class it retraces in an append-only undo log; the
 // displaced trace rides in the log entry and the buffers circulate between
 // window and log, so once warm a probe — accepted or rejected — allocates
-// nothing. Loads are added and removed in exactly the order of the
-// map-based original (tests/verifier_oracle.hpp keeps its verifier), so
-// every verdict is bit-for-bit the same.
+// nothing. Only the probed flow's window moves. The property suites hold
+// every verdict to the class-by-class verifier kept in
+// tests/verifier_oracle.hpp.
 #pragma once
 
 #include <cstdint>
@@ -76,6 +80,14 @@ class TransitionState {
   /// applied update throws std::logic_error.
   void undo();
 
+  /// Single flow: the instant from which every try_update verdict
+  /// repeats. It is the latest arrival of any traced class, plus twice the
+  /// tail's span, plus one: a probe from there on reaches no traced class,
+  /// and the classes it materializes and the tail it installs are the same
+  /// shapes shifted to the probe's time. Meaningful only while the state
+  /// is clean (after accepted updates).
+  TimePoint settle_time() const;
+
   /// Number of updates currently applied (== depth of the undo stack).
   std::size_t depth() const { return depth_; }
 
@@ -104,6 +116,12 @@ class TransitionState {
     TimePoint class_base{};
     TimePoint lo{};
     TimePoint hi{-1};  // traced range [lo, hi]; empty when hi < lo
+    // Old head: the all-old shape (arrivals relative to injection), its
+    // span, and per link the entry step its classes reach (kNoHead: not
+    // on it, or the flow was never updated).
+    std::vector<FlatHop> old_shape;
+    std::int64_t old_span = 0;
+    std::vector<TimePoint> head_end;
     // Steady tail: trajectory of every class injected >= steady_from, and
     // per link the step its first class enters (kOffTail: not on it).
     ClassTrace steady_shape;
@@ -122,22 +140,24 @@ class TransitionState {
 
   /// An applied update, or the probe in flight. Its log entries run from
   /// log_begin to the next step's log_begin (the log's end for the top
-  /// step), so window extensions made while it is on top undo with it.
+  /// step), so every class it retraced undoes with it.
   struct Step {
     std::size_t flow = 0;
     net::NodeId v = net::kInvalidNode;
     std::size_t log_begin = 0;
-    std::vector<std::pair<TimePoint, TimePoint>> prev_window;  // (lo, hi)
+    TimePoint prev_lo{};
+    TimePoint prev_hi{};
     ClassTrace prev_steady_shape;
     TimePoint prev_steady_from{};
   };
 
   static constexpr TimePoint kOffTail = std::numeric_limits<TimePoint>::max();
+  static constexpr TimePoint kNoHead = std::numeric_limits<TimePoint>::min();
 
   /// (Re)traces transitional class tau of `flow` under its current
-  /// schedule, maintaining load_ and logging the displaced trace; `track`
-  /// records the loads it adds in touched_. True on loop/blackhole.
-  bool retrace(std::size_t flow, TimePoint tau, bool track);
+  /// schedule, maintaining load_ and logging the displaced trace; records
+  /// the loads it adds in touched_. True on loop/blackhole.
+  bool retrace(std::size_t flow, TimePoint tau);
 
   /// The slot of class tau, widening the flow's class window to reach it.
   ClassTrace& class_slot(FlowState& fs, TimePoint tau);
@@ -148,20 +168,22 @@ class TransitionState {
   void add_loads(const ClassTrace& trace, net::Demand demand, double sign);
 
   /// Combined steady-tail load of every flow on (link, entry-step).
+  net::Demand tail_load(net::LinkId link, TimePoint entry) const;
+  /// The same plus every flow's old head.
   net::Demand steady_load(net::LinkId link, TimePoint entry) const;
 
   /// Points fs.steady_entry at fs.steady_shape's links: from "always"
   /// (a never-updated flow) or from each link's entry step.
   void set_tail(FlowState& fs, bool always);
 
-  /// Recomputes `flow`'s steady tail from `from` (its latest update time);
-  /// false when the tail loops, blackholes, or collides with traced loads
-  /// or other tails.
-  bool refresh_steady(std::size_t flow, TimePoint from);
+  /// Points fs.head_end at the old shape's links, ending at fs.lo, or
+  /// clears it (a never-updated flow has no head).
+  void set_head(FlowState& fs, bool scheduled);
 
-  /// Widens every flow's traced window to cover [want_lo, inf) classes
-  /// down to want_lo, under the current schedules.
-  void extend_windows_down(TimePoint want_lo);
+  /// Recomputes `flow`'s steady tail from `from` (its latest update time);
+  /// false when the tail loops, blackholes, or collides with traced loads,
+  /// other tails or other flows' heads.
+  bool refresh_steady(std::size_t flow, TimePoint from);
 
   const net::Graph* graph_ = nullptr;
   std::int64_t d_ = 0;  // trajectory duration bound (in steps)

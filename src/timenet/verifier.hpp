@@ -65,8 +65,9 @@ struct TransitionReport {
 };
 
 struct VerifyOptions {
-  /// Extra slack multiplier on the traced injection window; raise only for
-  /// debugging, the default window already covers all transitional classes.
+  /// Extra classes (>= 0) injected before and after the nominal window;
+  /// raise only for debugging, the default window already covers all
+  /// transitional classes. They join the closed-form runs.
   int window_slack = 0;
   /// Stop after the first violation of each kind (cheaper for search).
   bool first_violation_only = false;

@@ -114,7 +114,7 @@ TEST(Dependency, SlackCapacityRemovesRelations) {
   // With all capacities >= 2d no dependency is needed.
   auto inst = net::fig1_instance();
   for (net::LinkId id = 0; id < inst.graph().link_count(); ++id) {
-    inst.mutable_graph().mutable_link(id).capacity = net::Capacity{2.0};
+    inst.mutable_graph().set_capacity(id, net::Capacity{2.0});
   }
   const DependencySet deps = find_dependencies(inst, {}, all_pending());
   EXPECT_EQ(deps.chains.size(), 5u);  // everything is a singleton
@@ -223,7 +223,7 @@ TEST(Greedy, NothingToUpdate) {
 TEST(Greedy, SlackCapacityUpdatesFasterThanTight) {
   auto inst = net::fig1_instance();
   for (net::LinkId id = 0; id < inst.graph().link_count(); ++id) {
-    inst.mutable_graph().mutable_link(id).capacity = net::Capacity{2.0};
+    inst.mutable_graph().set_capacity(id, net::Capacity{2.0});
   }
   const ScheduleResult res = greedy_schedule(inst);
   ASSERT_EQ(res.status, ScheduleStatus::kFeasible);

@@ -179,7 +179,7 @@ TEST(UpdateInstance, WithGraphReplacesCapacities) {
   const auto inst = UpdateInstance::from_paths(small_graph(), Path{0, 1, 2, 3},
                                                Path{0, 2, 3}, net::Demand{1.0});
   Graph g2 = small_graph();
-  g2.mutable_link(0).capacity = net::Capacity{9.0};
+  g2.set_capacity(0, net::Capacity{9.0});
   const auto inst2 = inst.with_graph(g2);
   EXPECT_DOUBLE_EQ(inst2.graph().link(0).capacity.value(), 9.0);
   EXPECT_EQ(inst2.p_init(), inst.p_init());

@@ -5,8 +5,9 @@
 // updated splits, overlapping ones included; the incremental Algorithm 4
 // context is compared with a fresh snapshot after every step of a greedy
 // run and of random update orders; the greedy itself must match the
-// oracle loop field by field in all 8 option combinations. A golden
-// digest pins the pure greedy's schedules at Fig. 10 scale.
+// oracle loop field by field in all 8 option combinations. Golden
+// digests pin the pure greedy's schedules at Fig. 10 scale and the
+// guarded greedy's outputs and counters on fat-tree reroutes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +20,12 @@
 #include "core/loop_check.hpp"
 #include "greedy_oracle.hpp"
 #include "net/generators.hpp"
+#include "net/topologies.hpp"
 #include "obs/metrics.hpp"
+#include "service/capacity_ledger.hpp"
+#include "service/service.hpp"
+#include "timenet/transition_state.hpp"
+#include "timenet/verifier.hpp"
 #include "util/rng.hpp"
 
 namespace chronus::core {
@@ -57,6 +63,7 @@ void expect_same_result(const ScheduleResult& got, const ScheduleResult& want) {
   EXPECT_EQ(got.status, want.status);
   EXPECT_EQ(got.message, want.message);
   EXPECT_EQ(got.schedule, want.schedule);
+  EXPECT_EQ(got.verified, want.verified);
   ASSERT_EQ(got.steps.size(), want.steps.size());
   for (std::size_t i = 0; i < want.steps.size(); ++i) {
     EXPECT_EQ(got.steps[i].time, want.steps[i].time) << "step " << i;
@@ -196,9 +203,33 @@ std::uint64_t counter(const obs::MetricsSnapshot& snap,
   return it == snap.counters.end() ? 0 : it->second;
 }
 
+/// True iff a guarded run that ended in a stall skipped probes: some
+/// stalled round before the last one fell at or after the state's settle
+/// time. The accepted updates are replayed in the greedy's own order (by
+/// time, ascending id).
+bool stall_settled(const net::UpdateInstance& inst, const ScheduleResult& res) {
+  if (res.status != ScheduleStatus::kInfeasible ||
+      !res.message.starts_with("no progress")) {
+    return false;
+  }
+  timenet::TransitionState state(inst);
+  for (const auto& [t, group] : res.schedule.by_time()) {
+    for (const NodeId v : group) {
+      if (!state.try_update(v, t)) return false;
+    }
+  }
+  const net::Graph& g = inst.graph();
+  const std::int64_t stall_limit =
+      static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay() + 2;
+  const TimePoint last_progress =
+      res.schedule.empty() ? TimePoint{-1} : res.schedule.last_time();
+  return state.settle_time() <= last_progress + stall_limit;
+}
+
 TEST(GreedyDifferential, GreedyMatchesOracleInAllOptionCombinations) {
   util::Rng rng(0x15a2);
   int kinds[3] = {0, 0, 0};  // feasible, infeasible, best effort
+  int settled = 0;  // guarded stalls that stopped probing
   for (int c = 0; c < 90; ++c) {
     const net::UpdateInstance inst = random_case(rng);
     for (int mask = 0; mask < 8; ++mask) {
@@ -230,11 +261,32 @@ TEST(GreedyDifferential, GreedyMatchesOracleInAllOptionCombinations) {
         return;
       }
       ++kinds[static_cast<int>(want.status)];
+      if (opts.guard_with_verifier && stall_settled(inst, got)) ++settled;
     }
   }
   EXPECT_GT(kinds[0], 0);
   EXPECT_GT(kinds[1], 0);
   EXPECT_GT(kinds[2], 0);
+  EXPECT_GT(settled, 0) << "no guarded stall reached its settle time";
+}
+
+TEST(GreedyDifferential, OnlyGuardedPlansAreVerified) {
+  // A pure plan on a Sec. V.B instance: feasible by Alg. 2-4, rejected by
+  // the exact verifier, and so not marked verified.
+  util::Rng rng(1);
+  net::RandomInstanceOptions io;
+  io.n = 100;
+  const net::UpdateInstance inst = net::random_instance(io, rng);
+  GreedyOptions pure;
+  pure.guard_with_verifier = false;
+  const ScheduleResult plan = greedy_schedule(inst, pure);
+  ASSERT_EQ(plan.status, ScheduleStatus::kFeasible);
+  EXPECT_FALSE(timenet::verify_transition(inst, plan.schedule).ok());
+  EXPECT_FALSE(plan.verified);
+
+  const ScheduleResult guarded = greedy_schedule(net::fig1_instance());
+  ASSERT_EQ(guarded.status, ScheduleStatus::kFeasible);
+  EXPECT_TRUE(guarded.verified);
 }
 
 /// FNV-1a over status, message and every (switch, time) of the schedules.
@@ -274,6 +326,85 @@ TEST(GreedyDifferential, PureGreedyGoldenDigestAtFig10Scale) {
   // Recorded from the map-based implementation this one replaced.
   EXPECT_EQ(steps, 1266);
   EXPECT_EQ(d.h, 0x30b97b74b0ca2834ULL);
+}
+
+/// Folds one guarded run into `d`: status, message, schedule and every
+/// greedy.* / loopcheck.* counter the call left in `reg`.
+void add_guarded_run(Digest& d, const ScheduleResult& res,
+                     const obs::MetricsRegistry& reg) {
+  d.add(static_cast<std::uint64_t>(res.status));
+  for (const char ch : res.message) d.add(static_cast<unsigned char>(ch));
+  for (const auto& [v, t] : res.schedule.entries()) {
+    d.add(v);
+    d.add(static_cast<std::uint64_t>(t.count()));
+  }
+  for (const auto& [name, value] : reg.snapshot().counters) {
+    if (!name.starts_with("greedy.") && !name.starts_with("loopcheck.")) {
+      continue;
+    }
+    for (const char ch : name) d.add(static_cast<unsigned char>(ch));
+    d.add(value);
+  }
+}
+
+TEST(GreedyDifferential, GuardedGreedyGoldenDigest) {
+  // k = 8 fat-tree reroutes between edge switches of different pods, each
+  // planned with the service's options on its own idle-ledger reservation
+  // (the graph a single request is planned on when nothing else is in
+  // flight), then the guarded runs of the random instances above.
+  const GreedyOptions service_opts = service::ServiceOptions{}.greedy;
+  ASSERT_TRUE(service_opts.guard_with_verifier);
+  constexpr int kPods = 8;
+  const net::FatTree ft = net::fat_tree(kPods, net::Capacity{4.0});
+  const service::CapacityLedger idle(ft.graph);
+  Digest d;
+  int unplannable = 0;
+  util::Rng rng(0x9a7d);
+  for (int draw = 0; draw < 400; ++draw) {
+    const std::size_t pod_a = rng.index(kPods);
+    std::size_t pod_b = rng.index(kPods - 1);
+    if (pod_b >= pod_a) ++pod_b;
+    const NodeId src = ft.edge[pod_a][rng.index(ft.edge[pod_a].size())];
+    const NodeId dst = ft.edge[pod_b][rng.index(ft.edge[pod_b].size())];
+    const net::Demand demand{0.5 + static_cast<double>(rng.index(17)) / 16.0};
+    const auto reroute = net::random_reroute(ft.graph, src, dst, demand, rng);
+    if (!reroute) continue;
+    const net::UpdateInstance inst = net::UpdateInstance::from_paths(
+        idle.restricted_graph(
+            ft.graph, service::transition_footprint(
+                          ft.graph, reroute->p_init(), reroute->p_fin(), demand)),
+        reroute->p_init(), reroute->p_fin(), demand);
+    obs::MetricsRegistry reg;
+    ScheduleResult res;
+    {
+      const obs::ScopedMetrics scoped(reg);
+      res = greedy_schedule(inst, service_opts);
+    }
+    unplannable += res.feasible() ? 0 : 1;
+    add_guarded_run(d, res, reg);
+  }
+
+  util::Rng cases(0x15a7);
+  for (int c = 0; c < 60; ++c) {
+    const net::UpdateInstance inst = random_case(cases);
+    if (inst.graph().node_count() > 40) continue;
+    for (const bool force : {false, true}) {
+      GreedyOptions opts;
+      opts.force_complete = force;
+      opts.record_steps = false;
+      obs::MetricsRegistry reg;
+      ScheduleResult res;
+      {
+        const obs::ScopedMetrics scoped(reg);
+        res = greedy_schedule(inst, opts);
+      }
+      add_guarded_run(d, res, reg);
+    }
+  }
+  // Recorded from the implementation that sized every window by the
+  // graph-wide bound (n + 2) * max_delay and re-probed every stalled head.
+  EXPECT_EQ(unplannable, 23);
+  EXPECT_EQ(d.h, 0x215ed40db35a86aeULL);
 }
 
 }  // namespace

@@ -167,8 +167,10 @@ class Algorithm4Context {
 };
 
 /// Algorithm 2 over std::set pending / updated, with the two oracles above
-/// and the library's TransitionState as the guard. `loop_checks`, when
-/// given, receives the number of Algorithm 4 queries made.
+/// and the library's TransitionState as the guard, probed in every round
+/// of a stall (the library stops probing once the stall settles).
+/// `loop_checks`, when given, receives the number of Algorithm 4 queries
+/// made.
 inline ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
                                       const GreedyOptions& opts = {},
                                       std::uint64_t* loop_checks = nullptr) {
@@ -178,6 +180,7 @@ inline ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
   if (pending.empty()) {
     res.status = ScheduleStatus::kFeasible;
     res.message = "nothing to update";
+    res.verified = opts.guard_with_verifier;
     return res;
   }
 
@@ -263,6 +266,7 @@ inline ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
     }
   }
   res.status = ScheduleStatus::kFeasible;
+  res.verified = opts.guard_with_verifier;
   tally();
   return res;
 }

@@ -299,7 +299,7 @@ TEST(ObsExport, GoldenMaskedJsonSnapshot) {
       "\"value\":1},\n"
       "{\"name\":\"verifier.calls\",\"type\":\"counter\",\"value\":1},\n"
       "{\"name\":\"verifier.classes_traced\",\"type\":\"counter\","
-      "\"value\":28},\n"
+      "\"value\":8},\n"
       "{\"name\":\"verifier.links_checked\",\"type\":\"counter\","
       "\"value\":85},\n"
       "{\"name\":\"verifier.violations\",\"type\":\"counter\",\"value\":0},\n"

@@ -98,7 +98,7 @@ TEST(Mutp, SlackCapacityNeverSlowsTheOptimum) {
   // but it can never get worse.
   auto inst = net::fig1_instance();
   for (net::LinkId id = 0; id < inst.graph().link_count(); ++id) {
-    inst.mutable_graph().mutable_link(id).capacity = net::Capacity{2.0};
+    inst.mutable_graph().set_capacity(id, net::Capacity{2.0});
   }
   const MutpResult res = solve_mutp(inst);
   ASSERT_TRUE(res.feasible());

@@ -70,7 +70,7 @@ TEST_P(PropertySweep, VerdictInvariantUnderUniformScaling) {
 
     net::Graph scaled = inst.graph();
     for (net::LinkId id = 0; id < scaled.link_count(); ++id) {
-      scaled.mutable_link(id).capacity = scaled.link(id).capacity * 250.0;
+      scaled.set_capacity(id, scaled.link(id).capacity * 250.0);
     }
     auto big = net::UpdateInstance::from_paths(scaled, inst.p_init(),
                                                inst.p_fin(), net::Demand{250.0});

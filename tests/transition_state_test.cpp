@@ -4,6 +4,7 @@
 // branch-and-bound usage).
 #include <gtest/gtest.h>
 
+#include "core/loop_check.hpp"
 #include "net/generators.hpp"
 #include "timenet/transition_state.hpp"
 #include "timenet/verifier.hpp"
@@ -294,6 +295,122 @@ TEST_P(BranchAndBoundVsOracle, TwoFlowDeepUndoSequencesKeepVerdictsExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BranchAndBoundVsOracle, ::testing::Range(0, 6));
+
+// The settle bound the guarded greedy's stall relies on: after a random
+// accepted prefix, every pending switch gets one try_update verdict at
+// every t in [settle_time(), settle_time() + 2d], and Algorithm 4 gives
+// one answer at every t from the settle time or from the last update plus
+// the old path's delay, whichever comes first.
+class SettleBound : public ::testing::TestWithParam<int> {};
+
+TEST_P(SettleBound, VerdictsRepeatFromTheSettleTime) {
+  util::Rng rng(2000 + static_cast<std::uint64_t>(GetParam()));
+  std::size_t compared = 0;
+  std::size_t accepts = 0;
+  for (int rep = 0; rep < 10; ++rep) {
+    net::RandomInstanceOptions opt;
+    opt.n = 6 + rng.index(10);
+    opt.slack_prob = rng.chance(0.5) ? 0.0 : 0.8;
+    opt.delay_max = rng.uniform_int(1, 3);
+    const auto inst = net::random_instance(opt, rng);
+    const net::Graph& g = inst.graph();
+    const std::int64_t d =
+        static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay();
+    auto to_update = inst.switches_to_update();
+    rng.shuffle(to_update);
+
+    // A random accepted prefix: probes at non-decreasing times, as the
+    // greedy makes them, keeping what is accepted.
+    TransitionState state(inst);
+    core::Algorithm4Context alg4(inst);
+    std::vector<NodeId> pending;
+    TimePoint t{};
+    const std::size_t tries = rng.index(to_update.size() + 1);
+    for (std::size_t i = 0; i < to_update.size(); ++i) {
+      t += rng.uniform_int(0, 2);
+      if (i < tries && state.try_update(to_update[i], t)) {
+        alg4.note_update(to_update[i], t);
+      } else {
+        pending.push_back(to_update[i]);
+      }
+    }
+    alg4.begin_step();
+
+    const TimePoint settle =
+        state.schedule().empty() ? TimePoint{0} : state.settle_time();
+    for (const NodeId v : pending) {
+      const bool first = state.try_update(v, settle);
+      if (first) state.undo();
+      for (TimePoint at = settle + 1; at <= settle + 2 * d; ++at) {
+        const bool again = state.try_update(v, at);
+        ASSERT_EQ(again, first) << "switch " << g.name(v) << " at t=" << at
+                                << ", settle time " << settle;
+        if (again) state.undo();
+        ++compared;
+      }
+      accepts += first ? 1 : 0;
+    }
+
+    TimePoint drained = settle;
+    if (!state.schedule().empty()) {
+      drained = std::min(drained, state.schedule().last_time() +
+                                      net::path_delay(g, inst.p_init()));
+    }
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      const bool first = alg4.loops(v, drained);
+      for (TimePoint at = drained + 1; at <= drained + 2 * d; ++at) {
+        ASSERT_EQ(alg4.loops(v, at), first)
+            << "Algorithm 4 on " << g.name(v) << " at t=" << at;
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u);
+  EXPECT_GT(accepts, 0u) << "no settled probe was ever accepted";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SettleBound, ::testing::Range(0, 6));
+
+TEST(TransitionStateT, NewTailMeetsAnotherFlowsOldHead) {
+  // Flow 0 moves from 0-1-2-3-4 to 0-2-4; flow 1 moves the other way and
+  // is scheduled late (t = 23), so its old head runs over 2->4 (capacity
+  // 2) until t = 21. Updating switch 2 at 0 sends flow 0's in-flight
+  // classes onto 2->4 at t = 0..2 next to that head: a load of 2, clean.
+  // Updating the source at 0 as well starts flow 0's tail on 2->4 at
+  // t = 1; with the head and those classes that is 3. No class is
+  // retraced by that probe, and at the head's end only the tail and
+  // flow 1's first traced class remain (2), so only the tail-vs-head
+  // check sees it.
+  net::Graph g;
+  g.add_nodes(5);
+  g.add_link(0, 1, net::Capacity{2.0}, 1);
+  g.add_link(1, 2, net::Capacity{2.5}, 2);
+  g.add_link(2, 3, net::Capacity{1.5}, 2);
+  g.add_link(3, 4, net::Capacity{2.5}, 2);
+  g.add_link(0, 2, net::Capacity{3.0}, 1);
+  g.add_link(2, 4, net::Capacity{2.0}, 2);
+  const auto f0 = net::UpdateInstance::from_paths(
+      g, net::Path{0, 1, 2, 3, 4}, net::Path{0, 2, 4}, net::Demand{1.0});
+  const auto f1 = net::UpdateInstance::from_paths(
+      g, net::Path{0, 2, 4}, net::Path{0, 1, 2, 3, 4}, net::Demand{1.0});
+  TransitionState state({&f0, &f1});
+  ASSERT_TRUE(state.initial_state_valid());
+
+  const std::vector<Applied> probes{
+      {1, 3, TimePoint{23}}, {0, 2, TimePoint{0}}, {0, 0, TimePoint{0}}};
+  std::vector<Applied> applied;
+  for (const Applied& p : probes) {
+    std::vector<Applied> tentative = applied;
+    tentative.push_back(p);
+    const UpdateSchedule s0 = schedule_of(tentative, 0);
+    const UpdateSchedule s1 = schedule_of(tentative, 1);
+    const bool want =
+        oracle::verify_transitions({{&f0, &s0, {}}, {&f1, &s1, {}}}).ok();
+    ASSERT_EQ(state.try_update(p.flow, p.v, p.t), want)
+        << "flow " << p.flow << " switch " << p.v << " at t=" << p.t;
+    if (want) applied.push_back(p);
+  }
+  EXPECT_EQ(applied.size(), 2u);  // the last probe congests 2->4
+}
 
 TEST(TransitionStateT, InitialValidityDetectsOverload) {
   net::Graph g;
