@@ -36,8 +36,7 @@ bool place_segment(timenet::TransitionState& state, const Segment& seg,
 FeasibilityResult tree_feasibility_check(const net::UpdateInstance& inst) {
   FeasibilityResult res;
   const net::Graph& g = inst.graph();
-  const std::int64_t drain_bound =
-      static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay() + 2;
+  const std::int64_t drain_bound = timenet::trajectory_bound(g) + 2;
 
   std::set<net::NodeId> pending;
   std::set<net::NodeId> updated;

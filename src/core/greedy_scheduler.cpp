@@ -75,10 +75,9 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
   }
 
   const net::Graph& g = inst.graph();
-  const std::int64_t stall_limit =
-      opts.stall_limit > 0
-          ? opts.stall_limit
-          : static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay() + 2;
+  const std::int64_t stall_limit = opts.stall_limit > 0
+                                        ? opts.stall_limit
+                                        : timenet::trajectory_bound(g) + 2;
 
   // chronus-analyzer: allow(hot-alloc) per-call live flags, one byte per node
   std::vector<std::uint8_t> live(g.node_count(), 0);

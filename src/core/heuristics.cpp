@@ -31,8 +31,7 @@ ScheduleResult greedy_with_order(
   }
 
   const net::Graph& g = inst.graph();
-  const std::int64_t stall_limit =
-      static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay() + 2;
+  const std::int64_t stall_limit = timenet::trajectory_bound(g) + 2;
 
   std::vector<std::uint8_t> live(g.node_count(), 0);
   for (const net::NodeId v : pending) live[v] = 1;

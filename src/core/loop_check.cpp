@@ -20,8 +20,7 @@ bool exact_loop_check(const net::UpdateInstance& inst,
   rules.set_update(v, t);  // the tentative update
   timenet::Tracer tracer(g.node_count());
 
-  const std::int64_t span =
-      static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay();
+  const std::int64_t span = timenet::trajectory_bound(g);
   // Classes injected before t - span pass every switch before t and are
   // unaffected by this update; classes injected at >= t all see the same
   // (final, static) configuration, so tracing one representative suffices.

@@ -46,8 +46,7 @@ MultiFlowResult schedule_flows_jointly(
   }
 
   const net::Graph& g = flows.front().graph();
-  const std::int64_t stall_limit =
-      static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay() + 2;
+  const std::int64_t stall_limit = timenet::trajectory_bound(g) + 2;
 
   // Per flow: one relation table, the pending switches ascending and a
   // live flag per node that an accepted head clears.
@@ -129,8 +128,7 @@ MultiFlowResult schedule_flows_sequentially(
     }
   }
 
-  const std::int64_t drain =
-      static_cast<std::int64_t>(base.node_count() + 2) * base.max_delay() + 2;
+  const std::int64_t drain = timenet::trajectory_bound(base) + 2;
 
   timenet::TimePoint offset{};
   for (std::size_t k = 0; k < flows.size(); ++k) {

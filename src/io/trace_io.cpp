@@ -130,6 +130,9 @@ ServiceTrace read_trace(std::istream& in) {
       req.p_fin = Path(std::move(nodes));
       if (req.demand <= Demand{}) fail(line_no, "demand must be positive");
       if (req.arrival < 0) fail(line_no, "arrival must be >= 0");
+      if (req.arrival > service::kMaxArrival) {
+        fail(line_no, "arrival beyond the service horizon 2^62");
+      }
       trace.requests.push_back(std::move(req));
     } else {
       fail(line_no, "unknown directive: " + cmd);

@@ -17,7 +17,7 @@
 //
 // Attributes may appear in any order between the id and the `init`
 // keyword; `deadline` (absolute, 0 = none), `priority` and `name` are
-// optional. The `init` node list runs until the `fin` keyword, which runs
+// optional. `arrival` must lie in [0, service::kMaxArrival]. The `init` node list runs until the `fin` keyword, which runs
 // to end of line. Round-trips with write_trace.
 #pragma once
 
@@ -29,7 +29,8 @@
 namespace chronus::io {
 
 /// Parses a trace; throws std::runtime_error with a line number on
-/// malformed input (unknown directives, duplicate ids, bad paths).
+/// malformed input (unknown directives, duplicate ids, bad paths, an
+/// arrival outside [0, service::kMaxArrival]).
 service::ServiceTrace read_trace(std::istream& in);
 service::ServiceTrace read_trace_file(const std::string& path);
 

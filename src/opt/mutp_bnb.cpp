@@ -189,8 +189,7 @@ MutpResult solve_mutp(const net::UpdateInstance& inst,
   }
 
   const net::Graph& g = inst.graph();
-  const std::int64_t drain =
-      static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay();
+  const std::int64_t drain = timenet::trajectory_bound(g);
 
   // Greedy incumbent: bounds the search and survives timeouts. The pure
   // (unguarded) greedy is tried first — it is the only variant that scales

@@ -39,159 +39,192 @@ struct DecodeError : std::runtime_error {
 };
 
 bool msg_type_from_tag(std::uint8_t tag, MsgType* out) {
-  switch (tag) {
-    case 0x01:
-    case 0x02:
-    case 0x03:
-    case 0x81:
-    case 0x82:
-    case 0x83:
-    case 0x84:
-    case 0x85:
-    case 0x86:
-    case 0x87:
-      *out = static_cast<MsgType>(tag);
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool msg_type_from_name(const std::string& name, MsgType* out) {
-  static const std::uint8_t kTags[] = {0x01, 0x02, 0x03, 0x81, 0x82,
-                                       0x83, 0x84, 0x85, 0x86, 0x87};
-  for (std::uint8_t tag : kTags) {
-    auto t = static_cast<MsgType>(tag);
-    if (name == to_string(t)) {
-      *out = t;
+  for (const MsgTypeName& t : kMsgTypes) {
+    if (static_cast<std::uint8_t>(t.type) == tag) {
+      *out = t.type;
       return true;
     }
   }
   return false;
 }
 
+bool msg_type_from_name(const std::string& name, MsgType* out) {
+  for (const MsgTypeName& t : kMsgTypes) {
+    if (name == t.name) {
+      *out = t.type;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The one field list of the protocol: calls `visit(key, field)` for each
+/// field of `m`'s type, in wire order. `M` is `const Message` for the
+/// encoders and `Message` for the decoders. The key is the JSON name,
+/// which equals the C++ field name; the field's C++ type picks its
+/// encoding in each visitor.
+template <class M, class Visit>
+void visit_body(M& m, Visit& visit) {
+  switch (m.type) {
+    case MsgType::kHello:
+    case MsgType::kHelloAck:
+      visit("version", m.version);
+      break;
+    case MsgType::kSubmit: {
+      auto& r = m.submit;
+      visit("id", r.id);
+      visit("name", r.name);
+      visit("demand", r.demand);
+      visit("arrival", r.arrival);
+      visit("deadline", r.deadline);
+      visit("priority", r.priority);
+      visit("init", r.init);
+      visit("fin", r.fin);
+      break;
+    }
+    case MsgType::kDone:
+      break;
+    case MsgType::kAck:
+    case MsgType::kDeferred:
+      visit("id", m.id);
+      break;
+    case MsgType::kRejected:
+      visit("id", m.id);
+      visit("text", m.text);
+      break;
+    case MsgType::kRecord: {
+      auto& r = m.record;
+      visit("id", r.id);
+      visit("status", r.status);
+      visit("arrival", r.arrival);
+      visit("admitted", r.admitted);
+      visit("completed", r.completed);
+      visit("defers", r.defers);
+      visit("joint", r.joint);
+      visit("batch", r.batch);
+      visit("plan_span", r.plan_span);
+      visit("exec_duration", r.exec_duration);
+      visit("retries", r.retries);
+      visit("faults", r.faults);
+      visit("degradation", r.degradation);
+      visit("plan_verified", r.plan_verified);
+      visit("run_verified", r.run_verified);
+      visit("violations", r.violations);
+      visit("message", r.message);
+      break;
+    }
+    case MsgType::kReport:
+      visit("requests", m.report.requests);
+      visit("records", m.report.records);
+      visit("digest", m.report.digest);
+      break;
+    case MsgType::kError:
+      visit("text", m.text);
+      break;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Binary bodies: little-endian fixed-width integers, u32-counted strings
-// and vectors, doubles as their IEEE-754 bit pattern.
+// Binary bodies: little-endian fixed-width integers (u32, u64, int as
+// i32, int64 as i64, bool as one byte 0/1), u32-counted strings and
+// vectors, doubles as their IEEE-754 bit pattern.
 
-void put_u8(std::string& s, std::uint8_t v) {
-  s.push_back(static_cast<char>(v));
-}
+/// The binary encoder's field visitor.
+struct BinaryWriter {
+  std::string& s;
 
-void put_u32(std::string& s, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    s.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+  void put(std::uint64_t v, std::size_t width) {
+    for (std::size_t i = 0; i < width; ++i) {
+      s.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+    }
   }
-}
 
-void put_u64(std::string& s, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    s.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+  void operator()(const char*, std::uint32_t v) { put(v, 4); }
+  void operator()(const char*, std::uint64_t v) { put(v, 8); }
+  void operator()(const char*, int v) {
+    put(static_cast<std::uint32_t>(v), 4);
   }
-}
-
-void put_i32(std::string& s, std::int32_t v) {
-  put_u32(s, static_cast<std::uint32_t>(v));
-}
-
-void put_i64(std::string& s, std::int64_t v) {
-  put_u64(s, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::string& s, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(s, bits);
-}
-
-void put_bool(std::string& s, bool v) { put_u8(s, v ? 1 : 0); }
-
-void put_str(std::string& s, const std::string& v) {
-  if (v.size() > std::numeric_limits<std::uint32_t>::max()) {
-    throw DecodeError("string too long to encode");
+  void operator()(const char*, std::int64_t v) {
+    put(static_cast<std::uint64_t>(v), 8);
   }
-  put_u32(s, static_cast<std::uint32_t>(v.size()));
-  s.append(v);
-}
-
-void put_names(std::string& s, const std::vector<std::string>& names) {
-  if (names.size() > std::numeric_limits<std::uint32_t>::max()) {
-    throw DecodeError("vector too long to encode");
+  void operator()(const char*, bool v) { put(v ? 1u : 0u, 1); }
+  void operator()(const char*, net::Demand v) {
+    const double d = v.value();
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(d));
+    std::memcpy(&bits, &d, sizeof(bits));
+    put(bits, 8);
   }
-  put_u32(s, static_cast<std::uint32_t>(names.size()));
-  for (const std::string& n : names) put_str(s, n);
-}
+  void operator()(const char*, const std::string& v) {
+    if (v.size() > std::numeric_limits<std::uint32_t>::max()) {
+      throw DecodeError("string too long to encode");
+    }
+    put(v.size(), 4);
+    s.append(v);
+  }
+  void operator()(const char* key, const std::vector<std::string>& v) {
+    if (v.size() > std::numeric_limits<std::uint32_t>::max()) {
+      throw DecodeError("vector too long to encode");
+    }
+    put(v.size(), 4);
+    for (const std::string& n : v) (*this)(key, n);
+  }
+};
 
-/// Bounds-checked reader over one frame body.
+/// Bounds-checked reader over one frame body: the binary decoder's field
+/// visitor.
 class Cursor {
  public:
   Cursor(const char* data, std::size_t size) : data_(data), size_(size) {}
 
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(data_[pos_ + static_cast<std::size_t>(
-                                                          i)]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    need(8);
+  /// Reads a `width`-byte little-endian unsigned integer.
+  std::uint64_t uint(std::size_t width) {
+    need(width);
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
+    for (std::size_t i = 0; i < width; ++i) {
       v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(data_[pos_ + static_cast<std::size_t>(
-                                                          i)]))
+               static_cast<std::uint8_t>(data_[pos_ + i]))
            << (8 * i);
     }
-    pos_ += 8;
+    pos_ += width;
     return v;
   }
 
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-  double f64() {
-    std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+  void operator()(const char*, std::uint32_t& v) {
+    v = static_cast<std::uint32_t>(uint(4));
   }
-
-  bool boolean() {
-    std::uint8_t v = u8();
-    if (v > 1) throw DecodeError("bool byte out of range");
-    return v == 1;
+  void operator()(const char*, std::uint64_t& v) { v = uint(8); }
+  void operator()(const char*, int& v) {
+    v = static_cast<std::int32_t>(static_cast<std::uint32_t>(uint(4)));
   }
-
-  std::string str() {
-    std::uint32_t n = u32();
+  void operator()(const char*, std::int64_t& v) {
+    v = static_cast<std::int64_t>(uint(8));
+  }
+  void operator()(const char*, bool& v) {
+    const std::uint64_t b = uint(1);
+    if (b > 1) throw DecodeError("bool byte out of range");
+    v = b == 1;
+  }
+  void operator()(const char*, net::Demand& v) {
+    const std::uint64_t bits = uint(8);
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof(d));
+    v = net::Demand{d};
+  }
+  void operator()(const char*, std::string& v) {
+    const std::size_t n = uint(4);
     need(n);
-    std::string v(data_ + pos_, n);
+    v.assign(data_ + pos_, n);
     pos_ += n;
-    return v;
   }
-
-  std::vector<std::string> names() {
-    std::uint32_t n = u32();
+  void operator()(const char* key, std::vector<std::string>& v) {
+    const std::size_t n = uint(4);
     // Each element costs at least its 4-byte count; a count larger than
     // the remaining bytes can afford is hostile input, not a short read.
     if (n > remaining() / 4) throw DecodeError("vector count exceeds frame");
-    std::vector<std::string> v;
+    v.clear();
     v.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) v.push_back(str());
-    return v;
+    for (std::size_t i = 0; i < n; ++i) (*this)(key, v.emplace_back());
   }
 
   std::size_t remaining() const { return size_ - pos_; }
@@ -206,261 +239,62 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-void encode_binary_body(std::string& body, const Message& m) {
-  switch (m.type) {
-    case MsgType::kHello:
-    case MsgType::kHelloAck:
-      put_u32(body, m.version);
-      break;
-    case MsgType::kSubmit: {
-      const WireRequest& r = m.submit;
-      put_u64(body, r.id);
-      put_str(body, r.name);
-      put_f64(body, r.demand.value());
-      put_i64(body, r.arrival);
-      put_i64(body, r.deadline);
-      put_i32(body, r.priority);
-      put_names(body, r.init);
-      put_names(body, r.fin);
-      break;
-    }
-    case MsgType::kDone:
-      break;
-    case MsgType::kAck:
-    case MsgType::kDeferred:
-      put_u64(body, m.id);
-      break;
-    case MsgType::kRejected:
-      put_u64(body, m.id);
-      put_str(body, m.text);
-      break;
-    case MsgType::kRecord: {
-      const WireRecord& r = m.record;
-      put_u64(body, r.id);
-      put_str(body, r.status);
-      put_i64(body, r.arrival);
-      put_i64(body, r.admitted);
-      put_i64(body, r.completed);
-      put_i32(body, r.defers);
-      put_bool(body, r.joint);
-      put_u64(body, r.batch);
-      put_i64(body, r.plan_span);
-      put_i64(body, r.exec_duration);
-      put_i32(body, r.retries);
-      put_u64(body, r.faults);
-      put_str(body, r.degradation);
-      put_bool(body, r.plan_verified);
-      put_bool(body, r.run_verified);
-      put_i32(body, r.violations);
-      put_str(body, r.message);
-      break;
-    }
-    case MsgType::kReport:
-      put_u64(body, m.report.requests);
-      put_u64(body, m.report.records);
-      put_str(body, m.report.digest);
-      break;
-    case MsgType::kError:
-      put_str(body, m.text);
-      break;
-  }
-}
-
-Message decode_binary_body(MsgType type, Cursor& c) {
-  Message m;
-  m.type = type;
-  switch (type) {
-    case MsgType::kHello:
-    case MsgType::kHelloAck:
-      m.version = c.u32();
-      break;
-    case MsgType::kSubmit: {
-      WireRequest& r = m.submit;
-      r.id = c.u64();
-      r.name = c.str();
-      r.demand = net::Demand{c.f64()};
-      r.arrival = c.i64();
-      r.deadline = c.i64();
-      r.priority = c.i32();
-      r.init = c.names();
-      r.fin = c.names();
-      break;
-    }
-    case MsgType::kDone:
-      break;
-    case MsgType::kAck:
-    case MsgType::kDeferred:
-      m.id = c.u64();
-      break;
-    case MsgType::kRejected:
-      m.id = c.u64();
-      m.text = c.str();
-      break;
-    case MsgType::kRecord: {
-      WireRecord& r = m.record;
-      r.id = c.u64();
-      r.status = c.str();
-      r.arrival = c.i64();
-      r.admitted = c.i64();
-      r.completed = c.i64();
-      r.defers = c.i32();
-      r.joint = c.boolean();
-      r.batch = c.u64();
-      r.plan_span = c.i64();
-      r.exec_duration = c.i64();
-      r.retries = c.i32();
-      r.faults = c.u64();
-      r.degradation = c.str();
-      r.plan_verified = c.boolean();
-      r.run_verified = c.boolean();
-      r.violations = c.i32();
-      r.message = c.str();
-      break;
-    }
-    case MsgType::kReport:
-      m.report.requests = c.u64();
-      m.report.records = c.u64();
-      m.report.digest = c.str();
-      break;
-    case MsgType::kError:
-      m.text = c.str();
-      break;
-  }
-  if (c.remaining() != 0) throw DecodeError("trailing bytes in frame");
-  return m;
-}
-
 // ---------------------------------------------------------------------------
 // JSON lines. Encoding reuses util::json_escape; decoding is a minimal
 // recursive-descent parser (objects, arrays, strings, numbers with exact
 // int64 detection, true/false/null) — enough for this protocol, with no
 // dependency beyond the standard library.
 
-void append_double(std::string& s, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  s.append(buf);
-}
+/// The JSON encoder's field visitor: `"key":value` pairs in field order.
+struct JsonLineWriter {
+  std::string& s;
 
-void append_quoted(std::string& s, const std::string& v) {
-  s.push_back('"');
-  s.append(util::json_escape(v));
-  s.push_back('"');
-}
-
-void append_key(std::string& s, const char* key) {
-  if (s.back() != '{') s.push_back(',');
-  s.push_back('"');
-  s.append(key);
-  s.append("\":");
-}
-
-void append_names(std::string& s, const std::vector<std::string>& names) {
-  s.push_back('[');
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) s.push_back(',');
-    append_quoted(s, names[i]);
+  void key(const char* k) {
+    if (s.back() != '{') s.push_back(',');
+    s.push_back('"');
+    s.append(k);
+    s.append("\":");
   }
-  s.push_back(']');
-}
-
-std::string encode_json_line(const Message& m) {
-  std::string s = "{";
-  append_key(s, "type");
-  append_quoted(s, to_string(m.type));
-  switch (m.type) {
-    case MsgType::kHello:
-    case MsgType::kHelloAck:
-      append_key(s, "version");
-      s.append(std::to_string(m.version));
-      break;
-    case MsgType::kSubmit: {
-      const WireRequest& r = m.submit;
-      append_key(s, "id");
-      s.append(std::to_string(r.id));
-      append_key(s, "name");
-      append_quoted(s, r.name);
-      append_key(s, "demand");
-      append_double(s, r.demand.value());
-      append_key(s, "arrival");
-      s.append(std::to_string(r.arrival));
-      append_key(s, "deadline");
-      s.append(std::to_string(r.deadline));
-      append_key(s, "priority");
-      s.append(std::to_string(r.priority));
-      append_key(s, "init");
-      append_names(s, r.init);
-      append_key(s, "fin");
-      append_names(s, r.fin);
-      break;
-    }
-    case MsgType::kDone:
-      break;
-    case MsgType::kAck:
-    case MsgType::kDeferred:
-      append_key(s, "id");
-      s.append(std::to_string(m.id));
-      break;
-    case MsgType::kRejected:
-      append_key(s, "id");
-      s.append(std::to_string(m.id));
-      append_key(s, "text");
-      append_quoted(s, m.text);
-      break;
-    case MsgType::kRecord: {
-      const WireRecord& r = m.record;
-      append_key(s, "id");
-      s.append(std::to_string(r.id));
-      append_key(s, "status");
-      append_quoted(s, r.status);
-      append_key(s, "arrival");
-      s.append(std::to_string(r.arrival));
-      append_key(s, "admitted");
-      s.append(std::to_string(r.admitted));
-      append_key(s, "completed");
-      s.append(std::to_string(r.completed));
-      append_key(s, "defers");
-      s.append(std::to_string(r.defers));
-      append_key(s, "joint");
-      s.append(r.joint ? "true" : "false");
-      append_key(s, "batch");
-      s.append(std::to_string(r.batch));
-      append_key(s, "plan_span");
-      s.append(std::to_string(r.plan_span));
-      append_key(s, "exec_duration");
-      s.append(std::to_string(r.exec_duration));
-      append_key(s, "retries");
-      s.append(std::to_string(r.retries));
-      append_key(s, "faults");
-      s.append(std::to_string(r.faults));
-      append_key(s, "degradation");
-      append_quoted(s, r.degradation);
-      append_key(s, "plan_verified");
-      s.append(r.plan_verified ? "true" : "false");
-      append_key(s, "run_verified");
-      s.append(r.run_verified ? "true" : "false");
-      append_key(s, "violations");
-      s.append(std::to_string(r.violations));
-      append_key(s, "message");
-      append_quoted(s, r.message);
-      break;
-    }
-    case MsgType::kReport:
-      append_key(s, "requests");
-      s.append(std::to_string(m.report.requests));
-      append_key(s, "records");
-      s.append(std::to_string(m.report.records));
-      append_key(s, "digest");
-      append_quoted(s, m.report.digest);
-      break;
-    case MsgType::kError:
-      append_key(s, "text");
-      append_quoted(s, m.text);
-      break;
+  void quoted(const std::string& v) {
+    s.push_back('"');
+    s.append(util::json_escape(v));
+    s.push_back('"');
   }
-  s.append("}\n");
-  return s;
-}
+
+  template <class Int>
+  void integer(const char* k, Int v) {
+    key(k);
+    s.append(std::to_string(v));
+  }
+
+  void operator()(const char* k, std::uint32_t v) { integer(k, v); }
+  void operator()(const char* k, std::uint64_t v) { integer(k, v); }
+  void operator()(const char* k, int v) { integer(k, v); }
+  void operator()(const char* k, std::int64_t v) { integer(k, v); }
+  void operator()(const char* k, bool v) {
+    key(k);
+    s.append(v ? "true" : "false");
+  }
+  void operator()(const char* k, net::Demand v) {
+    key(k);
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v.value());
+    s.append(buf);
+  }
+  void operator()(const char* k, const std::string& v) {
+    key(k);
+    quoted(v);
+  }
+  void operator()(const char* k, const std::vector<std::string>& v) {
+    key(k);
+    s.push_back('[');
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i > 0) s.push_back(',');
+      quoted(v[i]);
+    }
+    s.push_back(']');
+  }
+};
 
 struct JsonValue {
   enum class Kind { kNull, kBool, kInt, kUint, kDouble, kString, kArray,
@@ -720,79 +554,88 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-const JsonValue* find(const JsonValue& obj, const char* key) {
-  for (const auto& [k, v] : obj.obj) {
-    if (k == key) return &v;
+/// The JSON decoder's field visitor: looks each key up in the parsed
+/// object and checks its kind and range. Fields are visited in field
+/// order, so the first missing or ill-typed one names the error.
+struct JsonReader {
+  const JsonValue& obj;
+
+  const JsonValue* find(const char* key) const {
+    for (const auto& [k, v] : obj.obj) {
+      if (k == key) return &v;
+    }
+    return nullptr;
   }
-  return nullptr;
-}
-
-std::string get_string(const JsonValue& obj, const char* key) {
-  const JsonValue* v = find(obj, key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kString) {
-    throw DecodeError(std::string("missing string field '") + key + "'");
+  const JsonValue& field(const char* key, JsonValue::Kind kind,
+                         const char* what) const {
+    const JsonValue* v = find(key);
+    if (v == nullptr || v->kind != kind) {
+      throw DecodeError(std::string("missing ") + what + " field '" + key +
+                        "'");
+    }
+    return *v;
   }
-  return v->s;
-}
-
-std::int64_t get_int(const JsonValue& obj, const char* key) {
-  const JsonValue* v = find(obj, key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kInt) {
-    throw DecodeError(std::string("missing integer field '") + key + "'");
-  }
-  return v->i;
-}
-
-std::uint64_t get_uint(const JsonValue& obj, const char* key) {
-  const JsonValue* v = find(obj, key);
-  if (v != nullptr && v->kind == JsonValue::Kind::kUint) return v->u;
-  std::int64_t i = get_int(obj, key);
-  if (i < 0) throw DecodeError(std::string("negative field '") + key + "'");
-  return static_cast<std::uint64_t>(i);
-}
-
-std::int32_t get_int32(const JsonValue& obj, const char* key) {
-  std::int64_t v = get_int(obj, key);
-  if (v < std::numeric_limits<std::int32_t>::min() ||
-      v > std::numeric_limits<std::int32_t>::max()) {
+  [[noreturn]] static void out_of_range(const char* key) {
     throw DecodeError(std::string("field out of range '") + key + "'");
   }
-  return static_cast<std::int32_t>(v);
-}
 
-double get_double(const JsonValue& obj, const char* key) {
-  const JsonValue* v = find(obj, key);
-  if (v == nullptr) {
-    throw DecodeError(std::string("missing number field '") + key + "'");
+  void operator()(const char* k, std::uint32_t& v) {
+    std::uint64_t wide = 0;
+    (*this)(k, wide);
+    if (wide > std::numeric_limits<std::uint32_t>::max()) out_of_range(k);
+    v = static_cast<std::uint32_t>(wide);
   }
-  if (v->kind == JsonValue::Kind::kDouble) return v->d;
-  if (v->kind == JsonValue::Kind::kInt) return static_cast<double>(v->i);
-  throw DecodeError(std::string("missing number field '") + key + "'");
-}
-
-bool get_bool(const JsonValue& obj, const char* key) {
-  const JsonValue* v = find(obj, key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kBool) {
-    throw DecodeError(std::string("missing bool field '") + key + "'");
-  }
-  return v->b;
-}
-
-std::vector<std::string> get_names(const JsonValue& obj, const char* key) {
-  const JsonValue* v = find(obj, key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kArray) {
-    throw DecodeError(std::string("missing array field '") + key + "'");
-  }
-  std::vector<std::string> names;
-  names.reserve(v->arr.size());
-  for (const JsonValue& e : v->arr) {
-    if (e.kind != JsonValue::Kind::kString) {
-      throw DecodeError(std::string("non-string element in '") + key + "'");
+  void operator()(const char* k, std::uint64_t& v) {
+    const JsonValue* f = find(k);
+    if (f != nullptr && f->kind == JsonValue::Kind::kUint) {
+      v = f->u;
+      return;
     }
-    names.push_back(e.s);
+    std::int64_t i = 0;
+    (*this)(k, i);
+    if (i < 0) throw DecodeError(std::string("negative field '") + k + "'");
+    v = static_cast<std::uint64_t>(i);
   }
-  return names;
-}
+  void operator()(const char* k, int& v) {
+    std::int64_t wide = 0;
+    (*this)(k, wide);
+    if (wide < std::numeric_limits<std::int32_t>::min() ||
+        wide > std::numeric_limits<std::int32_t>::max()) {
+      out_of_range(k);
+    }
+    v = static_cast<std::int32_t>(wide);
+  }
+  void operator()(const char* k, std::int64_t& v) {
+    v = field(k, JsonValue::Kind::kInt, "integer").i;
+  }
+  void operator()(const char* k, bool& v) {
+    v = field(k, JsonValue::Kind::kBool, "bool").b;
+  }
+  void operator()(const char* k, net::Demand& v) {
+    const JsonValue* f = find(k);
+    if (f != nullptr && f->kind == JsonValue::Kind::kDouble) {
+      v = net::Demand{f->d};
+    } else if (f != nullptr && f->kind == JsonValue::Kind::kInt) {
+      v = net::Demand{static_cast<double>(f->i)};
+    } else {
+      throw DecodeError(std::string("missing number field '") + k + "'");
+    }
+  }
+  void operator()(const char* k, std::string& v) {
+    v = field(k, JsonValue::Kind::kString, "string").s;
+  }
+  void operator()(const char* k, std::vector<std::string>& v) {
+    const JsonValue& arr = field(k, JsonValue::Kind::kArray, "array");
+    v.clear();
+    v.reserve(arr.arr.size());
+    for (const JsonValue& e : arr.arr) {
+      if (e.kind != JsonValue::Kind::kString) {
+        throw DecodeError(std::string("non-string element in '") + k + "'");
+      }
+      v.push_back(e.s);
+    }
+  }
+};
 
 Message decode_json_line(std::string_view line) {
   JsonParser parser(line);
@@ -800,86 +643,36 @@ Message decode_json_line(std::string_view line) {
   if (doc.kind != JsonValue::Kind::kObject) {
     throw DecodeError("JSON message must be an object");
   }
-  std::string type_name = get_string(doc, "type");
+  JsonReader read{doc};
+  std::string type_name;
+  read("type", type_name);
   Message m;
   if (!msg_type_from_name(type_name, &m.type)) {
     throw DecodeError("unknown message type '" + type_name + "'");
   }
-  switch (m.type) {
-    case MsgType::kHello:
-    case MsgType::kHelloAck: {
-      std::uint64_t v = get_uint(doc, "version");
-      if (v > std::numeric_limits<std::uint32_t>::max()) {
-        throw DecodeError("field out of range 'version'");
-      }
-      m.version = static_cast<std::uint32_t>(v);
-      break;
-    }
-    case MsgType::kSubmit: {
-      WireRequest& r = m.submit;
-      r.id = get_uint(doc, "id");
-      r.name = get_string(doc, "name");
-      r.demand = net::Demand{get_double(doc, "demand")};
-      r.arrival = get_int(doc, "arrival");
-      r.deadline = get_int(doc, "deadline");
-      r.priority = get_int32(doc, "priority");
-      r.init = get_names(doc, "init");
-      r.fin = get_names(doc, "fin");
-      break;
-    }
-    case MsgType::kDone:
-      break;
-    case MsgType::kAck:
-    case MsgType::kDeferred:
-      m.id = get_uint(doc, "id");
-      break;
-    case MsgType::kRejected:
-      m.id = get_uint(doc, "id");
-      m.text = get_string(doc, "text");
-      break;
-    case MsgType::kRecord: {
-      WireRecord& r = m.record;
-      r.id = get_uint(doc, "id");
-      r.status = get_string(doc, "status");
-      r.arrival = get_int(doc, "arrival");
-      r.admitted = get_int(doc, "admitted");
-      r.completed = get_int(doc, "completed");
-      r.defers = get_int32(doc, "defers");
-      r.joint = get_bool(doc, "joint");
-      r.batch = get_uint(doc, "batch");
-      r.plan_span = get_int(doc, "plan_span");
-      r.exec_duration = get_int(doc, "exec_duration");
-      r.retries = get_int32(doc, "retries");
-      r.faults = get_uint(doc, "faults");
-      r.degradation = get_string(doc, "degradation");
-      r.plan_verified = get_bool(doc, "plan_verified");
-      r.run_verified = get_bool(doc, "run_verified");
-      r.violations = get_int32(doc, "violations");
-      r.message = get_string(doc, "message");
-      break;
-    }
-    case MsgType::kReport:
-      m.report.requests = get_uint(doc, "requests");
-      m.report.records = get_uint(doc, "records");
-      m.report.digest = get_string(doc, "digest");
-      break;
-    case MsgType::kError:
-      m.text = get_string(doc, "text");
-      break;
-  }
+  visit_body(m, read);
   return m;
 }
 
 }  // namespace
 
 std::string encode(Codec c, const Message& m) {
-  if (c == Codec::kJson) return encode_json_line(m);
+  if (c == Codec::kJson) {
+    std::string line = "{";
+    JsonLineWriter w{line};
+    w("type", std::string(to_string(m.type)));
+    visit_body(m, w);
+    line.append("}\n");
+    return line;
+  }
   std::string body;
-  encode_binary_body(body, m);
+  BinaryWriter b{body};
+  visit_body(m, b);
   std::string frame;
   frame.reserve(5 + body.size());
-  put_u32(frame, static_cast<std::uint32_t>(1 + body.size()));
-  put_u8(frame, static_cast<std::uint8_t>(m.type));
+  BinaryWriter f{frame};
+  f.put(1 + body.size(), 4);
+  f.put(static_cast<std::uint8_t>(m.type), 1);
   frame.append(body);
   return frame;
 }
@@ -916,8 +709,8 @@ Decoder::Result Decoder::next(Message* out, std::string* error) {
   std::string_view avail(buf_.data() + pos_, buf_.size() - pos_);
   if (codec_ == Codec::kBinary) {
     if (avail.size() < 4) return Result::kNeedMore;
-    Cursor prefix(avail.data(), 4);
-    std::uint32_t len = prefix.u32();
+    const auto len =
+        static_cast<std::uint32_t>(Cursor(avail.data(), 4).uint(4));
     if (len < 1) return fail(error, "empty frame");
     if (len > max_frame_) {
       return fail(error, "frame length " + std::to_string(len) +
@@ -937,11 +730,15 @@ Decoder::Result Decoder::next(Message* out, std::string* error) {
       }());
     }
     Cursor body(avail.data() + 5, len - 1);
+    Message m;
+    m.type = type;
     try {
-      *out = decode_binary_body(type, body);
+      visit_body(m, body);
+      if (body.remaining() != 0) throw DecodeError("trailing bytes in frame");
     } catch (const DecodeError& e) {
       return fail(error, e.what());
     }
+    *out = std::move(m);
     pos_ += 4 + static_cast<std::size_t>(len);
     return Result::kMessage;
   }

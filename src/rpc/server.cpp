@@ -29,11 +29,11 @@ Server::Server(net::Graph base, ServerOptions opts)
     : base_(std::move(base)),
       opts_(opts),
       index_(node_index(base_)),
-      intake_(opts.intake_capacity, opts.intake_soft_limit) {
-  std::size_t soft = intake_.soft_limit();
-  std::size_t want = opts_.round_trigger_depth == 0 ? soft
+      intake_(opts.intake_capacity) {
+  std::size_t cap = intake_.capacity();
+  std::size_t want = opts_.round_trigger_depth == 0 ? cap
                                                     : opts_.round_trigger_depth;
-  trigger_ = std::clamp<std::size_t>(want, 1, soft);
+  trigger_ = std::clamp<std::size_t>(want, 1, cap);
 }
 
 Server::~Server() {
@@ -133,40 +133,29 @@ Message Server::on_submit(Session& s, const WireRequest& w) {
     return reply;
   }
 
-  switch (intake_.try_push(std::move(req))) {
-    case service::IntakeQueue::Push::kAccepted: {
-      seen_ids_.insert(w.id);
-      owners_[w.id] = s.sid();
-      sessions_.at(s.sid()).accepted += 1;
-      stats_.accepted.fetch_add(1, std::memory_order_relaxed);
-      bool fire;
-      {
-        util::MutexLock lock(coord_mu_);
-        ++pending_;
-        fire = pending_ >= trigger_;
-      }
-      if (fire) coord_cv_.notify_all();
-      reply.type = MsgType::kAck;
-      return reply;
-    }
-    case service::IntakeQueue::Push::kDeferred:
-      stats_.deferred.fetch_add(1, std::memory_order_relaxed);
-      obs::add("rpc.submit_deferred");
-      // Explicit deferral *and* transport backpressure: the client is
-      // told to retry, and this session is not read again until the
-      // planner takes the next batch (resume_all).
-      s.pause_reading();
-      reply.type = MsgType::kDeferred;
-      return reply;
-    case service::IntakeQueue::Push::kClosed:
-      stats_.rejected.fetch_add(1, std::memory_order_relaxed);
-      obs::add("rpc.submit_rejected");
-      reply.type = MsgType::kRejected;
-      reply.text = "server draining";
-      return reply;
+  if (intake_.try_push(std::move(req)) ==
+      service::IntakeQueue::Push::kDeferred) {
+    stats_.deferred.fetch_add(1, std::memory_order_relaxed);
+    obs::add("rpc.submit_deferred");
+    // Explicit deferral *and* transport backpressure: the client is told
+    // to retry, and this session is not read again until the planner
+    // takes the next batch (resume_all).
+    s.pause_reading();
+    reply.type = MsgType::kDeferred;
+    return reply;
   }
-  reply.type = MsgType::kRejected;
-  reply.text = "unreachable";
+  seen_ids_.insert(w.id);
+  owners_[w.id] = s.sid();
+  sessions_.at(s.sid()).accepted += 1;
+  stats_.accepted.fetch_add(1, std::memory_order_relaxed);
+  bool fire;
+  {
+    util::MutexLock lock(coord_mu_);
+    ++pending_;
+    fire = pending_ >= trigger_;
+  }
+  if (fire) coord_cv_.notify_all();
+  reply.type = MsgType::kAck;
   return reply;
 }
 

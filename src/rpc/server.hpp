@@ -22,11 +22,11 @@
 // same requests into one round produces the bit-identical digest
 // (tests/rpc_soak_test.cpp's three-transport gate).
 //
-// Backpressure (DESIGN.md §14): the queue's soft limit turns submits
-// into explicit `deferred` replies, and a session that just got deferred
+// Backpressure (DESIGN.md §14): a full intake queue turns submits into
+// explicit `deferred` replies, and a session that just got deferred
 // stops being read until the planner takes the next batch — pushing
 // further arrivals into the kernel socket buffers and from there to the
-// client. Because the trigger depth is clamped to the soft limit, a
+// client. Because the trigger depth is clamped to the queue capacity, a
 // fully-deferred steady state always fires a round, so the ladder cannot
 // wedge.
 //
@@ -59,11 +59,10 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral (read back via Server::port())
 
+  /// Queue depth at which submits are deferred (IntakeQueue capacity).
   std::size_t intake_capacity = 256;
-  /// Deferral watermark (IntakeQueue soft limit); 0 = capacity.
-  std::size_t intake_soft_limit = 0;
-  /// Queue depth that fires a planning round; clamped to the soft limit;
-  /// 0 = soft limit.
+  /// Queue depth that fires a planning round; clamped to the intake
+  /// capacity; 0 = capacity.
   std::size_t round_trigger_depth = 0;
 
   std::size_t max_frame = kDefaultMaxFrame;
@@ -77,7 +76,7 @@ struct ServerStats {
   std::uint64_t submits = 0;          ///< kSubmit frames handled
   std::uint64_t accepted = 0;         ///< pushed into the intake queue
   std::uint64_t deferred = 0;         ///< backpressure replies
-  std::uint64_t rejected = 0;         ///< malformed / duplicate / draining
+  std::uint64_t rejected = 0;         ///< malformed / duplicate
   std::uint64_t protocol_errors = 0;  ///< sessions failed on bad frames
   std::uint64_t rounds = 0;           ///< planning rounds run
 };

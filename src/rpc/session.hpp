@@ -28,9 +28,10 @@
 // wire input.
 //
 // Backpressure: pause_reading() deregisters read interest, so a client
-// that keeps sending fills the kernel socket buffers and blocks — the
-// transport-level mirror of IntakeQueue::push_wait. resume_reading()
-// re-arms reads and immediately re-processes bytes already buffered.
+// that keeps sending fills the kernel socket buffers and blocks; the
+// server pauses a session whose submit the intake queue just deferred.
+// resume_reading() re-arms reads and immediately re-processes bytes
+// already buffered.
 #pragma once
 
 #include <cstdint>

@@ -5,27 +5,8 @@
 namespace chronus::rpc {
 
 const char* to_string(MsgType t) {
-  switch (t) {
-    case MsgType::kHello:
-      return "hello";
-    case MsgType::kSubmit:
-      return "submit";
-    case MsgType::kDone:
-      return "done";
-    case MsgType::kHelloAck:
-      return "hello_ack";
-    case MsgType::kAck:
-      return "ack";
-    case MsgType::kDeferred:
-      return "deferred";
-    case MsgType::kRejected:
-      return "rejected";
-    case MsgType::kRecord:
-      return "record";
-    case MsgType::kReport:
-      return "report";
-    case MsgType::kError:
-      return "error";
+  for (const MsgTypeName& e : kMsgTypes) {
+    if (e.type == t) return e.name;
   }
   return "unknown";
 }
@@ -86,6 +67,9 @@ service::UpdateRequest from_wire(
     throw std::runtime_error("demand: must be positive");
   }
   if (w.arrival < 0) throw std::runtime_error("arrival: must be >= 0");
+  if (w.arrival > service::kMaxArrival) {
+    throw std::runtime_error("arrival: beyond the service horizon 2^62");
+  }
   if (w.deadline < 0) throw std::runtime_error("deadline: must be >= 0");
   service::UpdateRequest r;
   r.id = w.id;

@@ -14,9 +14,10 @@
 // Server -> client: kHelloAck, then per submit exactly one of kAck
 // (accepted into the intake queue), kDeferred (backpressure — resubmit
 // later) or kRejected (malformed request: duplicate id, unknown node,
-// non-positive demand); after planning, one kRecord per accepted request
-// and a final per-session kReport; kError announces a session-fatal
-// protocol violation just before the server closes the connection.
+// non-positive demand, arrival past service::kMaxArrival); after
+// planning, one kRecord per accepted request and a final per-session
+// kReport; kError announces a session-fatal protocol violation just
+// before the server closes the connection.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +46,22 @@ enum class MsgType : std::uint8_t {
   kError = 0x87,
 };
 
-/// Human-readable tag ("submit", "record", ...); also the JSON "type"
-/// field, so the two codecs share one name table.
+struct MsgTypeName {
+  MsgType type;
+  const char* name;
+};
+
+/// The one table of message types: each tag with its name, which is also
+/// the JSON "type" field, so the two codecs share it.
+inline constexpr MsgTypeName kMsgTypes[] = {
+    {MsgType::kHello, "hello"},       {MsgType::kSubmit, "submit"},
+    {MsgType::kDone, "done"},         {MsgType::kHelloAck, "hello_ack"},
+    {MsgType::kAck, "ack"},           {MsgType::kDeferred, "deferred"},
+    {MsgType::kRejected, "rejected"}, {MsgType::kRecord, "record"},
+    {MsgType::kReport, "report"},     {MsgType::kError, "error"},
+};
+
+/// Human-readable tag ("submit", "record", ...) from kMsgTypes.
 const char* to_string(MsgType t);
 
 /// One update request in wire form (paths as node-name sequences).
@@ -123,7 +138,8 @@ WireRequest to_wire(const net::Graph& g, const service::UpdateRequest& r);
 
 /// Wire form -> service request against the server's base graph. Throws
 /// std::runtime_error naming the offending field on unknown nodes, paths
-/// shorter than two hops, or non-positive demand.
+/// shorter than two hops, non-positive demand, or an arrival outside
+/// [0, service::kMaxArrival].
 service::UpdateRequest from_wire(
     const std::map<std::string, net::NodeId>& index, const WireRequest& w);
 

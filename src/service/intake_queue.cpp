@@ -1,6 +1,5 @@
 #include "service/intake_queue.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -8,11 +7,7 @@
 
 namespace chronus::service {
 
-IntakeQueue::IntakeQueue(std::size_t capacity, std::size_t soft_limit)
-    : capacity_(capacity),
-      soft_(soft_limit == 0 ? capacity
-                            : std::clamp<std::size_t>(soft_limit, 1,
-                                                      capacity)) {
+IntakeQueue::IntakeQueue(std::size_t capacity) : capacity_(capacity) {
   CHRONUS_EXPECTS(capacity > 0, "intake capacity must be positive");
 }
 
@@ -20,33 +15,16 @@ IntakeQueue::Push IntakeQueue::try_push(UpdateRequest req) {
   std::size_t new_depth = 0;
   {
     util::MutexLock lock(mu_);
-    if (closed_) return Push::kClosed;
-    if (q_.size() >= soft_) {
+    if (q_.size() >= capacity_) {
       obs::add("service.intake_deferred");
       return Push::kDeferred;
     }
     q_.push_back(std::move(req));
     new_depth = q_.size();
   }
-  data_cv_.notify_one();
   obs::add("service.intake_accepted");
   obs::gauge_set("service.intake_depth", static_cast<std::int64_t>(new_depth));
   return Push::kAccepted;
-}
-
-bool IntakeQueue::push_wait(UpdateRequest req) {
-  std::size_t new_depth = 0;
-  {
-    util::MutexLock lock(mu_);
-    while (!closed_ && q_.size() >= capacity_) space_cv_.wait(mu_);
-    if (closed_) return false;
-    q_.push_back(std::move(req));
-    new_depth = q_.size();
-  }
-  data_cv_.notify_one();
-  obs::add("service.intake_accepted");
-  obs::gauge_set("service.intake_depth", static_cast<std::int64_t>(new_depth));
-  return true;
 }
 
 std::vector<UpdateRequest> IntakeQueue::take_batch() {
@@ -56,50 +34,15 @@ std::vector<UpdateRequest> IntakeQueue::take_batch() {
     batch.swap(q_);
   }
   if (!batch.empty()) {
-    space_cv_.notify_all();
     obs::add("service.intake_batches");
     obs::gauge_set("service.intake_depth", 0);
   }
   return batch;
-}
-
-std::vector<UpdateRequest> IntakeQueue::wait_batch() {
-  std::vector<UpdateRequest> batch;
-  {
-    util::MutexLock lock(mu_);
-    while (!closed_ && q_.empty()) data_cv_.wait(mu_);
-    batch.swap(q_);
-  }
-  if (!batch.empty()) {
-    space_cv_.notify_all();
-    obs::add("service.intake_batches");
-    obs::gauge_set("service.intake_depth", 0);
-  }
-  return batch;
-}
-
-void IntakeQueue::close() {
-  {
-    util::MutexLock lock(mu_);
-    closed_ = true;
-  }
-  space_cv_.notify_all();
-  data_cv_.notify_all();
-}
-
-bool IntakeQueue::closed() const {
-  util::MutexLock lock(mu_);
-  return closed_;
 }
 
 std::size_t IntakeQueue::depth() const {
   util::MutexLock lock(mu_);
   return q_.size();
-}
-
-bool IntakeQueue::saturated() const {
-  util::MutexLock lock(mu_);
-  return q_.size() >= capacity_;
 }
 
 }  // namespace chronus::service

@@ -1,35 +1,20 @@
-// The transport-agnostic request intake of the update service.
+// The bounded request intake between the rpc sessions and the planner.
 //
-// Every way a request can reach the dispatcher — the trace reader behind
-// `chronus_cli serve`, the in-process bench clients, and the rpc socket
-// sessions — feeds the same bounded queue, so admission backpressure is
-// defined once, here, instead of per transport:
+// rpc::Server's sessions push from the reactor thread and its planner
+// thread drains at round boundaries; neither side ever blocks on the
+// queue, so backpressure is one bound:
 //
-//   * try_push (the non-blocking producers: rpc sessions on the reactor
-//     thread) is answered kDeferred once the depth reaches `soft_limit`.
-//     A deferred producer is expected to surface the deferral to its
-//     client (an explicit `deferred` wire reply) and retry later; nothing
-//     is queued.
-//   * push_wait (the in-process producers: trace reader, bench drivers)
-//     blocks while the queue is saturated — the thread-level equivalent
-//     of a paused socket session.
-//   * saturated() (depth == capacity) is the reactor's cue to stop
-//     *reading* from streaming sessions entirely, which pushes the
-//     backpressure into the kernel socket buffers and from there to the
-//     clients.
+//   * try_push is answered kDeferred once the depth reaches `capacity`.
+//     Nothing is queued; the session surfaces the deferral to its client
+//     (an explicit `deferred` wire reply) and stops reading that
+//     connection until the planner takes the next batch, which pushes
+//     further arrivals into the kernel socket buffers. The client retries.
+//   * take_batch drains whole batches, never single elements, matching
+//     the epoch semantics of UpdateService::run.
 //
-// The soft limit gives the defer-before-shed band that mirrors the
-// service's degradation ladder (DESIGN.md §13): deferral engages strictly
-// before the hard capacity wall, so well-behaved clients see `deferred`
-// responses and back off while the planner catches up, and only an
-// aggressive burst ever hits the read-pause. Keep `soft_limit` at or
-// below the ladder's `defer_enter` so wire-level deferral engages before
-// the dispatcher starts shedding admitted work.
-//
-// Consumption is batch-oriented: the dispatcher (or the rpc server's
-// planner thread) drains whole batches at epoch/round boundaries with
-// take_batch/wait_batch, never single elements, matching the epoch
-// semantics of UpdateService::run.
+// Keep `capacity` at or below the degradation ladder's `defer_enter`
+// (DESIGN.md §13) so wire-level deferral engages before the dispatcher
+// starts shedding admitted work.
 #pragma once
 
 #include <cstddef>
@@ -44,51 +29,26 @@ class IntakeQueue {
  public:
   enum class Push {
     kAccepted,  ///< queued
-    kDeferred,  ///< backpressure: at/above the soft limit — retry later
-    kClosed,    ///< intake closed; nothing will be queued again
+    kDeferred,  ///< backpressure: the depth is at capacity — retry later
   };
 
-  /// `capacity` bounds the queue depth (must be positive); `soft_limit`
-  /// is the deferral watermark, clamped into [1, capacity]; 0 means
-  /// "equal to capacity" (deferral only at the hard wall).
-  explicit IntakeQueue(std::size_t capacity, std::size_t soft_limit = 0);
+  /// `capacity` is the depth at which try_push defers; must be positive.
+  explicit IntakeQueue(std::size_t capacity);
 
-  /// Non-blocking submit for reactor-style producers.
+  /// Non-blocking submit.
   Push try_push(UpdateRequest req) CHRONUS_EXCLUDES(mu_);
 
-  /// Blocking submit for in-process producers: waits while the queue is
-  /// saturated. Returns false iff the queue was closed first.
-  bool push_wait(UpdateRequest req) CHRONUS_EXCLUDES(mu_);
-
-  /// Drains everything currently queued (possibly nothing) and wakes
-  /// blocked producers.
+  /// Drains everything currently queued (possibly nothing).
   std::vector<UpdateRequest> take_batch() CHRONUS_EXCLUDES(mu_);
 
-  /// Blocks until the queue is non-empty or closed, then drains it. An
-  /// empty result means closed-and-empty: the producer side is finished.
-  std::vector<UpdateRequest> wait_batch() CHRONUS_EXCLUDES(mu_);
-
-  /// Closes the intake: producers are refused from now on, blocked
-  /// producers and consumers wake. Idempotent.
-  void close() CHRONUS_EXCLUDES(mu_);
-
-  bool closed() const CHRONUS_EXCLUDES(mu_);
   std::size_t depth() const CHRONUS_EXCLUDES(mu_);
-  /// depth() == capacity — producers must stop reading/submitting.
-  bool saturated() const CHRONUS_EXCLUDES(mu_);
-
   std::size_t capacity() const { return capacity_; }
-  std::size_t soft_limit() const { return soft_; }
 
  private:
   const std::size_t capacity_;
-  const std::size_t soft_;
 
   mutable util::Mutex mu_;
-  util::CondVar space_cv_;  // producers blocked in push_wait
-  util::CondVar data_cv_;   // consumers blocked in wait_batch
   std::vector<UpdateRequest> q_ CHRONUS_GUARDED_BY(mu_);
-  bool closed_ CHRONUS_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace chronus::service

@@ -20,6 +20,13 @@
 
 namespace chronus::service {
 
+/// The latest virtual arrival the service accepts: 2^62 microseconds,
+/// about 146 000 years. The dispatcher rounds arrivals up to epoch
+/// boundaries and adds planning and execution spans to them; past this
+/// horizon those sums could overflow the int64 clock. Parsers of outside
+/// input reject later arrivals.
+inline constexpr sim::SimTime kMaxArrival = sim::SimTime{1} << 62;
+
 /// One reroute request: transition a flow of `demand` units from `p_init`
 /// to `p_fin` on the service's shared base graph.
 struct UpdateRequest {
@@ -28,7 +35,8 @@ struct UpdateRequest {
   net::Path p_init;
   net::Path p_fin;
   net::Demand demand{1.0};
-  sim::SimTime arrival = 0;   ///< virtual arrival instant (microseconds)
+  sim::SimTime arrival = 0;   ///< virtual arrival instant (microseconds),
+                              ///< in [0, kMaxArrival]
   sim::SimTime deadline = 0;  ///< absolute virtual deadline; 0 = none
   int priority = 0;           ///< higher is served first within a round
 };

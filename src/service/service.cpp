@@ -1,7 +1,6 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
@@ -11,7 +10,6 @@
 #include "core/multi_flow.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "service/intake_queue.hpp"
 #include "service/worker_pool.hpp"
 #include "sim/chaos.hpp"
 #include "sim/updaters.hpp"
@@ -235,17 +233,6 @@ UpdateService::UpdateService(net::Graph base, ServiceOptions opts)
   if (opts_.chaos != nullptr) opts_.chaos->validate();
 }
 
-ServiceReport UpdateService::run_intake(IntakeQueue& intake) {
-  std::vector<UpdateRequest> requests;
-  for (;;) {
-    std::vector<UpdateRequest> batch = intake.wait_batch();
-    if (batch.empty()) break;  // closed and drained
-    requests.insert(requests.end(), std::make_move_iterator(batch.begin()),
-                    std::make_move_iterator(batch.end()));
-  }
-  return run(std::move(requests));
-}
-
 ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
   CHRONUS_SPAN("service.run");
   obs::add("service.requests", requests.size());
@@ -254,6 +241,8 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
               return a.arrival != b.arrival ? a.arrival < b.arrival
                                             : a.id < b.id;
             });
+  CHRONUS_EXPECTS(requests.empty() || requests.back().arrival <= kMaxArrival,
+                  "arrival beyond kMaxArrival");
 
   // Records are kept in ascending request-id order (the canonical order of
   // the report and its digest).

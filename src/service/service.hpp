@@ -37,8 +37,6 @@ struct ChaosScenario;
 
 namespace chronus::service {
 
-class IntakeQueue;
-
 /// A complete service input: the shared topology plus the request stream.
 struct ServiceTrace {
   net::Graph graph;
@@ -144,14 +142,6 @@ class UpdateService {
   /// Requests may be given in any order; ids must be unique.
   ServiceReport run(std::vector<UpdateRequest> requests);
   ServiceReport run(const ServiceTrace& trace) { return run(trace.requests); }
-
-  /// Transport-agnostic intake: consumes batches from `intake` until the
-  /// queue is closed and empty, then runs the accumulated stream exactly
-  /// like run(). The producers (trace reader, bench client, rpc sessions)
-  /// may still be pushing while this call accumulates; arrival order does
-  /// not matter because the dispatcher sorts by (arrival, id), so a
-  /// wire-fed run digests bit-identically to a vector-fed one.
-  ServiceReport run_intake(IntakeQueue& intake);
 
  private:
   net::Graph base_;

@@ -7,6 +7,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "timenet/trajectory.hpp"
 
 namespace chronus::sim {
 
@@ -120,10 +121,8 @@ SimTime ResilientExecutor::backoff(UpdateRunReport& rep, int attempt) {
 SimTime ResilientExecutor::drain_time(const net::UpdateInstance& inst,
                                       SimTime step_unit) const {
   if (policy_.drain_margin > 0) return policy_.drain_margin;
-  const auto& g = inst.graph();
-  const SimTime bound =
-      static_cast<SimTime>(g.node_count() + 2) * g.max_delay();
-  return bound * std::max<SimTime>(1, step_unit);
+  return timenet::trajectory_bound(inst.graph()) *
+         std::max<SimTime>(1, step_unit);
 }
 
 FlowEntry ResilientExecutor::new_rule_entry(const net::UpdateInstance& inst,

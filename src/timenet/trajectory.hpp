@@ -193,6 +193,12 @@ class LoadColumns {
   TimePoint first_{};
 };
 
+/// The drain bound d = (n + 2) * max_delay: no single trajectory lasts
+/// longer. Windows, drain margins and stall limits are sized from it.
+inline std::int64_t trajectory_bound(const net::Graph& g) {
+  return static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay();
+}
+
 /// Traces the class injected at `injected`. `hop_limit` defaults to
 /// node_count + 2 (a simple trajectory can never be longer).
 Trace trace_class(const FlowView& flow, TimePoint injected, int hop_limit = 0);

@@ -26,8 +26,7 @@ TransitionState::TransitionState(
       throw std::invalid_argument("flows must share one graph layout");
     }
   }
-  d_ = static_cast<std::int64_t>(graph_->node_count() + 2) *
-       graph_->max_delay();
+  d_ = trajectory_bound(*graph_);
   load_.reset(graph_->link_count(), TimePoint{0}, TimePoint{-1});
   tracer_ = Tracer(graph_->node_count());
   flows_.reserve(flows.size());

@@ -32,11 +32,6 @@ struct VerifyTally {
   }
 };
 
-/// Upper bound on the duration of any single trajectory.
-std::int64_t trajectory_bound(const net::Graph& g) {
-  return static_cast<std::int64_t>(g.node_count() + 2) * g.max_delay();
-}
-
 /// The nominal window: the classes a class-by-class pass would trace, and
 /// the entry steps whose congestion it would judge.
 struct Window {

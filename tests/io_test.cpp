@@ -3,12 +3,14 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/dependency.hpp"
 #include "core/greedy_scheduler.hpp"
 #include "io/dot.hpp"
 #include "core/multi_flow.hpp"
 #include "io/instance_io.hpp"
+#include "io/trace_io.hpp"
 #include "net/generators.hpp"
 
 namespace chronus::io {
@@ -81,6 +83,28 @@ TEST(InstanceIo, ErrorsCarryLineNumbers) {
   expect_error("link a b speed=1\n", "unknown link attribute");
   expect_error("link a b\ninit a\n", "at least two");
   expect_error("link a b\ninit a b\ninit a b\n", "given twice");
+}
+
+TEST(TraceIo, ArrivalBeyondTheServiceHorizonIsALineError) {
+  const std::string links =
+      "link s m cap=2 delay=1\nlink m t cap=2 delay=1\n"
+      "link s b cap=2 delay=1\nlink b t cap=2 delay=1\n";
+  std::istringstream at_horizon(links + "request 1 arrival=" +
+                                std::to_string(service::kMaxArrival) +
+                                " demand=1 init s m t fin s b t\n");
+  EXPECT_EQ(read_trace(at_horizon).requests.at(0).arrival,
+            service::kMaxArrival);
+  std::istringstream past(links +
+                          "request 1 arrival=9223372036854775807 demand=1 "
+                          "init s m t fin s b t\n");
+  try {
+    read_trace(past);
+    FAIL() << "accepted an arrival past the horizon";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 5: arrival beyond"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(InstanceIo, MissingPathsRejected) {

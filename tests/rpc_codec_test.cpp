@@ -6,11 +6,14 @@
 // ContractViolation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -529,6 +532,258 @@ TEST(Codec, NegativeJsonValueForUnsignedFieldFails) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden digests. The encode golden pins every byte both encoders write
+// for a fixed corpus of 820 messages: every type, integer boundaries of
+// each width, escaped, control, NUL and non-ASCII strings, and empty to
+// long name lists. The decode golden pins what both decoders make of
+// seeded mutants of those frames and of the testdata/rpc fixtures: the
+// re-encoded message(s), the exact error text, or need-more plus
+// has_partial(). Both values were recorded with the hand-written
+// per-message codec that visit_body replaced.
+
+constexpr std::uint64_t kEncodeGolden = 0x20d01a9610879d90ULL;
+constexpr std::uint64_t kDecodeGolden = 0xe367d6a08e06bf94ULL;
+
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ULL;
+  void add(std::string_view s) {
+    for (const char c : s) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+  }
+};
+
+constexpr MsgType kAllTypes[] = {
+    MsgType::kHello,    MsgType::kSubmit, MsgType::kDone,
+    MsgType::kHelloAck, MsgType::kAck,    MsgType::kDeferred,
+    MsgType::kRejected, MsgType::kRecord, MsgType::kReport,
+    MsgType::kError};
+
+/// A boundary value from `pool` three times in four, otherwise `fresh`.
+template <class T, std::size_t N>
+T pick(util::Rng& rng, const T (&pool)[N], T fresh) {
+  return rng.index(4) == 0 ? fresh : pool[rng.index(N)];
+}
+
+/// Fills every payload of a message of each type, so the encoder alone
+/// decides which fields reach the wire.
+std::vector<Message> golden_corpus() {
+  using I64 = std::numeric_limits<std::int64_t>;
+  using I32 = std::numeric_limits<std::int32_t>;
+  const std::uint64_t u64s[] = {
+      0, 1, 255, 256, 0x7fffffffULL, 0x80000000ULL, 0xffffffffULL,
+      0x100000000ULL, static_cast<std::uint64_t>(I64::max()),
+      static_cast<std::uint64_t>(I64::max()) + 1,
+      std::numeric_limits<std::uint64_t>::max()};
+  const std::int64_t i64s[] = {I64::min(), I64::min() + 1, -(1LL << 32),
+                               std::int64_t{I32::min()} - 1, -1, 0, 1,
+                               I32::max(), std::int64_t{I32::max()} + 1,
+                               1LL << 62, I64::max()};
+  const int i32s[] = {I32::min(), I32::min() + 1, -1, 0, 1, 255, I32::max()};
+  const std::uint32_t u32s[] = {0, 1, kProtocolVersion, 0x7fffffffu,
+                                0x80000000u, 0xffffffffu};
+  const double demands[] = {1.0, 1.0 / 3.0, 0.1, 5e-324,
+                            2.2250738585072014e-308, 1e-300, 1e300,
+                            std::numeric_limits<double>::max(),
+                            9007199254740993.0, -0.0, 0.0, -2.5};
+  const std::string strings[] = {"",
+                                 "a",
+                                 "r42",
+                                 "flow \"7\"\n\ttab",
+                                 "back\\slash/solidus",
+                                 "\b\f\r",
+                                 std::string("nul\0mid", 7),
+                                 "\x01\x1f\x7f",
+                                 "caf\xc3\xa9",
+                                 "\xe2\x82\xac",
+                                 "\xf0\x9f\x98\x80",
+                                 "\xff\xfe",
+                                 "\\u0041",
+                                 std::string(100, 'x'),
+                                 std::string(40, '"')};
+  const std::size_t name_counts[] = {0, 1, 2, 3, 7, 20};
+
+  util::Rng rng(0x90d1e);
+  const auto str = [&] { return strings[rng.index(std::size(strings))]; };
+  const auto names = [&] {
+    std::vector<std::string> v(name_counts[rng.index(std::size(name_counts))]);
+    for (std::string& n : v) n = strings[rng.index(9)];  // the short ones
+    return v;
+  };
+  const auto u64 = [&] { return pick(rng, u64s, rng.next()); };
+  const auto i64 = [&] {
+    return pick(rng, i64s, static_cast<std::int64_t>(rng.next()));
+  };
+  const auto i32 = [&] {
+    return pick(rng, i32s, static_cast<int>(static_cast<std::uint32_t>(
+                               rng.next())));
+  };
+  const auto flag = [&] { return rng.index(2) == 1; };
+
+  std::vector<Message> msgs;
+  for (std::size_t i = 0; i < 820; ++i) {
+    Message m;
+    m.type = kAllTypes[i % std::size(kAllTypes)];
+    m.version = pick(rng, u32s, static_cast<std::uint32_t>(rng.next()));
+    m.id = u64();
+    m.text = str();
+    WireRequest& r = m.submit;
+    r.id = u64();
+    r.name = str();
+    r.demand = net::Demand{demands[rng.index(std::size(demands))]};
+    r.arrival = i64();
+    r.deadline = i64();
+    r.priority = i32();
+    r.init = names();
+    r.fin = names();
+    WireRecord& rec = m.record;
+    rec.id = u64();
+    rec.status = str();
+    rec.arrival = i64();
+    rec.admitted = i64();
+    rec.completed = i64();
+    rec.defers = i32();
+    rec.joint = flag();
+    rec.batch = u64();
+    rec.plan_span = i64();
+    rec.exec_duration = i64();
+    rec.retries = i32();
+    rec.faults = u64();
+    rec.degradation = str();
+    rec.plan_verified = flag();
+    rec.run_verified = flag();
+    rec.violations = i32();
+    rec.message = str();
+    m.report.requests = u64();
+    m.report.records = u64();
+    m.report.digest = str();
+    msgs.push_back(std::move(m));
+  }
+  return msgs;
+}
+
+/// One to three edits: bit flip, byte insert, byte delete, truncation, or
+/// a u32 little-endian rewrite — of the binary length prefix half the
+/// time — to a value near the old one or near a bound the decoder checks.
+std::string mutate(std::string s, bool binary, util::Rng& rng) {
+  const std::size_t edits = 1 + rng.index(3);
+  for (std::size_t e = 0; e < edits; ++e) {
+    switch (rng.index(5)) {
+      case 0:
+        if (!s.empty()) {
+          const std::size_t at = rng.index(s.size());
+          s[at] ^= static_cast<char>(1u << rng.index(8));
+        }
+        break;
+      case 1: {
+        // One draw per statement: argument evaluation order is
+        // unspecified, and the golden must not depend on the compiler.
+        const std::size_t at = rng.index(s.size() + 1);
+        s.insert(at, 1, static_cast<char>(rng.index(256)));
+        break;
+      }
+      case 2:
+        if (!s.empty()) s.erase(rng.index(s.size()), 1);
+        break;
+      case 3:
+        s.resize(rng.index(s.size() + 1));
+        break;
+      default: {
+        if (s.size() < 4) break;
+        const std::size_t off =
+            binary && rng.index(2) == 0 ? 0 : rng.index(s.size() - 3);
+        std::uint32_t old = 0;
+        for (std::size_t k = 0; k < 4; ++k) {
+          old |= static_cast<std::uint32_t>(
+                     static_cast<unsigned char>(s[off + k]))
+                 << (8 * k);
+        }
+        const auto rest = static_cast<std::uint32_t>(s.size() - off - 4);
+        const std::uint32_t values[] = {old + 1,  old - 1,     old + 2,
+                                        old - 2,  0,           1,
+                                        255,      256,         257,
+                                        rest / 4, rest / 4 + 1, rest,
+                                        rest + 1, 0x7fffffffu, 0xffffffffu};
+        const std::uint32_t v = values[rng.index(std::size(values))];
+        for (std::size_t k = 0; k < 4; ++k) {
+          s[off + k] = static_cast<char>((v >> (8 * k)) & 0xffu);
+        }
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+TEST(Codec, GoldenEncodeDigestBothCodecs) {
+  Fnv1a h;
+  for (const Message& m : golden_corpus()) {
+    h.add(encode(Codec::kBinary, m));
+    h.add(encode(Codec::kJson, m));
+  }
+  EXPECT_EQ(h.h, kEncodeGolden) << std::hex << h.h;
+}
+
+TEST(Codec, GoldenDecodeDigestOverSeededMutants) {
+  struct Seed {
+    Codec codec;
+    std::string bytes;
+  };
+  std::vector<Seed> seeds;
+  for (const Message& m : golden_corpus()) {
+    for (Codec c : {Codec::kBinary, Codec::kJson}) {
+      seeds.push_back({c, encode(c, m)});
+    }
+  }
+  for (const char* name : {"bad_oversize.bin", "bad_tag.bin",
+                           "bad_truncated_body.bin"}) {
+    seeds.push_back({Codec::kBinary, strip_magic(fixture(name))});
+  }
+  for (const char* name : {"bad_not_json.jsonl", "bad_truncated.jsonl",
+                           "bad_unknown_type.jsonl"}) {
+    seeds.push_back({Codec::kJson, fixture(name)});
+  }
+
+  util::Rng rng(0xdec0de);
+  Fnv1a h;
+  std::size_t messages = 0, errors = 0, need_more = 0;
+  for (const Seed& seed : seeds) {
+    for (int k = 0; k < 30; ++k) {
+      Decoder dec(seed.codec, /*max_frame=*/256);
+      dec.feed(mutate(seed.bytes, seed.codec == Codec::kBinary, rng));
+      for (;;) {
+        Message out;
+        std::string err;
+        const Decoder::Result r = dec.next(&out, &err);
+        if (r == Decoder::Result::kMessage) {
+          ++messages;
+          h.add("M");
+          h.add(encode(seed.codec, out));
+          continue;
+        }
+        if (r == Decoder::Result::kError) {
+          ++errors;
+          h.add("E");
+          h.add(err);
+        } else {
+          ++need_more;
+          h.add(dec.has_partial() ? "N1" : "N0");
+        }
+        break;
+      }
+      h.add("|");
+    }
+  }
+  EXPECT_EQ(seeds.size() * 30, 49380u);
+  // The mutants reach every verdict, not just the first length check.
+  EXPECT_GT(messages, 1000u);
+  EXPECT_GT(errors, 10000u);
+  EXPECT_GT(need_more, 1000u);
+  EXPECT_EQ(h.h, kDecodeGolden) << std::hex << h.h;
+}
+
+// ---------------------------------------------------------------------------
 // Wire-form conversions against a named graph.
 
 net::Graph named_diamond() {
@@ -592,6 +847,23 @@ TEST(Wire, FromWireRejectsMalformedRequests) {
   WireRequest bad_demand = good;
   bad_demand.demand = net::Demand{0.0};
   EXPECT_THROW(from_wire(index, bad_demand), std::runtime_error);
+
+  // Past the service horizon the dispatcher's epoch arithmetic would
+  // overflow: the arrival is refused at the wire, naming the field.
+  for (const sim::SimTime arrival :
+       {service::kMaxArrival + 1, std::numeric_limits<sim::SimTime>::max()}) {
+    WireRequest late = good;
+    late.arrival = arrival;
+    try {
+      from_wire(index, late);
+      ADD_FAILURE() << "accepted arrival " << arrival;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("arrival:", 0), 0u) << e.what();
+    }
+  }
+  WireRequest horizon = good;
+  horizon.arrival = service::kMaxArrival;
+  EXPECT_NO_THROW(from_wire(index, horizon));
 
   EXPECT_NO_THROW(from_wire(index, good));
 }

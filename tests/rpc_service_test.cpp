@@ -1,5 +1,5 @@
 // Tests for the rpc front-end of the update service: IntakeQueue
-// backpressure semantics, run_intake ≡ run digest equality, loopback
+// backpressure semantics, order-independent run digests, loopback
 // round-trips through both codecs, and the malformed-input contract —
 // a bad frame is a structured per-session error that never disturbs the
 // other sessions and never surfaces as a ContractViolation.
@@ -11,10 +11,8 @@
 #include <unistd.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "rpc/client.hpp"
 #include "rpc/codec.hpp"
 #include "rpc/load_driver.hpp"
 #include "rpc/server.hpp"
@@ -39,17 +37,16 @@ service::UpdateRequest small_request(std::uint64_t id) {
 }
 
 // ---------------------------------------------------------------------------
-// IntakeQueue: the transport-agnostic backpressure contract.
+// IntakeQueue: the backpressure contract.
 
 TEST(IntakeQueueTest, SoftLimitDefersBeforeTheHardWall) {
-  IntakeQueue q(/*capacity=*/4, /*soft_limit=*/2);
+  IntakeQueue q(/*capacity=*/2);
   EXPECT_EQ(q.try_push(small_request(1)), IntakeQueue::Push::kAccepted);
   EXPECT_EQ(q.try_push(small_request(2)), IntakeQueue::Push::kAccepted);
-  // Depth reached the soft limit: non-blocking producers are deferred
-  // even though two capacity slots remain.
+  // Depth reached the capacity: the producer is deferred and nothing is
+  // queued.
   EXPECT_EQ(q.try_push(small_request(3)), IntakeQueue::Push::kDeferred);
   EXPECT_EQ(q.depth(), 2u);
-  EXPECT_FALSE(q.saturated());
 
   const auto batch = q.take_batch();
   ASSERT_EQ(batch.size(), 2u);
@@ -61,58 +58,17 @@ TEST(IntakeQueueTest, SoftLimitDefersBeforeTheHardWall) {
 
 TEST(IntakeQueueTest, ZeroSoftLimitMeansDeferralOnlyAtCapacity) {
   IntakeQueue q(/*capacity=*/2);
-  EXPECT_EQ(q.soft_limit(), 2u);
+  EXPECT_EQ(q.capacity(), 2u);
   EXPECT_EQ(q.try_push(small_request(1)), IntakeQueue::Push::kAccepted);
+  EXPECT_EQ(q.depth(), 1u);
   EXPECT_EQ(q.try_push(small_request(2)), IntakeQueue::Push::kAccepted);
-  EXPECT_TRUE(q.saturated());
+  EXPECT_EQ(q.depth(), 2u);
   EXPECT_EQ(q.try_push(small_request(3)), IntakeQueue::Push::kDeferred);
 }
 
-TEST(IntakeQueueTest, CloseRefusesProducersAndWakesConsumers) {
-  IntakeQueue q(4);
-  EXPECT_EQ(q.try_push(small_request(1)), IntakeQueue::Push::kAccepted);
-  q.close();
-  q.close();  // idempotent
-  EXPECT_TRUE(q.closed());
-  EXPECT_EQ(q.try_push(small_request(2)), IntakeQueue::Push::kClosed);
-  EXPECT_FALSE(q.push_wait(small_request(3)));
-  // The element queued before the close still drains...
-  EXPECT_EQ(q.wait_batch().size(), 1u);
-  // ...and closed-and-empty unblocks immediately with an empty batch.
-  EXPECT_TRUE(q.wait_batch().empty());
-}
-
-TEST(IntakeQueueTest, PushWaitBlocksUntilTheConsumerDrains) {
-  IntakeQueue q(/*capacity=*/1);
-  EXPECT_TRUE(q.push_wait(small_request(1)));
-  std::thread producer([&q] {
-    // Saturated: parks until take_batch below makes room.
-    EXPECT_TRUE(q.push_wait(small_request(2)));
-    q.close();
-  });
-  std::vector<service::UpdateRequest> got;
-  while (got.size() < 2) {
-    for (auto& r : q.wait_batch()) got.push_back(std::move(r));
-  }
-  producer.join();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].id, 1u);
-  EXPECT_EQ(got[1].id, 2u);
-}
-
-TEST(IntakeQueueTest, WaitBatchBlocksUntilDataArrives) {
-  IntakeQueue q(4);
-  std::thread producer([&q] {
-    EXPECT_TRUE(q.push_wait(small_request(7)));
-  });
-  const auto batch = q.wait_batch();
-  producer.join();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].id, 7u);
-}
-
 // ---------------------------------------------------------------------------
-// run_intake: any producer interleaving digests identically to run().
+// Arrival order: the dispatcher sorts by (arrival, id), so however the
+// wire interleaves requests, the digest is the generated order's.
 
 TEST(RunIntakeTest, WireOrderIndependenceMatchesVectorRun) {
   service::WorkloadOptions wopt;
@@ -125,21 +81,11 @@ TEST(RunIntakeTest, WireOrderIndependenceMatchesVectorRun) {
   const std::string direct =
       service::UpdateService(trace.graph, sopt).run(trace.requests).digest();
 
-  // Feed the same requests through the intake queue in a shuffled order
-  // from a producer thread; the dispatcher's (arrival, id) sort makes the
-  // digest independent of both the transport and the arrival interleaving.
   std::vector<service::UpdateRequest> shuffled = trace.requests;
   util::Rng rng(99);
   rng.shuffle(shuffled);
-
-  IntakeQueue intake(/*capacity=*/8);
-  std::thread producer([&intake, &shuffled] {
-    for (auto& r : shuffled) ASSERT_TRUE(intake.push_wait(std::move(r)));
-    intake.close();
-  });
-  service::UpdateService svc(trace.graph, sopt);
-  const service::ServiceReport rep = svc.run_intake(intake);
-  producer.join();
+  const service::ServiceReport rep =
+      service::UpdateService(trace.graph, sopt).run(std::move(shuffled));
 
   EXPECT_EQ(rep.digest(), direct);
   EXPECT_EQ(rep.total(), trace.requests.size());
@@ -393,7 +339,9 @@ TEST(RpcProtocolTest, MalformedSessionFailsAloneOthersKeepWorking) {
   // service after four hostile sessions.
   std::vector<service::UpdateRequest> reqs;
   for (std::uint64_t id = 1; id <= 3; ++id) reqs.push_back(small_request(id));
-  const LoadResult load = Client("127.0.0.1", server.port()).run(g, reqs);
+  LoadOptions lopt;
+  lopt.port = server.port();
+  const LoadResult load = run_load(g, reqs, lopt);
   server.join();
 
   ASSERT_TRUE(load.ok) << load.error;

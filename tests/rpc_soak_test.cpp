@@ -96,12 +96,11 @@ TEST(RpcSoakTest, ThousandSessionBackpressureSoak) {
   const service::ServiceTrace trace = service::make_workload(wopt);
 
   ServerOptions opts;
-  // A deliberately tiny intake: the soft limit trips constantly, so the
-  // whole defer -> pause -> next-round -> resume -> retry loop runs for
-  // the life of the soak. Planning-only keeps the rounds cheap — the
-  // subject here is the wire layer, not the executor.
-  opts.intake_capacity = 16;
-  opts.intake_soft_limit = 8;
+  // A deliberately tiny intake: deferral trips constantly, so the whole
+  // defer -> pause -> next-round -> resume -> retry loop runs for the
+  // life of the soak. Planning-only keeps the rounds cheap — the subject
+  // here is the wire layer, not the executor.
+  opts.intake_capacity = 8;
   opts.service.workers = 2;
   opts.service.execute = false;
   Server server(trace.graph, opts);

@@ -19,6 +19,7 @@
 #include "service/service.hpp"
 #include "service/worker_pool.hpp"
 #include "service/workload.hpp"
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace chronus::service {
@@ -256,6 +257,19 @@ TEST(UpdateService, CompletesASingleRequest) {
   EXPECT_EQ(rep.violations, 0);
   EXPECT_GT(rep.records[0].latency(), 0);
   EXPECT_GT(rep.throughput_hz(), 0.0);
+}
+
+TEST(UpdateService, ArrivalAtTheHorizonCompletesAndOnePastBreaksTheContract) {
+  UpdateService svc(diamond(2.0, 2.0));
+  const ServiceReport rep = svc.run({reroute_request(0, kMaxArrival, 1.0)});
+  ASSERT_EQ(rep.records.size(), 1u);
+  EXPECT_EQ(rep.records[0].status, RequestStatus::kCompleted);
+  EXPECT_EQ(rep.records[0].arrival, kMaxArrival);
+  EXPECT_GT(rep.records[0].completed, kMaxArrival);
+#if CHRONUS_CONTRACT_LEVEL >= 1
+  EXPECT_THROW(svc.run({reroute_request(0, kMaxArrival + 1, 1.0)}),
+               util::ContractViolation);
+#endif
 }
 
 TEST(UpdateService, RejectsUnfittableDemand) {

@@ -8,9 +8,9 @@
 //   chronus_cli dot --instance=fig1.inst [--schedule=fig1.sched]
 //   chronus_cli trace --requests=200 [--rate=40] [--conflict=0.5] > w.trace
 //   chronus_cli serve --trace=w.trace [--workers=4] [--json=report.json]
-//                     [--metrics=metrics.json] [--via-intake]
+//                     [--metrics=metrics.json]
 //                     [--listen=PORT] [--codec=binary|json] [--connections=N]
-//                     [--intake-cap=N] [--intake-soft=N] [--trigger-depth=N]
+//                     [--intake-cap=N] [--trigger-depth=N]
 //
 // Algorithms for `schedule`: greedy (Algorithm 2, verifier-guarded),
 // pure (paper-literal Algorithm 2), chain (longest-chain-first), restart
@@ -23,13 +23,12 @@
 // With --listen=PORT (0 = ephemeral) the trace is instead served through
 // the rpc socket front-end (src/rpc): an rpc::Server is started on
 // loopback and the trace is replayed into it by the multi-connection load
-// driver, printing one report per planning round. --via-intake keeps the
-// in-process path but routes the requests through the bounded
-// service::IntakeQueue, the same queue the socket sessions feed.
+// driver, printing one report per planning round. --intake-cap is the
+// intake queue depth at which submits are deferred; --trigger-depth the
+// depth that fires a round.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <thread>
 
 #include "core/feasibility_tree.hpp"
 #include "core/multi_flow.hpp"
@@ -43,7 +42,6 @@
 #include "opt/order_bnb.hpp"
 #include "rpc/load_driver.hpp"
 #include "rpc/server.hpp"
-#include "service/intake_queue.hpp"
 #include "service/workload.hpp"
 #include "timenet/verifier.hpp"
 #include "util/cli.hpp"
@@ -70,9 +68,9 @@ int usage() {
                " [--step-ms=N] [--seed=N]\n"
                "           [--max-defers=N] [--plan-only] [--json=FILE]"
                " [--metrics=FILE]\n"
-               "           [--via-intake] [--intake-cap=N] [--intake-soft=N]\n"
                "           [--listen=PORT] [--codec=binary|json]"
-               " [--connections=N] [--trigger-depth=N]\n");
+               " [--connections=N] [--intake-cap=N]\n"
+               "           [--trigger-depth=N]\n");
   return 2;
 }
 
@@ -242,20 +240,15 @@ int cmd_serve(const util::Cli& cli) {
       static_cast<int>(cli.get_int("max-defers", opts.admission.max_defers));
   const std::string json_path = cli.get("json", "");
 
-  const std::size_t intake_cap =
-      static_cast<std::size_t>(cli.get_int("intake-cap", 256));
-  const std::size_t intake_soft =
-      static_cast<std::size_t>(cli.get_int("intake-soft", 0));
   const long long listen_port = cli.get_int("listen", -1);
 
-  service::ServiceReport report;
   if (listen_port >= 0) {
     // Socket front-end: serve the request stream to ourselves over
     // loopback through the rpc server, exactly as a remote client would.
     rpc::ServerOptions sopts;
     sopts.port = static_cast<std::uint16_t>(listen_port);
-    sopts.intake_capacity = intake_cap;
-    sopts.intake_soft_limit = intake_soft;
+    sopts.intake_capacity =
+        static_cast<std::size_t>(cli.get_int("intake-cap", 256));
     sopts.round_trigger_depth =
         static_cast<std::size_t>(cli.get_int("trigger-depth", 0));
     sopts.service = opts;
@@ -300,22 +293,8 @@ int cmd_serve(const util::Cli& cli) {
     return 0;
   }
 
-  service::UpdateService svc(trace.graph, opts);
-  if (cli.get_bool("via-intake", false)) {
-    // Same run, but fed through the bounded transport-agnostic intake
-    // queue (a producer thread stands in for the wire).
-    service::IntakeQueue intake(intake_cap, intake_soft);
-    std::thread producer([&trace, &intake] {
-      for (const service::UpdateRequest& r : trace.requests) {
-        if (!intake.push_wait(r)) break;
-      }
-      intake.close();
-    });
-    report = svc.run_intake(intake);
-    producer.join();
-  } else {
-    report = svc.run(trace);
-  }
+  const service::ServiceReport report =
+      service::UpdateService(trace.graph, opts).run(trace);
   std::printf("%s", report.to_string().c_str());
 
   if (!json_path.empty()) {
