@@ -12,7 +12,6 @@
 #include "opt/mutp_bnb.hpp"
 #include "opt/order_bnb.hpp"
 #include "timenet/path_enum.hpp"
-#include "timenet/time_extended.hpp"
 #include "timenet/verifier.hpp"
 
 using namespace chronus;
@@ -45,16 +44,6 @@ void BM_DependencySet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DependencySet)->Arg(10)->Arg(100)->Arg(1000);
-
-void BM_ExactLoopCheck(benchmark::State& state) {
-  const auto inst = net::fig1_instance();
-  timenet::UpdateSchedule sched;
-  sched.set(1, timenet::TimePoint{0});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::exact_loop_check(inst, sched, 2, timenet::TimePoint{1}));
-  }
-}
-BENCHMARK(BM_ExactLoopCheck);
 
 void BM_Algorithm4Batched(benchmark::State& state) {
   const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 3);
@@ -113,16 +102,6 @@ void BM_OrderPlanGreedy(benchmark::State& state) {
 BENCHMARK(BM_OrderPlanGreedy)->Arg(10)->Arg(100);
 
 // ---- arena-backed planner paths (DESIGN.md §16) ---------------------------
-
-void BM_TimeExtendedBuild(benchmark::State& state) {
-  const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 8);
-  for (auto _ : state) {
-    timenet::TimeExtendedNetwork gt(inst.graph(), timenet::TimePoint{0},
-                                    timenet::TimePoint{7});
-    benchmark::DoNotOptimize(gt.link_count());
-  }
-}
-BENCHMARK(BM_TimeExtendedBuild)->Arg(40)->Arg(200);
 
 void BM_PathEnum(benchmark::State& state) {
   const auto inst = make_instance(30, 9);

@@ -60,6 +60,12 @@ void complete_best_effort(std::vector<net::NodeId>& pending,
 
 ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
                                const GreedyOptions& opts) {
+  return greedy_schedule(inst, opts, HeadOrder{});
+}
+
+ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
+                               const GreedyOptions& opts,
+                               const HeadOrder& order) {
   CHRONUS_SPAN("greedy.schedule");
   GreedyTally tally;
   ScheduleResult res;
@@ -111,9 +117,8 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
     StepLog log;
     log.time = t;
     bool has_cycle = false;
-    if (opts.record_steps) {
+    if (opts.record_steps || order) {
       log.dependencies = alg3.build(pending, live);
-      heads = log.dependencies.heads();
       has_cycle = log.dependencies.has_cycle;
     } else {
       has_cycle = alg3.heads(pending, live, heads);
@@ -124,10 +129,15 @@ ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
       if (opts.record_steps) res.steps.push_back(std::move(log));
       return fail("dependency cycle at t=" + std::to_string(t.count()));
     }
+    if (order) {
+      heads = order(log.dependencies);
+    } else if (opts.record_steps) {
+      heads = log.dependencies.heads();
+    }
 
     alg4.begin_step();
     bool progressed = false;
-    for (const net::NodeId head : heads) {  // ascending id
+    for (const net::NodeId head : heads) {  // ascending id unless ordered
       ++tally.heads_expanded;
       // The O(1) Algorithm 4 verdict first: a positive proves a concrete
       // in-flight class would revisit a switch, sparing the probe.

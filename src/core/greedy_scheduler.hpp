@@ -31,8 +31,12 @@
 // (the Alg. 3 heads, Alg. 4's answers and every probe's). The loop then
 // skips the probes but still walks to the stall limit, so results and
 // counters are those of probing every round.
+//
+// The heuristics in core/heuristics.hpp run this same loop; they only
+// choose the order in which each step's heads are tried (HeadOrder).
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -87,5 +91,16 @@ struct GreedyOptions {
 
 ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
                                const GreedyOptions& opts = {});
+
+/// The heads one step tries, in order, given the step's Algorithm 3
+/// relation set; called once per step, after the cycle check. An empty
+/// order tries the heads by ascending id, the paper's order.
+using HeadOrder =
+    std::function<std::vector<net::NodeId>(const DependencySet&)>;
+
+/// Algorithm 2 with a caller-chosen head order per step.
+ScheduleResult greedy_schedule(const net::UpdateInstance& inst,
+                               const GreedyOptions& opts,
+                               const HeadOrder& order);
 
 }  // namespace chronus::core

@@ -2,81 +2,19 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "core/dependency.hpp"
-#include "core/loop_check.hpp"
-#include "timenet/transition_state.hpp"
 #include "timenet/verifier.hpp"
-
-#include <stdexcept>
 
 namespace chronus::core {
 
-namespace {
-
-/// One guarded greedy run with a caller-chosen per-step head order.
-/// `order` receives the dependency set and fills the head list to try.
-ScheduleResult greedy_with_order(
-    const net::UpdateInstance& inst,
-    const std::function<std::vector<net::NodeId>(const DependencySet&)>&
-        order) {
-  ScheduleResult res;
-  std::vector<net::NodeId> pending = inst.switches_to_update();
-  if (pending.empty()) {
-    res.status = ScheduleStatus::kFeasible;
-    res.verified = true;
-    return res;
-  }
-
-  const net::Graph& g = inst.graph();
-  const std::int64_t stall_limit = timenet::trajectory_bound(g) + 2;
-
-  std::vector<std::uint8_t> live(g.node_count(), 0);
-  for (const net::NodeId v : pending) live[v] = 1;
-  DependencyTable alg3(inst, pending);
-  timenet::TransitionState state(inst);
-  Algorithm4Context alg4(inst);
-  timenet::TimePoint t{};
-  std::int64_t stall = 0;
-
-  while (!pending.empty()) {
-    const DependencySet deps = alg3.build(pending, live);
-    if (deps.has_cycle) {
-      res.status = ScheduleStatus::kInfeasible;
-      res.message = "dependency cycle";
-      return res;
-    }
-    alg4.begin_step();
-    bool progressed = false;
-    for (const net::NodeId head : order(deps)) {
-      if (alg4.loops(head, t)) continue;
-      if (!state.try_update(head, t)) continue;
-      res.schedule.set(head, t);
-      alg4.note_update(head, t);
-      live[head] = 0;
-      progressed = true;
-    }
-    std::erase_if(pending, [&](net::NodeId v) { return !live[v]; });
-    if (pending.empty()) break;
-    ++t;
-    stall = progressed ? 0 : stall + 1;
-    if (stall > stall_limit) {
-      res.status = ScheduleStatus::kInfeasible;
-      res.message = "no progress within the drain bound";
-      return res;
-    }
-  }
-  res.status = ScheduleStatus::kFeasible;
-  res.verified = true;  // every step passed the TransitionState guard
-  return res;
-}
-
-}  // namespace
+/// The guarded greedy as the heuristics run it: no step logs.
+constexpr GreedyOptions kHeuristicRun{.record_steps = false};
 
 ScheduleResult chain_priority_schedule(const net::UpdateInstance& inst) {
-  return greedy_with_order(inst, [](const DependencySet& deps) {
+  return greedy_schedule(inst, kHeuristicRun, [](const DependencySet& deps) {
     // Heads of longer chains hold back more downstream switches: move
     // them first (critical-path order); break ties by id.
     std::vector<std::pair<std::size_t, net::NodeId>> ranked;
@@ -103,8 +41,8 @@ ScheduleResult randomized_restart_schedule(const net::UpdateInstance& inst,
     util::Rng run_rng = rng.fork(static_cast<std::uint64_t>(r));
     // Restart 0 replays the deterministic id order, so the result is never
     // worse than the plain greedy; later restarts shuffle the heads.
-    ScheduleResult candidate =
-        greedy_with_order(inst, [&run_rng, r](const DependencySet& deps) {
+    ScheduleResult candidate = greedy_schedule(
+        inst, kHeuristicRun, [&run_rng, r](const DependencySet& deps) {
           std::vector<net::NodeId> heads = deps.heads();
           if (r == 0) {
             std::sort(heads.begin(), heads.end());

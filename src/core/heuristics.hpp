@@ -1,7 +1,9 @@
 // Heuristic schedulers beyond the paper's greedy — the paper closes with
 // "we plan to continue our study by investigating approximation
-// algorithms"; these are two practical steps in that direction. Both emit
-// verified (congestion- and loop-free) schedules only.
+// algorithms"; these are two practical steps in that direction. Both run
+// the guarded greedy_schedule loop with their own per-step head order
+// (HeadOrder), so they emit verified (congestion- and loop-free) schedules
+// only and report the greedy's messages and greedy.* counters.
 //
 //  * chain_priority_schedule — critical-path greedy: per time step the
 //    dependency-chain heads are tried longest-chain-first (the switches

@@ -3,48 +3,9 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/config.hpp"
 #include "obs/metrics.hpp"
-#include "timenet/trajectory.hpp"
-#include "util/contracts.hpp"
 
 namespace chronus::core {
-
-bool exact_loop_check(const net::UpdateInstance& inst,
-                      const timenet::UpdateSchedule& scheduled, net::NodeId v,
-                      timenet::TimePoint t) {
-  obs::add("loopcheck.exact_invocations");
-  const net::Graph& g = inst.graph();
-  timenet::RuleTable rules(g, inst);
-  rules.set_schedule(scheduled);
-  rules.set_update(v, t);  // the tentative update
-  timenet::Tracer tracer(g.node_count());
-
-  const std::int64_t span = timenet::trajectory_bound(g);
-  // Classes injected before t - span pass every switch before t and are
-  // unaffected by this update; classes injected at >= t all see the same
-  // (final, static) configuration, so tracing one representative suffices.
-  for (timenet::TimePoint tau = t - span; tau <= t + 1; ++tau) {
-    if (tracer.run(rules, tau).looped()) return true;
-  }
-  return false;
-}
-
-bool algorithm4_loop_check(const net::UpdateInstance& inst,
-                           const timenet::UpdateSchedule& scheduled,
-                           const std::set<net::NodeId>& updated, net::NodeId v,
-                           timenet::TimePoint t) {
-  CHRONUS_EXPECTS(updated.size() == scheduled.size() &&
-                      std::all_of(updated.begin(), updated.end(),
-                                  [&](net::NodeId u) {
-                                    return scheduled.contains(u);
-                                  }),
-                  "the updated switches are the scheduled ones");
-  Algorithm4Context ctx(inst);
-  for (const auto& [u, tu] : scheduled.entries()) ctx.note_update(u, tu);
-  ctx.begin_step();
-  return ctx.loops(v, t);
-}
 
 Algorithm4Context::Algorithm4Context(const net::UpdateInstance& inst)
     : invocations_(obs::counter_ptr("loopcheck.invocations")),
@@ -144,31 +105,6 @@ bool Algorithm4Context::loops(net::NodeId v, timenet::TimePoint t) const {
   const std::size_t i = s.init_pos;
   const timenet::TimePoint tau_low = t - init_prefix_delay_[i];
   return tau_low <= tau_max_prefix_[i];
-}
-
-bool structural_loop_check(const net::UpdateInstance& inst,
-                           const std::set<net::NodeId>& updated,
-                           net::NodeId v) {
-  const auto new_next = inst.new_next(v);
-  if (!new_next) return false;
-  const auto path = current_forwarding_path(inst, updated);
-  if (!path) return true;  // configuration already loops; be conservative
-  const auto pos_v = path->index_of(v);
-  if (pos_v == net::Path::npos) {
-    // No flow is routed through v in the current configuration, but
-    // in-flight classes may still traverse the old path through v. Walk the
-    // old path upstream of v instead.
-    const auto old_pos = inst.p_init().index_of(v);
-    if (old_pos == net::Path::npos) return false;
-    for (std::size_t i = 0; i < old_pos; ++i) {
-      if (inst.p_init()[i] == *new_next) return true;
-    }
-    return false;
-  }
-  // v carries flow: loop iff the new next hop lies upstream on the path the
-  // flow took to reach v.
-  const auto pos_next = path->index_of(*new_next);
-  return pos_next != net::Path::npos && pos_next < pos_v;
 }
 
 }  // namespace chronus::core

@@ -3,25 +3,13 @@
 // The schedulers check loops through Algorithm4Context below (every greedy
 // variant asks it first: an O(1) query over dense per-call state that
 // folds accepted updates in once per step) and, in guarded mode, through
-// timenet::TransitionState (incremental and exact). The free functions are
-// the per-call forms; only tests and the BM_ExactLoopCheck micro bench
-// call them:
-//
-// * exact_loop_check: tentatively applies the candidate update and traces
-//   every injection class that can still be in flight (plus one
-//   representative future class); any revisited switch is a Definition-2
-//   violation. This is the time-extended search the paper describes, made
-//   exhaustive.
-// * structural_loop_check: the paper's upstream walk in literal form —
-//   updating v at t loops iff v's new next hop lies upstream of v on the
-//   forwarding path the in-flight flow has taken. Kept for exposition.
-// * algorithm4_loop_check: Algorithm 4 with its time-extended bookkeeping,
-//   as a one-shot Algorithm4Context query.
+// timenet::TransitionState (incremental and exact). The exact per-call
+// probe and the paper's literal upstream walk live in tests/ as oracles
+// (tests/loop_oracle.hpp).
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -30,33 +18,6 @@
 #include "timenet/schedule.hpp"
 
 namespace chronus::core {
-
-/// True iff updating `v` at time `t`, on top of `scheduled`, makes some
-/// in-flight or future injection class revisit a switch.
-bool exact_loop_check(const net::UpdateInstance& inst,
-                      const timenet::UpdateSchedule& scheduled, net::NodeId v,
-                      timenet::TimePoint t);
-
-/// The purely structural upstream walk (a naive reading of Algorithm 4):
-/// true iff v's new next hop lies upstream of v on the current forwarding
-/// path (or the old path, when v carries no live flow). Ignores timing, so
-/// it both over- and under-rejects relative to the time-aware checks; kept
-/// for exposition and comparison tests only.
-bool structural_loop_check(const net::UpdateInstance& inst,
-                           const std::set<net::NodeId>& updated,
-                           net::NodeId v);
-
-/// The paper's Algorithm 4 with its time-extended bookkeeping: checks both
-/// the continuously arriving flow (does v sit on the current forwarding
-/// path with its new next hop upstream?) and the in-flight old-path
-/// classes that can still reach v at or after t given the update times
-/// already scheduled upstream. `updated` must be exactly the switches
-/// `scheduled` assigns. O(n) per call; the schedulers run the same check
-/// batched through Algorithm4Context.
-bool algorithm4_loop_check(const net::UpdateInstance& inst,
-                           const timenet::UpdateSchedule& scheduled,
-                           const std::set<net::NodeId>& updated, net::NodeId v,
-                           timenet::TimePoint t);
 
 /// Batched Algorithm 4 over dense per-call storage: per switch its p_init
 /// position, its old and new next hop (link existence checked once) and
@@ -82,8 +43,11 @@ class Algorithm4Context {
   /// the last call.
   void begin_step();
 
-  /// Same verdict as algorithm4_loop_check with every update noted before
-  /// the last begin_step() applied.
+  /// Algorithm 4 with every update noted before the last begin_step()
+  /// applied. It checks both the continuously arriving flow (does v sit on
+  /// the current forwarding path with its new next hop upstream?) and the
+  /// in-flight old-path classes that can still reach v at or after t,
+  /// given the update times already scheduled upstream.
   bool loops(net::NodeId v, timenet::TimePoint t) const;
 
  private:

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/parse_number.hpp"
+
 namespace chronus::io {
 
 using net::Capacity;
@@ -17,6 +19,8 @@ using net::LinkId;
 using net::NodeId;
 using net::Path;
 using net::UpdateInstance;
+using util::parse_number;
+using util::to_number;
 
 namespace {
 
@@ -83,9 +87,9 @@ std::vector<UpdateInstance> read_flows(std::istream& in) {
         const auto [key, value] = split_kv(token);
         try {
           if (key == "cap") {
-            cap = std::stod(value);
+            cap = to_number<double>(value);
           } else if (key == "delay") {
-            delay = std::stoll(value);
+            delay = to_number<Delay>(value);
           } else {
             fail(line_no, "unknown link attribute: " + token);
           }
@@ -110,7 +114,7 @@ std::vector<UpdateInstance> read_flows(std::istream& in) {
         const auto [key, value] = split_kv(token);
         if (key != "demand") fail(line_no, "unknown flow attribute: " + token);
         try {
-          block.demand = Demand{std::stod(value)};
+          block.demand = Demand{to_number<double>(value)};
         } catch (const std::invalid_argument&) {
           fail(line_no, "bad number in: " + token);
         }
@@ -122,9 +126,11 @@ std::vector<UpdateInstance> read_flows(std::istream& in) {
       }
       blocks.push_back(std::move(block));
     } else if (cmd == "demand") {
-      double amount = 0.0;
-      if (!(line >> amount)) fail(line_no, "demand needs a number");
-      current().demand = Demand{amount};
+      std::string token;
+      if (!(line >> token)) fail(line_no, "demand needs a number");
+      const auto amount = parse_number<double>(token);
+      if (!amount) fail(line_no, "bad number in: " + token);
+      current().demand = Demand{*amount};
     } else if (cmd == "init" || cmd == "fin") {
       std::vector<NodeId>& nodes =
           cmd == "init" ? current().init_nodes : current().fin_nodes;
@@ -154,12 +160,16 @@ std::vector<UpdateInstance> read_flows(std::istream& in) {
     if (block.init_nodes.empty() || block.fin_nodes.empty()) {
       throw std::runtime_error(label + " needs both init and fin paths");
     }
-    UpdateInstance inst = UpdateInstance::from_paths(
-        g, Path(block.init_nodes), Path(block.fin_nodes), block.demand);
-    for (const auto& [from, to] : block.redirects) {
-      inst.set_new_next(from, to);
+    try {
+      UpdateInstance inst = UpdateInstance::from_paths(
+          g, Path(block.init_nodes), Path(block.fin_nodes), block.demand);
+      for (const auto& [from, to] : block.redirects) {
+        inst.set_new_next(from, to);
+      }
+      flows.push_back(std::move(inst));
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error(label + ": " + e.what());
     }
-    flows.push_back(std::move(inst));
   }
   return flows;
 }
@@ -230,12 +240,13 @@ timenet::UpdateSchedule read_schedule(std::istream& in,
     std::string cmd;
     if (!(line >> cmd)) continue;
     if (cmd != "update") fail(line_no, "expected 'update', got " + cmd);
-    std::string name;
-    std::int64_t t = 0;
-    if (!(line >> name >> t)) fail(line_no, "update needs <switch> <time>");
+    std::string name, token;
+    if (!(line >> name >> token)) fail(line_no, "update needs <switch> <time>");
+    const auto t = parse_number<std::int64_t>(token);
+    if (!t) fail(line_no, "bad number in: " + token);
     const auto it = by_name.find(name);
     if (it == by_name.end()) fail(line_no, "unknown switch: " + name);
-    sched.set(it->second, timenet::TimePoint{t});
+    sched.set(it->second, timenet::TimePoint{*t});
   }
   return sched;
 }

@@ -6,6 +6,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+
+#include "util/parse_number.hpp"
 
 namespace chronus::io {
 
@@ -14,6 +17,7 @@ using sim::ChaosScenario;
 using sim::FlapSpec;
 using sim::OutageSpec;
 using sim::SimTime;
+using util::to_number;
 
 namespace {
 
@@ -28,26 +32,25 @@ std::pair<std::string, std::string> split_kv(const std::string& token) {
 }
 
 /// Durations/instants: a number with an optional us/ms/s suffix
-/// (microseconds when bare).
+/// (microseconds when bare), rounded to a whole microsecond.
 SimTime parse_time(const std::string& value) {
-  std::size_t pos = 0;
-  const double x = std::stod(value, &pos);
-  const std::string suffix = value.substr(pos);
+  std::string_view number = value;
   double unit = 1.0;
-  if (suffix.empty() || suffix == "us") {
-    unit = 1.0;
-  } else if (suffix == "ms") {
+  if (number.ends_with("us")) {
+    number.remove_suffix(2);
+  } else if (number.ends_with("ms")) {
+    number.remove_suffix(2);
     unit = static_cast<double>(sim::kMillisecond);
-  } else if (suffix == "s") {
+  } else if (number.ends_with("s")) {
+    number.remove_suffix(1);
     unit = static_cast<double>(sim::kSecond);
-  } else {
-    throw std::invalid_argument("bad time suffix: " + suffix);
   }
-  return static_cast<SimTime>(std::llround(x * unit));
-}
-
-sim::SwitchId parse_switch(const std::string& value) {
-  return static_cast<sim::SwitchId>(std::stoul(value));
+  const double x = to_number<double>(number) * unit;
+  // llround is undefined past the SimTime range.
+  if (!(std::fabs(x) < std::ldexp(1.0, 63))) {
+    throw std::invalid_argument("time out of range: " + value);
+  }
+  return static_cast<SimTime>(std::llround(x));
 }
 
 }  // namespace
@@ -74,7 +77,7 @@ ChaosScenario read_scenario(std::istream& in) {
         const auto [key, value] = split_kv(token);
         try {
           if (key == "seed") {
-            scenario.seed = std::stoull(value);
+            scenario.seed = to_number<std::uint64_t>(value);
           } else {
             fail(line_no, "unknown scenario attribute: " + token);
           }
@@ -92,19 +95,19 @@ ChaosScenario read_scenario(std::istream& in) {
         const auto [key, value] = split_kv(token);
         try {
           if (key == "drop") {
-            scenario.base.drop_rate = std::stod(value);
+            scenario.base.drop_rate = to_number<double>(value);
           } else if (key == "duplicate") {
-            scenario.base.duplicate_rate = std::stod(value);
+            scenario.base.duplicate_rate = to_number<double>(value);
           } else if (key == "reorder") {
-            scenario.base.reorder_rate = std::stod(value);
+            scenario.base.reorder_rate = to_number<double>(value);
           } else if (key == "reject") {
-            scenario.base.reject_rate = std::stod(value);
+            scenario.base.reject_rate = to_number<double>(value);
           } else if (key == "straggler") {
-            scenario.base.straggler_rate = std::stod(value);
+            scenario.base.straggler_rate = to_number<double>(value);
           } else if (key == "straggler_mult") {
-            scenario.base.straggler_multiplier = std::stod(value);
+            scenario.base.straggler_multiplier = to_number<double>(value);
           } else if (key == "unresponsive") {
-            scenario.base.unresponsive_rate = std::stod(value);
+            scenario.base.unresponsive_rate = to_number<double>(value);
           } else if (key == "unresponsive_dur") {
             scenario.base.unresponsive_duration = parse_time(value);
           } else if (key == "drift") {
@@ -131,19 +134,19 @@ ChaosScenario read_scenario(std::istream& in) {
             phase.until = parse_time(value);
             saw_until = true;
           } else if (key == "drop") {
-            phase.drop_rate = std::stod(value);
+            phase.drop_rate = to_number<double>(value);
           } else if (key == "duplicate") {
-            phase.duplicate_rate = std::stod(value);
+            phase.duplicate_rate = to_number<double>(value);
           } else if (key == "reorder") {
-            phase.reorder_rate = std::stod(value);
+            phase.reorder_rate = to_number<double>(value);
           } else if (key == "reject") {
-            phase.reject_rate = std::stod(value);
+            phase.reject_rate = to_number<double>(value);
           } else if (key == "straggler") {
-            phase.straggler_rate = std::stod(value);
+            phase.straggler_rate = to_number<double>(value);
           } else if (key == "straggler_mult") {
-            phase.straggler_multiplier = std::stod(value);
+            phase.straggler_multiplier = to_number<double>(value);
           } else if (key == "unresponsive") {
-            phase.unresponsive_rate = std::stod(value);
+            phase.unresponsive_rate = to_number<double>(value);
           } else if (key == "unresponsive_dur") {
             phase.unresponsive_duration = parse_time(value);
           } else if (key == "skew_begin") {
@@ -151,7 +154,7 @@ ChaosScenario read_scenario(std::istream& in) {
           } else if (key == "skew_end") {
             phase.skew_end = parse_time(value);
           } else if (key == "surge") {
-            phase.arrival_surge = std::stod(value);
+            phase.arrival_surge = to_number<double>(value);
           } else {
             fail(line_no, "unknown phase attribute: " + token);
           }
@@ -172,7 +175,7 @@ ChaosScenario read_scenario(std::istream& in) {
         const auto [key, value] = split_kv(token);
         try {
           if (key == "sw") {
-            flap.sw = parse_switch(value);
+            flap.sw = to_number<sim::SwitchId>(value);
             saw_sw = true;
           } else if (key == "period") {
             flap.period = parse_time(value);
@@ -202,7 +205,7 @@ ChaosScenario read_scenario(std::istream& in) {
         const auto [key, value] = split_kv(token);
         try {
           if (key == "sw") {
-            outage.sw = parse_switch(value);
+            outage.sw = to_number<sim::SwitchId>(value);
             saw_sw = true;
           } else if (key == "from") {
             outage.from = parse_time(value);

@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/parse_number.hpp"
+
 namespace chronus::io {
 
 using net::Capacity;
@@ -20,6 +22,8 @@ using net::NodeId;
 using net::Path;
 using service::ServiceTrace;
 using service::UpdateRequest;
+using util::parse_number;
+using util::to_number;
 
 namespace {
 
@@ -71,9 +75,9 @@ ServiceTrace read_trace(std::istream& in) {
         const auto [key, value] = split_kv(token);
         try {
           if (key == "cap") {
-            cap = std::stod(value);
+            cap = to_number<double>(value);
           } else if (key == "delay") {
-            delay = std::stoll(value);
+            delay = to_number<Delay>(value);
           } else {
             fail(line_no, "unknown link attribute: " + token);
           }
@@ -91,23 +95,26 @@ ServiceTrace read_trace(std::istream& in) {
     } else if (cmd == "request") {
       if (!g.link_count()) fail(line_no, "request before any link");
       UpdateRequest req;
-      if (!(line >> req.id)) fail(line_no, "request needs an id");
+      std::string token;
+      if (!(line >> token)) fail(line_no, "request needs an id");
+      const auto id = parse_number<std::uint64_t>(token);
+      if (!id) fail(line_no, "bad number in: " + token);
+      req.id = *id;
       if (!seen_ids.insert(req.id).second) {
         fail(line_no, "duplicate request id " + std::to_string(req.id));
       }
-      std::string token;
       bool saw_init = false;
       while (line >> token && token != "init") {
         const auto [key, value] = split_kv(token);
         try {
           if (key == "arrival") {
-            req.arrival = std::stoll(value);
+            req.arrival = to_number<sim::SimTime>(value);
           } else if (key == "demand") {
-            req.demand = Demand{std::stod(value)};
+            req.demand = Demand{to_number<double>(value)};
           } else if (key == "deadline") {
-            req.deadline = std::stoll(value);
+            req.deadline = to_number<sim::SimTime>(value);
           } else if (key == "priority") {
-            req.priority = std::stoi(value);
+            req.priority = to_number<int>(value);
           } else if (key == "name") {
             req.name = value;
           } else {
@@ -130,6 +137,7 @@ ServiceTrace read_trace(std::istream& in) {
       req.p_fin = Path(std::move(nodes));
       if (req.demand <= Demand{}) fail(line_no, "demand must be positive");
       if (req.arrival < 0) fail(line_no, "arrival must be >= 0");
+      if (req.deadline < 0) fail(line_no, "deadline must be >= 0");
       if (req.arrival > service::kMaxArrival) {
         fail(line_no, "arrival beyond the service horizon 2^62");
       }

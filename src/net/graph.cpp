@@ -24,7 +24,9 @@ LinkId Graph::add_link(NodeId u, NodeId v, Capacity cap, Delay delay) {
   check_node(u);
   check_node(v);
   if (u == v) throw std::invalid_argument("self-loop link");
-  if (cap <= Capacity{}) throw std::invalid_argument("link capacity must be positive");
+  if (!(cap > Capacity{})) {  // NaN too
+    throw std::invalid_argument("link capacity must be positive");
+  }
   if (delay < 1) throw std::invalid_argument("link delay must be >= 1");
   if (has_link(u, v)) throw std::invalid_argument("duplicate link");
   const auto id = static_cast<LinkId>(links_.size());
@@ -67,11 +69,6 @@ std::span<const LinkId> Graph::in_links(NodeId v) const {
 const std::string& Graph::name(NodeId v) const {
   check_node(v);
   return node_names_[v];
-}
-
-void Graph::set_name(NodeId v, std::string name) {
-  check_node(v);
-  node_names_[v] = std::move(name);
 }
 
 Capacity Graph::capacity(NodeId u, NodeId v) const {

@@ -69,7 +69,6 @@ class Graph {
   std::span<const LinkId> in_links(NodeId v) const;
 
   const std::string& name(NodeId v) const;
-  void set_name(NodeId v, std::string name);
 
   /// Capacity / delay of <u,v>; throws if the link does not exist.
   Capacity capacity(NodeId u, NodeId v) const;

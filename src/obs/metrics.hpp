@@ -309,13 +309,5 @@ inline Counter* counter_ptr(const char* name) {
   MetricsRegistry* r = registry();
   return r ? &r->counter(name) : nullptr;
 }
-inline Gauge* gauge_ptr(const char* name) {
-  MetricsRegistry* r = registry();
-  return r ? &r->gauge(name) : nullptr;
-}
-inline Histogram* histogram_ptr(const char* name) {
-  MetricsRegistry* r = registry();
-  return r ? &r->histogram(name) : nullptr;
-}
 
 }  // namespace chronus::obs

@@ -151,12 +151,4 @@ void Reactor::run() {
   drain_posted();
 }
 
-std::size_t Reactor::watched() const {
-  std::size_t n = 0;
-  for (const Entry& e : entries_) {
-    if (!e.dead) ++n;
-  }
-  return n;
-}
-
 }  // namespace chronus::rpc

@@ -62,9 +62,6 @@ class Reactor {
   /// Requests run() to return after the current iteration. Thread-safe.
   void stop() CHRONUS_EXCLUDES(mu_);
 
-  /// Registered fd count (excluding the internal wake pipe).
-  std::size_t watched() const;
-
  private:
   struct Entry {
     int fd = -1;

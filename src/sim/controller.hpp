@@ -115,9 +115,7 @@ class Controller {
   /// channel and wins only if it arrives first. Returns true on success.
   bool cancel_mod(ModId id);
 
-  std::size_t mod_count() const { return mods_.size(); }
   const ModRecord& record(ModId id) const { return mods_.at(id); }
-  const std::vector<ModRecord>& mod_log() const { return mods_; }
 
   /// Dead-reckoned table state: the action the controller believes is
   /// installed at `sw` for (match, priority), i.e. the outcome of the

@@ -30,11 +30,6 @@ struct SimLink {
   /// counter difference can exceed capacity — exactly Fig. 6's 600 Mbps
   /// reading on a 500 Mbps link).
   util::StepFunction offered_bps;
-
-  /// Bytes forwarded in [0, t) according to the traced offered load.
-  double bytes_until(SimTime t) const {
-    return offered_bps.integral(0, t) / 8.0 / kSecond;
-  }
 };
 
 class Network {

@@ -100,12 +100,6 @@ struct UpdateRunReport {
 
   /// Human-readable trace of every intervention.
   std::vector<std::string> events;
-
-  SimTime total_backoff() const {
-    SimTime t = 0;
-    for (const SimTime w : backoff_waits) t += w;
-    return t;
-  }
 };
 
 class ResilientExecutor {

@@ -8,16 +8,24 @@
 // is loop-free when no switch appears twice (Definition 2). Every
 // trajectory a schedule can induce for that class is a member of this set,
 // which the tests use to validate the scheduler output against the ILP's
-// own input space.
+// own input space. G_T itself (Definition 4) is never expanded: the walk
+// steps over the base graph's links and adds each link's delay.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "net/graph.hpp"
-#include "timenet/time_extended.hpp"
+#include "timenet/schedule.hpp"
 
 namespace chronus::timenet {
+
+/// The time-extended node v(t): switch v at time step t.
+struct TimedNode {
+  net::NodeId node = net::kInvalidNode;
+  TimePoint time{};
+  bool operator==(const TimedNode&) const = default;
+};
 
 /// One timed path: the visited time-extended nodes, source first.
 using TimedPath = std::vector<TimedNode>;

@@ -91,7 +91,6 @@ class TransitionState {
   /// Number of updates currently applied (== depth of the undo stack).
   std::size_t depth() const { return depth_; }
 
-  std::size_t flow_count() const { return flows_.size(); }
   const UpdateSchedule& schedule(std::size_t flow = 0) const {
     return flows_.at(flow).sched;
   }

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/parse_number.hpp"
+
 namespace chronus::util {
 
 Cli::Cli(int argc, const char* const* argv) {
@@ -33,14 +35,25 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// The flag's value as a T, `fallback` when absent.
+template <typename T>
+T number(const Cli& cli, const std::string& name, T fallback) {
+  const auto s = cli.get(name, "");
+  if (s.empty()) return fallback;
+  if (const auto x = parse_number<T>(s)) return *x;
+  throw std::invalid_argument("bad number in: --" + name + "=" + s);
+}
+
+}  // namespace
+
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
-  const auto s = get(name, "");
-  return s.empty() ? fallback : std::stoll(s);
+  return number(*this, name, fallback);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
-  const auto s = get(name, "");
-  return s.empty() ? fallback : std::stod(s);
+  return number(*this, name, fallback);
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

@@ -18,6 +18,8 @@ class Cli {
   bool has(const std::string& name) const;
 
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// The value read in full by util::parse_number; std::invalid_argument
+  /// when it is not a number ("--n=4x").
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;

@@ -2,10 +2,10 @@
 //
 // Chronus' correctness rests on invariants that are cheap to state and
 // expensive to rediscover after a silent break: demands and capacities are
-// never negative, every TimeExtendedNetwork access stays inside
-// [t_begin, t_end], ledger releases balance reserves, schedules grow
-// monotonically. These macros make the invariants executable at three
-// build levels selected by the CHRONUS_CONTRACTS CMake option:
+// never negative, every TransitionState probe names a known flow and node,
+// ledger releases balance reserves, schedules grow monotonically. These
+// macros make the invariants executable at three build levels selected by
+// the CHRONUS_CONTRACTS CMake option:
 //
 //   off    (CHRONUS_CONTRACT_LEVEL 0) — every macro compiles to nothing;
 //          for benchmarking the raw algorithm cost.

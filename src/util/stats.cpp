@@ -111,13 +111,6 @@ std::vector<std::pair<double, double>> Cdf::points() const {
   return pts;
 }
 
-double mean_of(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
 std::string fmt(double x, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, x);

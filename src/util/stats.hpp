@@ -68,9 +68,6 @@ class Cdf {
   std::vector<double> samples_;  // sorted
 };
 
-/// Mean of a vector; returns 0 for empty input.
-double mean_of(const std::vector<double>& xs);
-
 /// Formats a double with fixed precision; helper for report tables.
 std::string fmt(double x, int precision = 2);
 

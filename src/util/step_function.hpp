@@ -39,10 +39,9 @@ class StepFunction {
   /// sentinel `to` when the function never exceeds the threshold.
   Time first_time_above(Time from, Time to, double threshold) const;
 
-  /// Breakpoints as (time, new value) pairs, plus the initial value.
-  /// The function equals initial_value() before the first breakpoint.
+  /// Breakpoints as (time, new value) pairs. Before the first breakpoint
+  /// the function equals the constructor's `initial`.
   std::vector<std::pair<Time, double>> breakpoints() const;
-  double initial_value() const { return initial_; }
 
   /// Removes breakpoints that do not change the value (within eps).
   void normalize(double eps = 1e-12);

@@ -38,29 +38,4 @@ std::string Table::to_string() const {
   return os.str();
 }
 
-std::string bar(double value, double max_value, int width) {
-  if (max_value <= 0.0 || value <= 0.0) return "";
-  const int n = std::min<int>(
-      width, static_cast<int>(value / max_value * width + 0.5));
-  return std::string(static_cast<std::size_t>(std::max(n, 0)), '#');
-}
-
-std::string bar_chart(const std::vector<std::pair<std::string, double>>& series,
-                      int width) {
-  double maxv = 0.0;
-  std::size_t label_w = 0;
-  for (const auto& [label, v] : series) {
-    maxv = std::max(maxv, v);
-    label_w = std::max(label_w, label.size());
-  }
-  std::ostringstream os;
-  for (const auto& [label, v] : series) {
-    os << label << std::string(label_w - label.size(), ' ') << "  ";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%10.2f", v);
-    os << buf << "  |" << bar(v, maxv, width) << '\n';
-  }
-  return os.str();
-}
-
 }  // namespace chronus::util

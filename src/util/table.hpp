@@ -1,6 +1,5 @@
-// ASCII report rendering for the benchmark harness: aligned tables and
-// simple inline bar/series plots, so each bench binary prints the rows and
-// series of the paper figure it regenerates.
+// ASCII report rendering for the benchmark harness: aligned tables, so
+// each bench binary prints the rows of the paper figure it regenerates.
 #pragma once
 
 #include <string>
@@ -24,12 +23,5 @@ class Table {
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Horizontal ASCII bar scaled so that `max_value` spans `width` chars.
-std::string bar(double value, double max_value, int width = 40);
-
-/// Renders a labelled series as "label  value  <bar>" lines.
-std::string bar_chart(const std::vector<std::pair<std::string, double>>& series,
-                      int width = 40);
 
 }  // namespace chronus::util

@@ -103,6 +103,28 @@ TEST(ScenarioIo, RejectsMalformedScriptsWithLineNumbers) {
   fails_with("scenario a\noutage sw=1 from=0 until=1s\n", "before any phase");
   fails_with("scenario a\nphase p from=0 until=1s drop=0.1 until=2x\n",
              "bad number");
+  // Numbers are read in full: no wrap-around, no silent truncation, no
+  // NaN, and no bare std::out_of_range.
+  fails_with("scenario a seed=-1\n", "line 1: bad number in: seed=-1");
+  fails_with("scenario a seed=3e4\n", "line 1: bad number in: seed=3e4");
+  fails_with("scenario a\nphase p from=0 until=1s\nflap sw=-1 period=1s "
+             "down=1ms\n",
+             "line 3: bad number in: sw=-1");
+  fails_with("scenario a\nphase p from=0 until=1s\noutage sw=4294967296 "
+             "from=0 until=1s\n",
+             "line 3: bad number in: sw=4294967296");
+  fails_with("scenario a\nphase p from=0 until=1s drop=nan\n",
+             "line 2: bad number in: drop=nan");
+  fails_with("scenario a\nphase p from=0 until=1e999s\n",
+             "line 2: bad number in: until=1e999s");
+  fails_with("scenario a\nphase p from=0 until=1e300s\n",
+             "line 2: bad number in: until=1e300s");
+  fails_with("scenario a\nphase p from=0 until=0x10\n",
+             "line 2: bad number in: until=0x10");
+  const ChaosScenario suffixed =
+      parse("scenario a\nphase p from=5us until=2.5ms\n");
+  EXPECT_EQ(suffixed.phases[0].from, 5);
+  EXPECT_EQ(suffixed.phases[0].until, 2500);
   // Structurally fine but semantically invalid: caught by validate().
   EXPECT_THROW(parse("scenario a\nphase p from=2s until=1s\n"),
                util::ContractViolation);

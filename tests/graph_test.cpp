@@ -2,6 +2,8 @@
 // generators (including the paper's Fig. 1 example instance).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "net/generators.hpp"
 #include "net/graph.hpp"
 #include "net/instance.hpp"
@@ -66,6 +68,8 @@ TEST(Graph, RejectsInvalidLinks) {
   g.add_nodes(2);
   EXPECT_THROW(g.add_link(0, 0, net::Capacity{1.0}, 1), std::invalid_argument);  // self loop
   EXPECT_THROW(g.add_link(0, 1, net::Capacity{0.0}, 1), std::invalid_argument);  // no capacity
+  EXPECT_THROW(g.add_link(0, 1, net::Capacity{std::nan("")}, 1),
+               std::invalid_argument);  // NaN compares false with 0
   EXPECT_THROW(g.add_link(0, 1, net::Capacity{1.0}, 0), std::invalid_argument);  // zero delay
   EXPECT_THROW(g.add_link(0, 5, net::Capacity{1.0}, 1), std::out_of_range);      // bad node
   g.add_link(0, 1, net::Capacity{1.0}, 1);

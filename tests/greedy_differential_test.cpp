@@ -187,12 +187,15 @@ TEST(GreedyDifferential, Algorithm4LoopCheckMatchesSnapshot) {
       updated.insert(v);
       sched.set(v, TimePoint{rng.uniform_int(0, 10)});
     }
+    // A fresh context with every update noted and folded in at once.
+    Algorithm4Context alg4(inst);
+    for (const auto& [u, tu] : sched.entries()) alg4.note_update(u, tu);
+    alg4.begin_step();
     oracle::Algorithm4Context snapshot(inst);
     snapshot.begin_step(updated, sched);
     for (const NodeId v : inst.switches_to_update()) {
       const TimePoint t{rng.uniform_int(-2, 12)};
-      EXPECT_EQ(algorithm4_loop_check(inst, sched, updated, v, t),
-                snapshot.loops(v, t));
+      EXPECT_EQ(alg4.loops(v, t), snapshot.loops(v, t));
     }
   }
 }

@@ -19,9 +19,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/dependency.hpp"
 #include "core/greedy_scheduler.hpp"
+#include "loop_oracle.hpp"
 #include "timenet/transition_state.hpp"
 
 namespace chronus::core::oracle {

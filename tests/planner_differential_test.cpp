@@ -1,16 +1,18 @@
 // The planner golden digest: a 25-instance property corpus replayed
-// through G_T construction (Definition 4), timed path enumeration, the
-// greedy and both branch-and-bound baselines (OPT: MUTP, OR: order
-// replacement), every output folded into one canonical transcript and
-// hashed with 64-bit FNV-1a. The pinned value was recorded while a
-// second, heap-backed implementation of each structure still existed and
-// replayed the corpus to the same digest, so it holds the single arena
-// layout to what both computed: schedules, round structures, node
-// counts, optimality flags, timed-link ids and per-slot orders, the
-// enumerated paths, and the mutp.* / order.* search counters. The order
-// search finds round-minimal sequences a greedy cannot (Amiri et al.,
-// "Being Greedy is Hard"); its other tests check only round safety and a
-// few round counts, so this is where a drift in its exact output shows.
+// through timed path enumeration, the greedy and both branch-and-bound
+// baselines (OPT: MUTP, OR: order replacement), every output folded into
+// one canonical transcript and hashed with 64-bit FNV-1a. The transcript
+// covers schedules, round structures, node counts, optimality flags, the
+// enumerated paths, and the mutp.* / order.* search counters. The first
+// pinned value was recorded while a second, heap-backed implementation of
+// each structure still existed and replayed the corpus to the same
+// digest. The current value is that replay with the explicit G_T
+// expansion's block (its timed links and per-slot orders) left out,
+// recorded on the code that still built G_T; nothing else in the
+// transcript moved. The order search finds round-minimal sequences a
+// greedy cannot (Amiri et al., "Being Greedy is Hard"); its other tests
+// check only round safety and a few round counts, so this is where a
+// drift in its exact output shows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,7 +26,6 @@
 #include "opt/mutp_bnb.hpp"
 #include "opt/order_bnb.hpp"
 #include "timenet/path_enum.hpp"
-#include "timenet/time_extended.hpp"
 
 namespace chronus {
 namespace {
@@ -32,7 +33,7 @@ namespace {
 using timenet::TimePoint;
 
 /// FNV-1a of the transcript; see the header comment for its provenance.
-constexpr std::uint64_t kGoldenDigest = 0x1b16ceb822c2cb20ULL;
+constexpr std::uint64_t kGoldenDigest = 0x84a34249becef920ULL;
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 14695981039346656037ULL;
@@ -57,11 +58,6 @@ std::vector<net::UpdateInstance> make_corpus() {
 
 void put(std::ostream& os, const timenet::UpdateSchedule& s) {
   for (const auto& [v, t] : s.entries()) os << ' ' << v << '@' << t.count();
-}
-
-void put(std::ostream& os, const timenet::TimedLink& l) {
-  os << ' ' << l.from.node << '@' << l.from.time.count() << '>' << l.to.node
-     << '@' << l.to.time.count() << '#' << l.base_link;
 }
 
 struct Replay {
@@ -94,24 +90,8 @@ Replay replay(const std::vector<net::UpdateInstance>& corpus) {
       for (const net::NodeId v : round) os << ' ' << v;
     }
 
-    // G_T expansion: ids and contents, then per-slot out-orders.
-    const net::Graph& g = inst.graph();
-    const TimePoint t0{0};
-    const TimePoint t1{3};
-    timenet::TimeExtendedNetwork gt(g, t0, t1);
-    os << "\ngt";
-    for (std::size_t i = 0; i < gt.link_count(); ++i) put(os, gt.link(i));
-    os << "\nslots";
-    for (std::size_t v = 0; v < g.node_count(); ++v) {
-      for (TimePoint tt = t0; tt <= t1; tt += 1) {
-        for (const timenet::TimedLink& l :
-             gt.out_links(static_cast<net::NodeId>(v), tt)) {
-          put(os, l);
-        }
-      }
-    }
-
     // Path enumeration over the instance's own endpoints.
+    const net::Graph& g = inst.graph();
     timenet::EnumerateOptions popts;
     popts.t_end = TimePoint{6};
     popts.max_paths = 2000;

@@ -1,4 +1,4 @@
-// Tests for the time-extended network, trajectory tracing and the exact
+// Tests for update schedules, trajectory tracing and the exact
 // transition verifier — validated against the paper's Fig. 1/2 scenarios:
 // all-at-once updating loops, the {v1,v2}@t0 plan congests v4->v5, and the
 // timed plan v2@t0, v3@t1, {v1,v4}@t2, v5@t3 is congestion- and loop-free.
@@ -6,7 +6,6 @@
 
 #include "net/generators.hpp"
 #include "timenet/schedule.hpp"
-#include "timenet/time_extended.hpp"
 #include "timenet/trajectory.hpp"
 #include "timenet/verifier.hpp"
 
@@ -50,40 +49,6 @@ TEST(UpdateScheduleT, EmptySpan) {
   UpdateSchedule s;
   EXPECT_EQ(s.step_span(), 0);
   EXPECT_TRUE(s.empty());
-}
-
-TEST(TimeExtendedNetwork, CopiesAndLinks) {
-  const auto inst = net::fig1_instance();
-  const TimeExtendedNetwork gt(inst.graph(), TimePoint{0}, TimePoint{3});
-  EXPECT_EQ(gt.time_steps(), 4u);
-  EXPECT_EQ(gt.node_copies(), 24u);
-  // Unit delays: every link u(t) -> v(t+1) exists for t in [0, 2].
-  EXPECT_EQ(gt.links().size(), inst.graph().link_count() * 3);
-}
-
-TEST(TimeExtendedNetwork, LinkAtRespectsDelay) {
-  net::Graph g;
-  g.add_nodes(2);
-  g.add_link(0, 1, net::Capacity{1.0}, 2);
-  const TimeExtendedNetwork gt(g, timenet::TimePoint{0}, timenet::TimePoint{5});
-  const auto l = gt.link_at(0, 1, timenet::TimePoint{1});
-  ASSERT_TRUE(l.has_value());
-  EXPECT_EQ(l->to.time, TimePoint{3});
-  EXPECT_EQ(gt.to_string(*l), "v1(t1) -> v2(t3)");
-  // Head beyond the window is dropped by default.
-  EXPECT_FALSE(gt.link_at(0, 1, timenet::TimePoint{4}).has_value());
-  const TimeExtendedNetwork gt_keep(g, TimePoint{0}, TimePoint{5},
-                                    /*keep_boundary_links=*/true);
-  EXPECT_TRUE(gt_keep.link_at(0, 1, timenet::TimePoint{4}).has_value());
-}
-
-TEST(TimeExtendedNetwork, OutLinksOutsideWindowEmpty) {
-  net::Graph g;
-  g.add_nodes(2);
-  g.add_link(0, 1, net::Capacity{1.0}, 1);
-  const TimeExtendedNetwork gt(g, timenet::TimePoint{0}, timenet::TimePoint{2});
-  EXPECT_TRUE(gt.out_links(0, timenet::TimePoint{5}).empty());
-  EXPECT_THROW(TimeExtendedNetwork(g, timenet::TimePoint{3}, timenet::TimePoint{2}), std::invalid_argument);
 }
 
 TEST(Trajectory, SteadyOldPath) {

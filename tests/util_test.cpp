@@ -6,6 +6,7 @@
 #include <set>
 
 #include "util/cli.hpp"
+#include "util/parse_number.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/step_function.hpp"
@@ -244,13 +245,6 @@ TEST(Table, HandlesShortRows) {
   EXPECT_NO_THROW(t.to_string());
 }
 
-TEST(Bar, ScalesToWidth) {
-  EXPECT_EQ(bar(10, 10, 10).size(), 10u);
-  EXPECT_EQ(bar(5, 10, 10).size(), 5u);
-  EXPECT_TRUE(bar(0, 10, 10).empty());
-  EXPECT_TRUE(bar(5, 0, 10).empty());
-}
-
 TEST(Cli, ParsesEqualsAndSpaceForms) {
   const char* argv[] = {"prog", "--n=30", "--seed", "7", "--verbose"};
   Cli cli(5, argv);
@@ -267,6 +261,50 @@ TEST(Cli, TracksUnusedFlags) {
   const auto unused = cli.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
+}
+
+TEST(Cli, NumbersAreReadInFull) {
+  const char* argv[] = {"prog", "--n=4x", "--rate=1.5x", "--seed=-1",
+                        "--m=12", "--r=0.25"};
+  Cli cli(6, argv);
+  EXPECT_THROW(cli.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("rate", 0.0), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("seed", 0), -1);
+  EXPECT_EQ(cli.get_int("m", 0), 12);
+  EXPECT_DOUBLE_EQ(cli.get_double("r", 0.0), 0.25);
+  try {
+    cli.get_int("n", 0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "bad number in: --n=4x");
+  }
+}
+
+TEST(ParseNumber, IntegersAreWholeDecimalTokens) {
+  EXPECT_EQ(parse_number<std::int64_t>("30000"), 30000);
+  EXPECT_EQ(parse_number<std::int64_t>("-7"), -7);
+  for (const char* bad : {"3e4", "0x10", "2.5", "7x", "", " 1", "+1", "1 ",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(parse_number<std::int64_t>(bad).has_value()) << bad;
+  }
+  // No wrap-around into unsigned types.
+  EXPECT_FALSE(parse_number<std::uint64_t>("-1").has_value());
+  EXPECT_FALSE(parse_number<std::uint32_t>("-1").has_value());
+  EXPECT_FALSE(parse_number<std::uint32_t>("4294967296").has_value());
+  EXPECT_EQ(parse_number<std::uint32_t>("4294967295"), 4294967295u);
+  EXPECT_FALSE(parse_number<int>("2147483648").has_value());
+}
+
+TEST(ParseNumber, DoublesAreFinite) {
+  EXPECT_EQ(parse_number<double>("2.5"), 2.5);
+  EXPECT_EQ(parse_number<double>("1e-05"), 1e-05);
+  EXPECT_EQ(parse_number<double>("1.5e+20"), 1.5e+20);
+  EXPECT_EQ(parse_number<double>("-0.25"), -0.25);
+  for (const char* bad : {"nan", "inf", "-inf", "1e999", "0x1p3", "1.5x",
+                          "", "+1", "."}) {
+    EXPECT_FALSE(parse_number<double>(bad).has_value()) << bad;
+  }
+  EXPECT_THROW(to_number<double>("nan"), std::invalid_argument);
+  EXPECT_EQ(to_number<int>("12"), 12);
 }
 
 TEST(Cli, RejectsPositionalArgs) {

@@ -41,9 +41,9 @@
 //                      on stores into globals — handing a caller-arena
 //                      pointer back to the caller is the documented
 //                      arena_new/allocate_array idiom, and an object
-//                      storing views of its *own* member arena
-//                      (time_extended.cpp's build_arena) is clean because
-//                      object and arena share a lifetime.
+//                      storing views of its *own* member arena (fixture
+//                      interproc/good_arena_member_owned.cpp) is clean
+//                      because object and arena share a lifetime.
 //   unit-provenance    raw arithmetic (+ - * / and compound assignment)
 //                      on a value that crossed a strong-type boundary via
 //                      TimeStep/TimePoint::count() or Demand/Capacity::

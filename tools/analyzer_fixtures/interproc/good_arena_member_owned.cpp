@@ -1,4 +1,4 @@
-// Clean: the build_arena idiom (src/timenet/time_extended.cpp). An
+// Clean: the owned-arena idiom (build columns once, keep views). An
 // object that owns its arena as a member may cache pointers carved from
 // it in other members — pointer and storage share one lifetime.
 #include <cstddef>
