@@ -66,7 +66,7 @@ void BM_VerifyTransition(benchmark::State& state) {
     benchmark::DoNotOptimize(timenet::verify_transition(inst, plan.schedule));
   }
 }
-BENCHMARK(BM_VerifyTransition)->Arg(10)->Arg(40);
+BENCHMARK(BM_VerifyTransition)->Arg(10)->Arg(40)->Arg(1000);
 
 void BM_GreedyGuarded(benchmark::State& state) {
   const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 5);

@@ -199,12 +199,13 @@ void exec_job(const net::Graph& base, const UpdateRequest& req,
   }
 }
 
-struct Pending {
-  std::size_t req_idx = 0;  ///< into the arrival-sorted request vector
-  Footprint footprint;
-  int defers = 0;
-  int joint_cooldown = 0;  ///< rounds until the next joint-batch attempt
-};
+/// Service order, both for admission and for keeping under shedding:
+/// high priority first, then oldest (lowest id).
+bool served_before(const PendingRequest& a, const PendingRequest& b) {
+  return a.request->priority != b.request->priority
+             ? a.request->priority > b.request->priority
+             : a.request->id < b.request->id;
+}
 
 struct SingleJob {
   std::size_t pend_idx = 0;
@@ -288,7 +289,9 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
     return 0;
   };
 
-  std::vector<Pending> pending;
+  // Each entry points into `requests`, which is not reordered after the
+  // sort above.
+  std::vector<PendingRequest> pending;
   // In-flight reservations keyed by (release instant, admission sequence):
   // completions fold back in deterministic order.
   std::map<std::pair<sim::SimTime, std::uint64_t>, Footprint> inflight;
@@ -314,8 +317,8 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
       rec.id = r.id;
       rec.arrival = r.arrival;
       try {
-        Pending p;
-        p.req_idx = next_arrival;
+        PendingRequest p;
+        p.request = &r;
         p.footprint = transition_footprint(base_, r.p_init, r.p_fin, r.demand);
         pending.push_back(std::move(p));
       } catch (const std::exception& e) {
@@ -340,10 +343,10 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
     // Watchdog: cancel requests still queued past the latency SLO instead
     // of planning them hopelessly late.
     if (ladder.latency_slo > 0 && !pending.empty()) {
-      std::vector<Pending> fresh;
+      std::vector<PendingRequest> fresh;
       fresh.reserve(pending.size());
-      for (Pending& p : pending) {
-        const UpdateRequest& r = requests[p.req_idx];
+      for (PendingRequest& p : pending) {
+        const UpdateRequest& r = *p.request;
         if (now - r.arrival > ladder.latency_slo) {
           RequestRecord& rec = record(r);
           rec.status = RequestStatus::kWatchdogTimeout;
@@ -387,16 +390,9 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
     // Shed rung: reject the lowest-priority, youngest tail of the queue
     // outright until the depth is back at shed_exit.
     if (health == DegradationMode::kShed && pending.size() > ladder.shed_exit) {
-      std::sort(pending.begin(), pending.end(),
-                [&](const Pending& a, const Pending& b) {
-                  const UpdateRequest& ra = requests[a.req_idx];
-                  const UpdateRequest& rb = requests[b.req_idx];
-                  // Keep-first order: high priority, then oldest (lowest id).
-                  return ra.priority != rb.priority ? ra.priority > rb.priority
-                                                    : ra.id < rb.id;
-                });
+      std::sort(pending.begin(), pending.end(), served_before);
       for (std::size_t i = ladder.shed_exit; i < pending.size(); ++i) {
-        const UpdateRequest& r = requests[pending[i].req_idx];
+        const UpdateRequest& r = *pending[i].request;
         RequestRecord& rec = record(r);
         rec.status = RequestStatus::kShedOverload;
         rec.completed = now;
@@ -420,31 +416,17 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
 
     // 3. One admission round over the queue, in service order.
     if (!pending.empty() && effective < DegradationMode::kDefer) {
-      std::sort(pending.begin(), pending.end(),
-                [&](const Pending& a, const Pending& b) {
-                  const UpdateRequest& ra = requests[a.req_idx];
-                  const UpdateRequest& rb = requests[b.req_idx];
-                  return ra.priority != rb.priority
-                             ? ra.priority > rb.priority
-                             : ra.id < rb.id;
-                });
-      std::vector<PendingRequest> view;
-      view.reserve(pending.size());
-      for (const Pending& p : pending) {
-        view.push_back(
-            {&requests[p.req_idx], p.footprint, p.defers, p.joint_cooldown});
-      }
+      std::sort(pending.begin(), pending.end(), served_before);
       // The greedy-only rung plans through the same controller with joint
       // batching off — the cheapest way to keep admitting under pressure.
       AdmissionRound round =
-          admission.decide(view, ledger, now,
+          admission.decide(pending, ledger, now,
                            effective != DegradationMode::kGreedyOnly);
       ++report.admission_rounds;
 
       std::vector<char> resolved(pending.size(), 0);
       for (const auto& [idx, status] : round.rejected) {
-        const UpdateRequest& r = requests[pending[idx].req_idx];
-        RequestRecord& rec = record(r);
+        RequestRecord& rec = record(*pending[idx].request);
         rec.status = status;
         rec.completed = now;
         rec.defers = pending[idx].defers;
@@ -468,17 +450,17 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
         groups[gi].execs.resize(groups[gi].group.members.size());
       }
       for (SingleJob& job : singles) {
-        const UpdateRequest& r = requests[pending[job.pend_idx].req_idx];
+        const UpdateRequest& r = *pending[job.pend_idx].request;
         pool.submit([&job, &r, this] {
           plan_single_job(job.graph, r, opts_.greedy, &job.plan);
         });
       }
       for (GroupJob& job : groups) {
-        pool.submit([&job, &requests, &pending] {
+        pool.submit([&job, &pending] {
           std::vector<const UpdateRequest*> members;
           members.reserve(job.group.members.size());
           for (const std::size_t idx : job.group.members) {
-            members.push_back(&requests[pending[idx].req_idx]);
+            members.push_back(pending[idx].request);
           }
           plan_group_job(job.graph, members, &job.plan);
         });
@@ -488,7 +470,7 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
       if (opts_.execute) {
         for (SingleJob& job : singles) {
           if (!job.plan.feasible) continue;
-          const UpdateRequest& r = requests[pending[job.pend_idx].req_idx];
+          const UpdateRequest& r = *pending[job.pend_idx].request;
           pool.submit([&job, &r, now, this] {
             exec_job(base_, r, job.plan.schedule, opts_, now, &job.exec);
           });
@@ -496,8 +478,7 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
         for (GroupJob& job : groups) {
           if (!job.plan.feasible) continue;
           for (std::size_t m = 0; m < job.group.members.size(); ++m) {
-            const UpdateRequest& r =
-                requests[pending[job.group.members[m]].req_idx];
+            const UpdateRequest& r = *pending[job.group.members[m]].request;
             pool.submit([&job, &r, m, now, this] {
               exec_job(base_, r, job.plan.joint.schedules[m], opts_, now,
                        &job.execs[m]);
@@ -510,7 +491,8 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
       // 5. Commit results in request order; all ledger and record
       // mutations happen here, on the dispatcher.
       const auto commit_member = [&](const UpdateRequest& r,
-                                     const Pending& p, const PlanResult& plan,
+                                     const PendingRequest& p,
+                                     const PlanResult& plan,
                                      const ExecResult& exec,
                                      std::int64_t span, bool count_plan,
                                      bool joint) -> sim::SimTime {
@@ -557,8 +539,8 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
       };
 
       for (SingleJob& job : singles) {
-        const Pending& p = pending[job.pend_idx];
-        const UpdateRequest& r = requests[p.req_idx];
+        const PendingRequest& p = pending[job.pend_idx];
+        const UpdateRequest& r = *p.request;
         if (!job.plan.feasible) {
           ledger.release(p.footprint);
           record(r).message = job.plan.message;
@@ -576,7 +558,7 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
         if (!job.plan.feasible) {
           ledger.release(job.group.reservation);
           for (const std::size_t idx : job.group.members) {
-            record(requests[pending[idx].req_idx]).message = job.plan.message;
+            record(*pending[idx].request).message = job.plan.message;
             // Don't re-attempt the same doomed batch next epoch; its
             // members go back to the individual path for a while.
             pending[idx].joint_cooldown = opts_.admission.joint_after_defers;
@@ -586,8 +568,8 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
         ++report.joint_batches;
         sim::SimTime group_due = 0;
         for (std::size_t m = 0; m < job.group.members.size(); ++m) {
-          const Pending& p = pending[job.group.members[m]];
-          const UpdateRequest& r = requests[p.req_idx];
+          const PendingRequest& p = pending[job.group.members[m]];
+          const UpdateRequest& r = *p.request;
           // Group-level plan violations are attributed to the first member
           // only, so the report-wide sum counts each event once.
           const sim::SimTime due = commit_member(
@@ -604,11 +586,11 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
                          job.group.reservation);
       }
 
-      std::vector<Pending> survivors;
+      std::vector<PendingRequest> survivors;
       survivors.reserve(pending.size());
       for (std::size_t i = 0; i < pending.size(); ++i) {
         if (resolved[i]) continue;
-        Pending p = std::move(pending[i]);
+        PendingRequest p = std::move(pending[i]);
         ++p.defers;  // spent one more round in the queue
         if (p.joint_cooldown > 0) --p.joint_cooldown;
         survivors.push_back(std::move(p));

@@ -87,64 +87,61 @@ TraceResult Tracer::run(const RuleTable& rules, TimePoint injected,
   return res;
 }
 
-void LoadColumns::reset(std::size_t link_count, TimePoint first,
-                        TimePoint last) {
-  column_of_.assign(link_count, kNoColumn);
-  cells_.clear();
-  columns_ = 0;
-  first_ = first;
-  width_ = std::max<std::int64_t>(last - first + 1, 0);
+void LoadLedger::reset(std::size_t link_count,
+                       std::span<const net::Demand> demands) {
+  for (std::vector<Piece>& pieces : slots_) pieces.clear();
+  demand_.assign(demands.begin(), demands.end());
+  slots_.resize(link_count * demand_.size());
+  cursor_.resize(demand_.size());
+  pieces_held_ = 0;
 }
 
-net::Demand& LoadColumns::at(net::LinkId link, TimePoint entry) {
-  std::uint32_t& col = column_of_[link];
-  if (col == kNoColumn) {
-    col = static_cast<std::uint32_t>(columns_++);
-    cells_.resize(columns_ * static_cast<std::size_t>(width_));
+void LoadLedger::add(net::LinkId link, std::size_t flow, TimePoint first,
+                     TimePoint last, int count) {
+  CHRONUS_EXPECTS(first <= last, "a load piece needs first <= last");
+  std::vector<Piece>& pieces = slot(link, flow);
+  // Rebuild the pieces that overlap [first, last] or touch it (an equal
+  // neighbour merges), then splice them back.
+  const TimePoint before = first == kBefore ? first : first - 1;
+  const TimePoint after = last == kAfter ? last : last + 1;
+  const auto lo = std::partition_point(
+      pieces.begin(), pieces.end(),
+      [&](const Piece& p) { return p.last < before; });
+  auto hi = lo;  // usually a piece or two past lo
+  while (hi != pieces.end() && hi->first <= after) ++hi;
+  rebuilt_.clear();
+  // Appends a piece, merged into an equal neighbour; count 0 is no piece.
+  const auto emit = [this](TimePoint a, TimePoint b, int c) {
+    CHRONUS_EXPECTS(c >= 0, "a load ledger count went below zero");
+    if (c == 0) return;
+    if (!rebuilt_.empty() && rebuilt_.back().count == c &&
+        rebuilt_.back().last + 1 == a) {
+      rebuilt_.back().last = b;
+    } else {
+      rebuilt_.push_back(Piece{a, b, c});
+    }
+  };
+  TimePoint at = first;  // next step of [first, last] not yet rebuilt
+  bool open = true;      // ... while at <= last
+  const auto take = [&](TimePoint end, int c) {  // [at, end] at count c
+    emit(at, end, c);
+    open = end < last;
+    if (open) at = end + 1;
+  };
+  for (auto p = lo; p != hi; ++p) {
+    if (p->first < first) emit(p->first, std::min(p->last, before), p->count);
+    if (open && at < p->first) take(std::min(last, p->first - 1), count);
+    if (open && p->last >= at) take(std::min(last, p->last), p->count + count);
+    if (p->last > last) emit(std::max(p->first, after), p->last, p->count);
   }
-  if (entry < first_ || entry - first_ >= width_) widen(entry);
-  return cells_[col * static_cast<std::size_t>(width_) +
-                static_cast<std::size_t>(entry - first_)];
-}
+  if (open) emit(at, last, count);
 
-void LoadColumns::widen(TimePoint entry) {
-  // Double the window towards `entry`, then move every column into its
-  // new slot in place, last column first: the new layout is wider and
-  // never starts earlier in the buffer, so no column overwrites one that
-  // has not moved yet.
-  constexpr std::int64_t kMinWidth = 64;
-  TimePoint lo = entry;
-  TimePoint end = entry + kMinWidth;
-  if (width_ > 0) {
-    lo = first_;
-    end = first_ + width_;
-    if (entry < lo) lo = std::min(entry, lo - width_);
-    if (entry >= end) end = std::max(entry + 1, end + width_);
-  }
-  const auto old_w = static_cast<std::size_t>(width_);
-  const auto new_w = static_cast<std::size_t>(end - lo);
-  const auto shift = static_cast<std::size_t>(width_ > 0 ? first_ - lo : 0);
-  cells_.resize(columns_ * new_w);
-  const auto cells = cells_.begin();
-  for (std::size_t c = columns_; c-- > 0;) {
-    const auto from = cells + static_cast<std::ptrdiff_t>(c * old_w);
-    const auto to = cells + static_cast<std::ptrdiff_t>(c * new_w + shift);
-    std::copy_backward(from, from + static_cast<std::ptrdiff_t>(old_w),
-                       to + static_cast<std::ptrdiff_t>(old_w));
-    std::fill(cells + static_cast<std::ptrdiff_t>(c * new_w), to,
-              net::Demand{});
-    std::fill(to + static_cast<std::ptrdiff_t>(old_w),
-              cells + static_cast<std::ptrdiff_t>((c + 1) * new_w),
-              net::Demand{});
-  }
-  first_ = lo;
-  width_ = end - lo;
-}
-
-std::span<const net::Demand> LoadColumns::column(net::LinkId link) const {
-  if (link >= column_of_.size() || column_of_[link] == kNoColumn) return {};
-  const auto w = static_cast<std::size_t>(width_);
-  return {cells_.data() + column_of_[link] * w, w};
+  const auto i = lo - pieces.begin();
+  pieces_held_ = pieces_held_ + rebuilt_.size() -
+                 static_cast<std::size_t>(hi - lo);
+  pieces.erase(lo, hi);
+  // chronus-analyzer: allow(hot-alloc) grows to the link's most pieces, then reused
+  pieces.insert(pieces.begin() + i, rebuilt_.begin(), rebuilt_.end());
 }
 
 Trace trace_class(const FlowView& flow, TimePoint injected, int hop_limit) {

@@ -14,11 +14,12 @@
 // The verifier and TransitionState trace thousands of classes per call, so
 // tracing runs over flat storage: a RuleTable compiles a flow's rules once
 // into dense per-node arrays, a Tracer walks it with an epoch-stamped
-// visited array into a reused hop buffer, and LoadColumns holds the
-// (link, entry step) loads as dense per-link columns. trace_class() is the
-// allocating convenience form over the same tracer.
+// visited array into a reused hop buffer, and a LoadLedger holds the
+// (link, entry step) loads as per-link runs of class counts. trace_class()
+// is the allocating convenience form over the same tracer.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -162,36 +163,168 @@ class Tracer {
   std::vector<FlatHop> hops_;
 };
 
-/// Per-(link, entry step) loads as dense per-link columns over one shared
-/// window of entry steps. A link's column is allocated the first time a
-/// class enters it; the window widens geometrically on demand. Cells a
-/// class never entered hold exactly zero.
-class LoadColumns {
+/// Per-(link, entry step) loads as runs of class counts: per link and
+/// flow, a flat sorted list of disjoint pieces {first, last, count} —
+/// `count` classes of the flow enter the link at every step in
+/// [first, last]. A traced class is a unit piece per occupied link, a
+/// closed-form run (an old head from kBefore, a steady tail to kAfter) one
+/// piece per link of its shape; equal neighbours merge. scan() folds the
+/// flows in order, one addition of the flow's demand per class: bit for
+/// bit the sum a class-by-class pass makes (tests/verifier_oracle.hpp).
+class LoadLedger {
  public:
-  /// Empties the ledger for `link_count` links, with the window pre-sized
-  /// to [first, last] (a hint; at() widens past it).
-  void reset(std::size_t link_count, TimePoint first, TimePoint last);
+  /// Open ends of a piece: every entry step before / after.
+  static constexpr TimePoint kBefore = std::numeric_limits<TimePoint>::min();
+  static constexpr TimePoint kAfter = std::numeric_limits<TimePoint>::max();
 
-  /// The load on `link` entered at `entry`.
-  net::Demand& at(net::LinkId link, TimePoint entry);
+  /// Empties the ledger for `link_count` links and one flow per demand,
+  /// keeping every buffer.
+  void reset(std::size_t link_count, std::span<const net::Demand> demands);
 
-  /// `link`'s column, cell i holding entry step first() + i; empty when no
-  /// class ever entered `link`.
-  std::span<const net::Demand> column(net::LinkId link) const;
+  /// Adds `count` classes of `flow` (removes them when negative) entering
+  /// `link` at every step in [first, last]. Counts never go below zero.
+  void add(net::LinkId link, std::size_t flow, TimePoint first,
+           TimePoint last, int count);
 
-  TimePoint first() const { return first_; }
+  /// Calls fn(first, last, load) for the entered steps of `link` in
+  /// [from, to] (from <= to), ascending, one call per stretch of constant
+  /// load. Stops early, returning false, when fn does.
+  template <class Fn>
+  bool scan(net::LinkId link, TimePoint from, TimePoint to, Fn&& fn);
+
+  /// Pieces held over every link and flow.
+  std::size_t pieces() const { return pieces_held_; }
 
  private:
-  static constexpr std::uint32_t kNoColumn =
-      std::numeric_limits<std::uint32_t>::max();
-  void widen(TimePoint entry);
+  struct Piece {
+    TimePoint first{};
+    TimePoint last{};
+    int count = 0;
+  };
 
-  std::vector<std::uint32_t> column_of_;  ///< per link; kNoColumn
-  std::vector<net::Demand> cells_;        ///< column-major, width_ per column
-  std::size_t columns_ = 0;
-  std::int64_t width_ = 0;
-  TimePoint first_{};
+  std::vector<Piece>& slot(net::LinkId link, std::size_t flow) {
+    return slots_[link * demand_.size() + flow];
+  }
+
+  std::vector<std::vector<Piece>> slots_;  ///< link-major, one per flow
+  std::vector<net::Demand> demand_;        ///< per flow
+  std::vector<Piece> rebuilt_;             ///< add()'s new pieces
+  std::vector<std::size_t> cursor_;        ///< scan()'s per-flow position
+  std::size_t pieces_held_ = 0;
 };
+
+/// Classes of one flow on one shape: each enters the same links as the
+/// class injected a step before it, one step later. Classes added one
+/// stretch at a time gather into the open run while they extend it, and
+/// leave it as one piece per link when it closes, so a stretch of
+/// same-shape classes costs one ledger add per link, not one per class.
+class ClassRun {
+ public:
+  /// Gathers `count` classes of `flow` injected in [first, last], each
+  /// following `hops` (traced for the class injected at `first`; hops
+  /// without a link are skipped). When they do not extend the open run,
+  /// it is spilled into `sink` first (see spill()).
+  template <class Sink>
+  void gather(std::size_t flow, std::span<const FlatHop> hops,
+              TimePoint first, TimePoint last, int count, Sink&& sink) {
+    if (extend(flow, hops, first, last, count)) return;
+    spill(sink);
+    open(flow, hops, first, last, count);
+  }
+
+  /// Empties the open run into sink(link, flow, first, last, count), one
+  /// call per link of its shape. A ledger read needs every run that adds
+  /// to it spilled.
+  template <class Sink>
+  void spill(Sink&& sink) {
+    if (count_ == 0) return;
+    for (const Entry& e : shape_) {
+      sink(e.link, flow_, first_ + e.offset, last_ + e.offset, count_);
+    }
+    count_ = 0;
+  }
+
+ private:
+  struct Entry {
+    net::LinkId link = net::kInvalidLink;
+    std::int64_t offset = 0;  ///< entry step minus injection step
+  };
+
+  /// Folds the classes into the open run if they extend it.
+  bool extend(std::size_t flow, std::span<const FlatHop> hops,
+              TimePoint first, TimePoint last, int count) {
+    if (count_ == 0 || flow != flow_ || count != count_) return false;
+    if (first != last_ + 1 && last != first_ - 1) return false;
+    std::size_t i = 0;
+    for (const FlatHop& hop : hops) {
+      if (hop.link == net::kInvalidLink) continue;
+      if (i == shape_.size() || shape_[i].link != hop.link ||
+          shape_[i].offset != hop.arrival - first) {
+        return false;
+      }
+      ++i;
+    }
+    if (i != shape_.size()) return false;
+    first_ = std::min(first_, first);
+    last_ = std::max(last_, last);
+    return true;
+  }
+
+  void open(std::size_t flow, std::span<const FlatHop> hops, TimePoint first,
+            TimePoint last, int count) {
+    shape_.clear();
+    for (const FlatHop& hop : hops) {
+      if (hop.link != net::kInvalidLink) {
+        shape_.push_back(Entry{hop.link, hop.arrival - first});
+      }
+    }
+    flow_ = flow;
+    first_ = first;
+    last_ = last;
+    count_ = count;
+  }
+
+  std::vector<Entry> shape_;
+  std::size_t flow_ = 0;
+  TimePoint first_{};
+  TimePoint last_{};
+  int count_ = 0;  ///< 0: no open run
+};
+
+template <class Fn>
+bool LoadLedger::scan(net::LinkId link, TimePoint from, TimePoint to,
+                      Fn&& fn) {
+  for (std::size_t f = 0; f < demand_.size(); ++f) {
+    const std::vector<Piece>& pieces = slot(link, f);
+    cursor_[f] = static_cast<std::size_t>(
+        std::partition_point(pieces.begin(), pieces.end(),
+                             [&](const Piece& p) { return p.last < from; }) -
+        pieces.begin());
+  }
+  for (TimePoint at = from;;) {
+    // The stretch from `at` ends where some flow's piece ends or begins.
+    TimePoint end = to;
+    net::Demand x{};
+    bool entered = false;
+    for (std::size_t f = 0; f < demand_.size(); ++f) {
+      const std::vector<Piece>& pieces = slot(link, f);
+      std::size_t& i = cursor_[f];
+      while (i < pieces.size() && pieces[i].last < at) ++i;
+      if (i == pieces.size()) continue;
+      const Piece& p = pieces[i];
+      if (p.first > at) {
+        end = std::min(end, p.first - 1);
+        continue;
+      }
+      entered = true;
+      for (int c = 0; c < p.count; ++c) x += demand_[f];
+      end = std::min(end, p.last);
+    }
+    if (entered && !fn(at, end, x)) return false;
+    if (end == to) return true;
+    at = end + 1;
+  }
+}
 
 /// The drain bound d = (n + 2) * max_delay: no single trajectory lasts
 /// longer. Windows, drain margins and stall limits are sized from it.

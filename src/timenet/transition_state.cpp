@@ -1,7 +1,10 @@
 #include "timenet/transition_state.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "util/contracts.hpp"
 
@@ -9,7 +12,7 @@ namespace chronus::timenet {
 
 namespace {
 constexpr double kEps = 1e-9;
-// "Since forever": the tail of a flow that was never updated.
+// Every instant: where a never-updated flow's verdicts settle.
 constexpr TimePoint kAlways{std::numeric_limits<TimePoint::rep>::min() / 4};
 }  // namespace
 
@@ -27,21 +30,25 @@ TransitionState::TransitionState(
     }
   }
   d_ = trajectory_bound(*graph_);
-  load_.reset(graph_->link_count(), TimePoint{0}, TimePoint{-1});
+  // chronus-analyzer: allow(hot-alloc) one demand per flow, once per state
+  std::vector<net::Demand> demands;
+  for (const auto* inst : flows) demands.push_back(inst->demand());
+  ledger_.reset(graph_->link_count(), demands);
   tracer_ = Tracer(graph_->node_count());
+  tail_at_.assign(graph_->link_count(), -1);
   flows_.reserve(flows.size());
   for (const auto* inst : flows) {
     FlowState& fs = flows_.emplace_back(*inst);
-    fs.steady_entry.assign(graph_->link_count(), kOffTail);
-    fs.head_end.assign(graph_->link_count(), kNoHead);
-    // Unscheduled flows are one steady stream on their old path; the
-    // tail's start is "always" so its load applies at every entry step.
-    // The class injected at 0 also gives the old head its shape.
-    tracer_.run(fs.rules, TimePoint{0}, fs.steady_shape.hops);
+    // An unscheduled flow is one steady stream on its old path, every
+    // class on the shape of class 0 (steady_from), on each link at every
+    // entry step. That shape is also the old head's.
+    tracer_.run(fs.rules, fs.steady_from, fs.steady_shape.hops);
     fs.old_shape = fs.steady_shape.hops;
     fs.old_span = fs.old_shape.back().arrival - TimePoint{0};
-    fs.steady_from = kAlways;
-    set_tail(fs, true);
+    for (std::size_t i = 0; i + 1 < fs.old_shape.size(); ++i) {
+      ledger_.add(fs.old_shape[i].link, flows_.size() - 1,
+                  LoadLedger::kBefore, LoadLedger::kAfter, 1);
+    }
   }
 }
 
@@ -62,31 +69,6 @@ bool TransitionState::initial_state_valid() const {
   return true;
 }
 
-void TransitionState::add_loads(const ClassTrace& trace, net::Demand demand,
-                                double sign) {
-  for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
-    load_.at(trace.hops[i].link, trace.hops[i].arrival) += sign * demand;
-  }
-}
-
-net::Demand TransitionState::tail_load(net::LinkId link,
-                                       TimePoint entry) const {
-  net::Demand x{};
-  for (const FlowState& fs : flows_) {
-    if (entry >= fs.steady_entry[link]) x += fs.inst->demand();
-  }
-  return x;
-}
-
-net::Demand TransitionState::steady_load(net::LinkId link,
-                                          TimePoint entry) const {
-  net::Demand x = tail_load(link, entry);
-  for (const FlowState& fs : flows_) {
-    if (entry < fs.head_end[link]) x += fs.inst->demand();
-  }
-  return x;
-}
-
 TransitionState::ClassTrace& TransitionState::class_slot(FlowState& fs,
                                                          TimePoint tau) {
   if (fs.classes.empty()) {
@@ -104,9 +86,10 @@ TransitionState::ClassTrace& TransitionState::class_slot(FlowState& fs,
   return fs.classes[static_cast<std::size_t>(tau - fs.class_base)];
 }
 
-bool TransitionState::retrace(std::size_t flow, TimePoint tau) {
+bool TransitionState::retrace(std::size_t flow, TimePoint tau,
+                              std::span<const FlatHop> closed,
+                              TimePoint closed_at) {
   FlowState& fs = flows_[flow];
-  const net::Demand demand = fs.inst->demand();
   ClassTrace& slot = class_slot(fs, tau);
   if (log_size_ == log_.size()) log_.emplace_back();
   LogEntry& entry = log_[log_size_++];
@@ -115,109 +98,107 @@ bool TransitionState::retrace(std::size_t flow, TimePoint tau) {
   // The displaced trace moves into the log; the slot takes the entry's
   // spare buffer to trace into.
   std::swap(entry.prev, slot);
-  if (!entry.prev.hops.empty()) add_loads(entry.prev, demand, -1.0);
-
   slot.bad = !tracer_.run(fs.rules, tau, slot.hops).clean();
-  for (std::size_t i = 0; i + 1 < slot.hops.size(); ++i) {
-    const FlatHop& hop = slot.hops[i];
-    load_.at(hop.link, hop.arrival) += demand;
-    touched_.emplace_back(hop.link, hop.arrival);
+  // A class leaving the head or the tail had the closed form's shape.
+  std::span<const FlatHop> from = entry.prev.hops;
+  if (from.empty() && !closed.empty()) {
+    closed_.assign(closed.begin(), closed.end());
+    for (FlatHop& hop : closed_) hop.arrival += tau - closed_at;
+    from = closed_;
   }
+  // Both traces leave the source at tau; the links they share up to where
+  // they part keep their loads.
+  const std::span<const FlatHop> to = slot.hops;
+  std::size_t same = 0;
+  while (same + 1 < from.size() && same + 1 < to.size() &&
+         from[same].link == to[same].link &&
+         from[same].arrival == to[same].arrival) {
+    ++same;
+  }
+  leaving_.gather(flow, from.subspan(same), tau, tau, -1, logged());
+  arriving_.gather(flow, to.subspan(same), tau, tau, 1, logged());
+  touching_.gather(flow, to, tau, tau, 1, touch());
   return slot.bad;
 }
 
-void TransitionState::set_tail(FlowState& fs, bool always) {
-  for (const net::LinkId link : fs.tail_links) {
-    fs.steady_entry[link] = kOffTail;
+void TransitionState::move_tail(std::size_t flow,
+                                std::span<const FlatHop> from,
+                                std::int64_t shift,
+                                std::span<const FlatHop> to) {
+  // `from` is an accepted tail, so each of its links holds one piece; a
+  // link `to` holds too only moves that piece's start.
+  constexpr std::int64_t kConsumed = -2;
+  for (std::size_t i = 0; i + 1 < from.size(); ++i) {
+    tail_at_[from[i].link] = static_cast<std::int64_t>(i);
   }
-  fs.tail_links.clear();
-  const auto& hops = fs.steady_shape.hops;
-  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-    fs.steady_entry[hops[i].link] = always ? kAlways : hops[i].arrival;
-    fs.tail_links.push_back(hops[i].link);
+  for (std::size_t j = 0; j + 1 < to.size(); ++j) {
+    const net::LinkId link = to[j].link;
+    const std::int64_t i = tail_at_[link];
+    if (i < 0) {
+      log_add(link, flow, to[j].arrival, LoadLedger::kAfter, 1);
+      continue;
+    }
+    tail_at_[link] = kConsumed;
+    const TimePoint was = from[static_cast<std::size_t>(i)].arrival + shift;
+    const TimePoint now = to[j].arrival;
+    if (was < now) log_add(link, flow, was, now - 1, -1);
+    if (now < was) log_add(link, flow, now, was - 1, 1);
+  }
+  for (std::size_t i = 0; i + 1 < from.size(); ++i) {
+    const net::LinkId link = from[i].link;
+    if (tail_at_[link] != kConsumed) {
+      log_add(link, flow, from[i].arrival + shift, LoadLedger::kAfter, -1);
+    }
+    tail_at_[link] = -1;
   }
 }
 
-void TransitionState::set_head(FlowState& fs, bool scheduled) {
-  for (std::size_t i = 0; i + 1 < fs.old_shape.size(); ++i) {
-    fs.head_end[fs.old_shape[i].link] =
-        scheduled ? fs.lo + (fs.old_shape[i].arrival - TimePoint{0}) : kNoHead;
-  }
-}
-
-bool TransitionState::refresh_steady(std::size_t flow, TimePoint from) {
-  FlowState& fs = flows_[flow];
+bool TransitionState::refresh_steady(const Step& step, TimePoint from) {
+  FlowState& fs = flows_[step.flow];
   fs.steady_from = from;
   fs.steady_shape.bad =
       !tracer_.run(fs.rules, fs.steady_from, fs.steady_shape.hops).clean();
-  set_tail(fs, false);
+  // The old tail keeps the classes from `from` on: the ones before it
+  // left it through retrace().
+  move_tail(step.flow, step.prev_steady_shape.hops,
+            from - step.prev_steady_from, fs.steady_shape.hops);
   if (fs.steady_shape.bad) return false;
 
-  for (const net::LinkId link : fs.tail_links) {
-    const TimePoint start = fs.steady_entry[link];
-    const net::Capacity cap = graph_->link(link).capacity;
-    // Tail-vs-tail: every tail containing this link enters it once per
-    // step from its start on, so from max(starts) onward they all share
-    // the link forever.
-    net::Demand tails{};
-    for (const FlowState& other : flows_) {
-      if (other.steady_entry[link] != kOffTail) tails += other.inst->demand();
-    }
-    if (tails > cap + net::Demand{kEps}) return false;
-    // Tail-vs-transitional: any traced load at or past the tail's start
-    // collides with it (plus any other tail active there). A cell no class
-    // entered holds 0 and passes: the tails bound above covers every
-    // subset of tails.
-    const std::span<const net::Demand> column = load_.column(link);
-    const std::int64_t skip = std::max<std::int64_t>(start - load_.first(), 0);
-    for (auto i = static_cast<std::size_t>(skip); i < column.size(); ++i) {
-      const TimePoint entry = load_.first() + static_cast<std::int64_t>(i);
-      if (column[i] + tail_load(link, entry) > cap + net::Demand{kEps}) {
-        return false;
-      }
-    }
-    // Tail-vs-head: another flow's old head still runs on this link from
-    // the tail's start to its end; those steps are judged again with the
-    // heads included. A flow's own head ends before its first update.
-    for (const FlowState& other : flows_) {
-      if (&other == &fs || other.head_end[link] <= start) continue;
-      for (TimePoint entry = start; entry < other.head_end[link]; ++entry) {
-        const std::int64_t i = entry - load_.first();
-        const net::Demand traced =
-            i >= 0 && i < static_cast<std::int64_t>(column.size())
-                ? column[static_cast<std::size_t>(i)]
-                : net::Demand{};
-        if (traced + steady_load(link, entry) > cap + net::Demand{kEps}) {
-          return false;
-        }
-      }
-    }
+  // From its start on, a tail link's every piece holds the whole load
+  // there: each traced class, each tail and each other flow's head active
+  // at that step, and, as the last piece, the sum of every tail. The
+  // flow's own head ends before its first update, so it never overlaps.
+  // One scan per link judges them all (DESIGN.md §3).
+  const std::vector<FlatHop>& shape = fs.steady_shape.hops;
+  for (std::size_t i = 0; i + 1 < shape.size(); ++i) {
+    const net::Capacity cap = graph_->link(shape[i].link).capacity;
+    const bool fits = ledger_.scan(
+        shape[i].link, shape[i].arrival, LoadLedger::kAfter,
+        [&](TimePoint, TimePoint, net::Demand x) {
+          return !(x > cap + net::Demand{kEps});
+        });
+    if (!fits) return false;
   }
   return true;
 }
 
-void TransitionState::rewind(std::size_t log_begin) {
-  while (log_size_ > log_begin) {
+void TransitionState::rollback(Step& step) {
+  // Both logs unwind last entry first.
+  while (log_size_ > step.log_begin) {
     LogEntry& entry = log_[--log_size_];
-    FlowState& fs = flows_[entry.flow];
-    ClassTrace& slot = class_slot(fs, entry.tau);
-    add_loads(slot, fs.inst->demand(), -1.0);
-    if (!entry.prev.hops.empty()) add_loads(entry.prev, fs.inst->demand(), 1.0);
-    std::swap(slot, entry.prev);
+    std::swap(class_slot(flows_[entry.flow], entry.tau), entry.prev);
     entry.prev.hops.clear();  // a spare from here on
   }
-}
-
-void TransitionState::rollback(Step& step) {
-  rewind(step.log_begin);
+  while (adds_.size() > step.adds_begin) {
+    const Stretch& a = adds_.back();
+    ledger_.add(a.link, a.flow, a.first, a.last, -a.count);
+    adds_.pop_back();
+  }
   FlowState& fs = flows_[step.flow];
   fs.lo = step.prev_lo;
   fs.hi = step.prev_hi;
   fs.steady_from = step.prev_steady_from;
   std::swap(fs.steady_shape, step.prev_steady_shape);
-  const bool scheduled = step.prev_steady_from != kAlways;
-  set_tail(fs, !scheduled);
-  set_head(fs, scheduled);
 }
 
 bool TransitionState::try_update(std::size_t flow, net::NodeId v,
@@ -235,6 +216,7 @@ bool TransitionState::try_update(std::size_t flow, net::NodeId v,
   rec.flow = flow;
   rec.v = v;
   rec.log_begin = log_size_;
+  rec.adds_begin = adds_.size();
   rec.prev_lo = fs.lo;
   rec.prev_hi = fs.hi;
   // The tail shape is only rewritten by refresh_steady below; park it in
@@ -260,15 +242,15 @@ bool TransitionState::try_update(std::size_t flow, net::NodeId v,
   // Classes that left the old head (an update before the first one) are
   // materialized under the new schedule.
   for (TimePoint tau = new_lo; tau < old_lo && !bad; ++tau) {
-    bad = retrace(flow, tau);
+    bad = retrace(flow, tau, fs.old_shape, TimePoint{0});
   }
   fs.lo = new_lo;
-  set_head(fs, true);
 
   // Classes that left the analytic steady tail (a later update time makes
-  // them transitional) are materialized under the new schedule.
+  // them transitional; a never-updated flow's stream) are materialized
+  // under the new schedule.
   for (TimePoint tau = old_hi + 1; tau <= new_top && !bad; ++tau) {
-    bad = retrace(flow, tau);
+    bad = retrace(flow, tau, rec.prev_steady_shape.hops, rec.prev_steady_from);
   }
   fs.hi = std::max(old_hi, new_top);
 
@@ -285,21 +267,24 @@ bool TransitionState::try_update(std::size_t flow, net::NodeId v,
     if (visits) bad = retrace(flow, tau);
   }
 
-  // The flow's steady tail under its new final configuration, and that
-  // tail's collisions with transitional loads and other tails.
-  if (!bad) bad = !refresh_steady(flow, last);
+  leaving_.spill(logged());
+  arriving_.spill(logged());
+  touching_.spill(touch());
 
-  // Capacity on every touched key, including every tail's share — judged
+  // The flow's steady tail under its new final configuration, and the
+  // loads it meets.
+  if (!bad) bad = !refresh_steady(rec, last);
+
+  // Capacity on every touched cell, heads and tails included — judged
   // only now, after *all* affected classes moved (a class leaving a link
   // can compensate for another arriving on it).
-  if (!bad) {
-    for (const auto& [link, entry] : touched_) {
-      const net::Demand x = load_.at(link, entry) + steady_load(link, entry);
-      if (x > graph_->link(link).capacity + net::Demand{kEps}) {
-        bad = true;
-        break;
-      }
-    }
+  for (std::size_t i = 0; i < touched_.size() && !bad; ++i) {
+    const Stretch& r = touched_[i];
+    const net::Capacity cap = graph_->link(r.link).capacity;
+    bad = !ledger_.scan(r.link, r.first, r.last,
+                        [&](TimePoint, TimePoint, net::Demand x) {
+                          return !(x > cap + net::Demand{kEps});
+                        });
   }
 
   if (bad) {

@@ -7,45 +7,43 @@
 // maintains the verifier's state and updates only what a probe can affect,
 // giving the same verdict orders of magnitude faster.
 //
-// State representation (per flow), sized by the flow's own paths:
+// State representation (per flow), sized by the flow's own paths, all in
+// one LoadLedger (timenet/trajectory.hpp):
 //  * the old head — every class injected before lo (= the first update
 //    minus the old path's span) reaches each switch before any update, so
-//    all of them follow the all-old shape; per link, the head holds one
-//    class per entry step up to head_end (kept next to steady_entry);
-//  * transitional classes — injected in [lo, steady_from): traced
-//    individually; their per-(link, entry-step) loads are summed across
-//    flows in load_;
+//    all follow the all-old shape: one piece (kBefore, lo + offset - 1]
+//    per link of it;
+//  * transitional classes — injected in [lo, steady_from): traced one by
+//    one, a unit piece per hop;
 //  * the steady tail — every class injected at or after steady_from
-//    (= the flow's latest scheduled update) sees only final rules, so all
-//    of them share one trajectory shape; they are represented by that
-//    single shape plus, per link, the first entry step (one class enters
-//    each shape link every step from there on).
-// A flow with no update is one steady stream on its old path. Where old
-// heads and such streams meet, they meet as in the all-old initial state,
-// which initial_state_valid() judges.
+//    (= the flow's latest update) sees only final rules, so all share one
+//    shape: one piece [entry, kAfter) per link of it.
+// A flow with no update is one stream on its old path, (kBefore, kAfter)
+// per link. Where old heads and such streams meet, they meet as in the
+// all-old initial state, which initial_state_valid() judges.
 //
 // The maintained invariant: the current schedules are jointly congestion-
 // and loop-free at every moment in time. try_update() extends a flow's
 // schedule only when the invariant is preserved; undo() rolls back the
 // most recent successful try_update (LIFO, for branch-and-bound
 // backtracking). Rules are per flow, so a probe re-traces only the probed
-// flow's classes; the shared load ledger catches cross-flow collisions.
+// flow's classes; the shared ledger catches cross-flow collisions.
 //
-// Storage is flat (the same layout the verifier uses, timenet/trajectory.hpp):
-// each flow's rules are one RuleTable whose update times follow its
-// schedule, class traces sit in a dense window indexed by injection step,
-// and load_ is one dense Demand column per link a class has entered. A
-// probe logs every class it retraces in an append-only undo log; the
-// displaced trace rides in the log entry and the buffers circulate between
-// window and log, so once warm a probe — accepted or rejected — allocates
-// nothing. Only the probed flow's window moves. The property suites hold
-// every verdict to the class-by-class verifier kept in
+// Each flow's rules are one RuleTable whose update times follow its
+// schedule; class traces sit in a dense window indexed by injection step.
+// A retraced class moves from its old trace (or, leaving the head or the
+// tail, from that shape) to its new one; the links both share up to where
+// they part stay put, and classes that move alike gather into ClassRuns,
+// so a probe costs a few ledger adds per link. Retraced classes and
+// ledger adds go into append-only undo logs, replayed inverted on
+// rollback; trace buffers circulate between window and log, so once warm
+// a probe — accepted or rejected — allocates nothing. The property suites
+// hold every verdict to the class-by-class verifier kept in
 // tests/verifier_oracle.hpp.
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "net/instance.hpp"
@@ -115,17 +113,13 @@ class TransitionState {
     TimePoint class_base{};
     TimePoint lo{};
     TimePoint hi{-1};  // traced range [lo, hi]; empty when hi < lo
-    // Old head: the all-old shape (arrivals relative to injection), its
-    // span, and per link the entry step its classes reach (kNoHead: not
-    // on it, or the flow was never updated).
+    // Old head: the all-old shape (arrivals relative to injection) and its
+    // span. A never-updated flow has no head.
     std::vector<FlatHop> old_shape;
     std::int64_t old_span = 0;
-    std::vector<TimePoint> head_end;
-    // Steady tail: trajectory of every class injected >= steady_from, and
-    // per link the step its first class enters (kOffTail: not on it).
+    // Steady tail: trajectory of the class injected at steady_from, which
+    // every later class (every class, before the first update) follows.
     ClassTrace steady_shape;
-    std::vector<TimePoint> steady_entry;
-    std::vector<net::LinkId> tail_links;  // links set in steady_entry
     TimePoint steady_from{};
   };
 
@@ -137,68 +131,97 @@ class TransitionState {
     ClassTrace prev;
   };
 
+  /// `count` classes of `flow` entering `link` at steps [first, last].
+  struct Stretch {
+    net::LinkId link = net::kInvalidLink;
+    std::size_t flow = 0;
+    TimePoint first{};
+    TimePoint last{};
+    int count = 0;
+  };
+
   /// An applied update, or the probe in flight. Its log entries run from
-  /// log_begin to the next step's log_begin (the log's end for the top
-  /// step), so every class it retraced undoes with it.
+  /// log_begin, and its ledger adds from adds_begin, to the next step's
+  /// (the logs' ends for the top step), so every class it retraced and
+  /// every load it moved undo with it.
   struct Step {
     std::size_t flow = 0;
     net::NodeId v = net::kInvalidNode;
     std::size_t log_begin = 0;
+    std::size_t adds_begin = 0;
     TimePoint prev_lo{};
     TimePoint prev_hi{};
     ClassTrace prev_steady_shape;
     TimePoint prev_steady_from{};
   };
 
-  static constexpr TimePoint kOffTail = std::numeric_limits<TimePoint>::max();
-  static constexpr TimePoint kNoHead = std::numeric_limits<TimePoint>::min();
-
   /// (Re)traces transitional class tau of `flow` under its current
-  /// schedule, maintaining load_ and logging the displaced trace; records
-  /// the loads it adds in touched_. True on loop/blackhole.
-  bool retrace(std::size_t flow, TimePoint tau);
+  /// schedule, logging the displaced trace; its loads move through
+  /// leaving_ and arriving_, the cells it enters through touching_. A
+  /// class with no trace yet leaves a closed form: it followed `closed`,
+  /// the shape traced for the class injected at `closed_at`. True on
+  /// loop/blackhole.
+  bool retrace(std::size_t flow, TimePoint tau,
+               std::span<const FlatHop> closed = {},
+               TimePoint closed_at = TimePoint{});
 
   /// The slot of class tau, widening the flow's class window to reach it.
   ClassTrace& class_slot(FlowState& fs, TimePoint tau);
 
-  /// Undoes the log down to `log_begin`, last entry first.
-  void rewind(std::size_t log_begin);
+  /// Undoes `step`: its log entries and ledger adds, and its flow's
+  /// window and tail.
   void rollback(Step& step);
-  void add_loads(const ClassTrace& trace, net::Demand demand, double sign);
 
-  /// Combined steady-tail load of every flow on (link, entry-step).
-  net::Demand tail_load(net::LinkId link, TimePoint entry) const;
-  /// The same plus every flow's old head.
-  net::Demand steady_load(net::LinkId link, TimePoint entry) const;
+  /// Adds to the ledger and logs the add for undo.
+  void log_add(net::LinkId link, std::size_t flow, TimePoint first,
+               TimePoint last, int count) {
+    ledger_.add(link, flow, first, last, count);
+    adds_.push_back(Stretch{link, flow, first, last, count});
+  }
+  /// ClassRun sinks: log_add(), and appending to touched_.
+  auto logged() {
+    return [this](auto... stretch) { log_add(stretch...); };
+  }
+  auto touch() {
+    return [this](auto... stretch) { touched_.push_back(Stretch{stretch...}); };
+  }
 
-  /// Points fs.steady_entry at fs.steady_shape's links: from "always"
-  /// (a never-updated flow) or from each link's entry step.
-  void set_tail(FlowState& fs, bool always);
+  /// Moves `flow`'s steady tail from shape `from`, shifted `shift` steps
+  /// later, to shape `to`, a tail being one piece [entry, kAfter) per
+  /// link of its shape: a link both hold moves its piece's start.
+  void move_tail(std::size_t flow, std::span<const FlatHop> from,
+                 std::int64_t shift, std::span<const FlatHop> to);
 
-  /// Points fs.head_end at the old shape's links, ending at fs.lo, or
-  /// clears it (a never-updated flow has no head).
-  void set_head(FlowState& fs, bool scheduled);
-
-  /// Recomputes `flow`'s steady tail from `from` (its latest update time);
-  /// false when the tail loops, blackholes, or collides with traced loads,
-  /// other tails or other flows' heads.
-  bool refresh_steady(std::size_t flow, TimePoint from);
+  /// Moves the probed flow's steady tail from the one parked in `step` to
+  /// the one from `from` (its latest update time); false when the tail
+  /// loops, blackholes, or some load at or after its start on one of its
+  /// links exceeds the capacity.
+  bool refresh_steady(const Step& step, TimePoint from);
 
   const net::Graph* graph_ = nullptr;
   std::int64_t d_ = 0;  // trajectory duration bound (in steps)
 
   std::vector<FlowState> flows_;
-  // Per-link entry-step loads from transitional classes, all flows.
-  LoadColumns load_;
+  // Every flow's head, traced classes and tail.
+  LoadLedger ledger_;
+  // The probe in flight's class moves and new cells, gathered into runs
+  // on their way to the ledger and to touched_.
+  ClassRun leaving_;
+  ClassRun arriving_;
+  ClassRun touching_;
+  std::vector<FlatHop> closed_;  // retrace()'s shifted closed-form shape
+  std::vector<std::int64_t> tail_at_;  // move_tail()'s per-link hop; -1
   Tracer tracer_;
 
-  // Undo log and step stack; entries past log_size_ / depth_ are recycled.
+  // Undo logs and step stack; entries past log_size_ / depth_ are
+  // recycled.
   std::vector<LogEntry> log_;
   std::size_t log_size_ = 0;
+  std::vector<Stretch> adds_;
   std::vector<Step> steps_;
   std::size_t depth_ = 0;
-  // (link, entry) of every load the probe in flight added.
-  std::vector<std::pair<net::LinkId, TimePoint>> touched_;
+  // Every cell the probe in flight's new traces enter.
+  std::vector<Stretch> touched_;
 };
 
 }  // namespace chronus::timenet

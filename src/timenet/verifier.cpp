@@ -17,6 +17,7 @@ namespace {
 /// the destructor so every early return (abort, first-violation) still
 /// reports what was done.
 struct VerifyTally {
+  const LoadLedger* ledger = nullptr;  ///< outlives the tally
   std::uint64_t classes_traced = 0;
   std::uint64_t links_checked = 0;
   std::uint64_t violations = 0;
@@ -26,6 +27,7 @@ struct VerifyTally {
     if (obs::registry() == nullptr) return;
     obs::add("verifier.calls");
     obs::add("verifier.classes_traced", classes_traced);
+    obs::add("verifier.load_pieces", ledger->pieces());
     obs::add("verifier.links_checked", links_checked);
     obs::add("verifier.violations", violations);
     if (aborted) obs::add("verifier.aborted");
@@ -67,144 +69,6 @@ Window make_window(const net::Graph& g,
   return w;
 }
 
-FlowView view_of(const net::Graph& g, const FlowTransition& f) {
-  FlowView view;
-  view.graph = &g;
-  view.instance = f.instance;
-  view.schedule = f.schedule;
-  view.per_packet_flip = f.per_packet_flip;
-  return view;
-}
-
-/// The loads of one verification. The classes traced one by one enter a
-/// band of entry steps, kept as dense per-link columns; every other class
-/// belongs to a run that follows one shape, and adds one class per entry
-/// step to each link of it. Outside the band a link's load is constant
-/// between run boundaries, so it is evaluated piece by piece.
-///
-/// Within one flow every addition to a cell is that flow's demand, so a
-/// cell's load is fixed by how many classes of each flow entered it. The
-/// band adds flow by flow and a piece folds its runs in flow order, one
-/// addition per class: every load is bit-for-bit the sum a class-by-class
-/// pass makes.
-class Ledger {
- public:
-  /// Adds the occupied links of one class traced into `hops`.
-  void add_class(std::size_t flow, std::span<const FlatHop> hops) {
-    for (const FlatHop& hop : hops) {
-      if (hop.link == net::kInvalidLink) continue;
-      if (cells_.empty() || hop.arrival < band_lo_) band_lo_ = hop.arrival;
-      if (cells_.empty() || hop.arrival > band_hi_) band_hi_ = hop.arrival;
-      cells_.push_back(Run{hop.link, flow, hop.arrival, hop.arrival});
-    }
-  }
-
-  /// Adds the classes injected in [first, last], each following the shape
-  /// `hops` traced for the class injected at `first`.
-  void add_run(std::size_t flow, std::span<const FlatHop> hops,
-               TimePoint first, TimePoint last) {
-    for (const FlatHop& hop : hops) {
-      if (hop.link == net::kInvalidLink) continue;
-      const std::int64_t offset = hop.arrival - first;
-      runs_.push_back(Run{hop.link, flow, first + offset, last + offset});
-    }
-  }
-
-  /// Sums the band, flow by flow, once every class of `flows` is in.
-  void build(const net::Graph& g, const std::vector<FlowTransition>& flows) {
-    flows_ = &flows;
-    // Both lists were filled flow by flow.
-    auto cell = cells_.begin();
-    auto run = runs_.begin();
-    if (!cells_.empty()) band_.reset(g.link_count(), band_lo_, band_hi_);
-    for (std::size_t f = 0; f < flows.size() && !cells_.empty(); ++f) {
-      const net::Demand demand = flows[f].instance->demand();
-      for (; cell != cells_.end() && cell->flow == f; ++cell) {
-        band_.at(cell->link, cell->first) += demand;
-      }
-      for (; run != runs_.end() && run->flow == f; ++run) {
-        const TimePoint from = std::max(run->first, band_lo_);
-        const TimePoint to = std::min(run->last, band_hi_);
-        for (TimePoint e = from; e <= to; ++e) {
-          band_.at(run->link, e) += demand;
-        }
-      }
-    }
-    // Link-major for scan(); stable, so each link's runs stay in flow order.
-    std::stable_sort(runs_.begin(), runs_.end(),
-                     [](const Run& a, const Run& b) { return a.link < b.link; });
-  }
-
-  /// Calls fn(first, last, load) for the entered entry steps of `link` in
-  /// [from, to], ascending: a band cell alone, a run piece as one call.
-  /// Stops early, returning false, when fn does.
-  template <class Fn>
-  bool scan(net::LinkId link, TimePoint from, TimePoint to, Fn&& fn) {
-    const auto [begin, end] = std::equal_range(
-        runs_.begin(), runs_.end(), Run{link},
-        [](const Run& a, const Run& b) { return a.link < b.link; });
-    const std::span<const Run> runs(begin, end);
-    const std::span<const net::Demand> column = band_.column(link);
-    if (runs.empty() && column.empty()) return true;
-
-    cuts_.clear();
-    cuts_.push_back(from);
-    cuts_.push_back(to + 1);
-    if (!column.empty()) {
-      cuts_.push_back(band_lo_);
-      cuts_.push_back(band_hi_ + 1);
-    }
-    for (const Run& r : runs) {
-      cuts_.push_back(r.first);
-      cuts_.push_back(r.last + 1);
-    }
-    std::sort(cuts_.begin(), cuts_.end());
-    cuts_.erase(std::unique(cuts_.begin(), cuts_.end()), cuts_.end());
-    for (std::size_t i = 0; i + 1 < cuts_.size(); ++i) {
-      const TimePoint a = cuts_[i];
-      const TimePoint b = cuts_[i + 1] - 1;
-      if (a < from || b > to) continue;
-      if (!column.empty() && a >= band_lo_ && a <= band_hi_) {
-        for (TimePoint e = a; e <= b; ++e) {
-          const net::Demand x = column[static_cast<std::size_t>(e - band_lo_)];
-          if (x != net::Demand{} && !fn(e, e, x)) return false;
-        }
-        continue;
-      }
-      net::Demand x{};
-      bool entered = false;
-      for (const Run& r : runs) {
-        if (r.first > a || r.last < a) continue;
-        x += (*flows_)[r.flow].instance->demand();
-        entered = true;
-      }
-      if (entered && !fn(a, b, x)) return false;
-    }
-    return true;
-  }
-
- private:
-  /// Classes of one flow entering `link` once per step, from `first` to
-  /// `last` (a traced class is a run of one).
-  struct Run {
-    net::LinkId link = net::kInvalidLink;
-    std::size_t flow = 0;
-    TimePoint first{};  ///< entry step of the run's first class
-    TimePoint last{};   ///< ... and of its last (inclusive)
-  };
-
-  // chronus-analyzer: allow(hot-alloc) per-call buffer, one entry per link a traced class entered
-  std::vector<Run> cells_;
-  // chronus-analyzer: allow(hot-alloc) per-call buffer, one entry per link of a run shape
-  std::vector<Run> runs_;
-  // chronus-analyzer: allow(hot-alloc) per-link piece boundaries, reused across links
-  std::vector<TimePoint> cuts_;
-  LoadColumns band_;
-  TimePoint band_lo_{};
-  TimePoint band_hi_{};
-  const std::vector<FlowTransition>* flows_ = nullptr;
-};
-
 /// Where a flow's classes change shape: every class injected before `lo`
 /// follows the all-old shape, every class from `last` on the final shape,
 /// and only those in [lo, last) are traced one by one.
@@ -239,27 +103,36 @@ Split split_of(const FlowTransition& f, const Window& w,
 }
 
 /// Traces every flow of the window into `ledger`, class runs in closed
-/// form. `visit(result, tau)` gets each class result in the order a
-/// class-by-class pass meets them, a run's once at its first class;
-/// `expired(from, to)` is asked for every stretch of classes in order.
-/// Either stops the pass by returning true; the function then returns
-/// false.
+/// form: a run, and each stretch of traced classes on one shape, is one
+/// piece per link. `visit(result, tau)` gets each class result in the
+/// order a class-by-class pass meets them, a run's once at its first
+/// class; `expired(from, to)` is asked for every stretch of classes in
+/// order. Either stops the pass by returning true; the function then
+/// returns false.
 template <class Visit, class Expired>
 bool trace_flows(const net::Graph& g, const std::vector<FlowTransition>& flows,
-                 const Window& w, Ledger& ledger, std::uint64_t& traced,
+                 const Window& w, LoadLedger& ledger, std::uint64_t& traced,
                  Visit&& visit, Expired&& expired) {
+  // chronus-analyzer: allow(hot-alloc) one demand per flow, once per call
+  std::vector<net::Demand> demands;
+  for (const FlowTransition& f : flows) demands.push_back(f.instance->demand());
+  ledger.reset(g.link_count(), demands);
+  const auto to_ledger = [&ledger](auto... piece) { ledger.add(piece...); };
+  ClassRun run;
   Tracer tracer(g.node_count());
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    const RuleTable rules(view_of(g, flows[f]));
+  const auto trace_flow = [&](std::size_t f) {
+    const FlowTransition& flow = flows[f];
+    const RuleTable rules(FlowView{&g, flow.instance, flow.schedule,
+                                   flow.per_packet_flip});
     // Class trace_begin ends before any update (it is at least 2d before
     // the earliest), so it has the all-old shape.
     const TraceResult head = tracer.run(rules, w.trace_begin);
     const std::span<const FlatHop> old_shape = tracer.hops();
-    const Split s = split_of(flows[f], w, g.node_count(),
+    const Split s = split_of(flow, w, g.node_count(),
                              old_shape.back().arrival - w.trace_begin);
     if (s.lo > w.trace_begin) {
       if (expired(w.trace_begin, w.trace_begin)) return false;
-      ledger.add_run(f, old_shape, w.trace_begin, s.lo - 1);
+      run.gather(f, old_shape, w.trace_begin, s.lo - 1, 1, to_ledger);
       if (visit(head, w.trace_begin)) return false;
       if (expired(w.trace_begin + 1, s.lo - 1)) return false;
     }
@@ -267,18 +140,22 @@ bool trace_flows(const net::Graph& g, const std::vector<FlowTransition>& flows,
       if (expired(tau, tau)) return false;
       ++traced;
       const TraceResult trace = tracer.run(rules, tau);
-      ledger.add_class(f, tracer.hops());
+      run.gather(f, tracer.hops(), tau, tau, 1, to_ledger);
       if (visit(trace, tau)) return false;
     }
     if (s.last <= w.trace_end) {
       if (expired(s.last, s.last)) return false;
       const TraceResult tail = tracer.run(rules, s.last);
-      ledger.add_run(f, tracer.hops(), s.last, w.trace_end);
+      run.gather(f, tracer.hops(), s.last, w.trace_end, 1, to_ledger);
       if (visit(tail, s.last)) return false;
       if (expired(s.last + 1, w.trace_end)) return false;
     }
-  }
-  return true;
+    return true;
+  };
+  bool done = true;
+  for (std::size_t f = 0; f < flows.size() && done; ++f) done = trace_flow(f);
+  run.spill(to_ledger);
+  return done;
 }
 
 }  // namespace
@@ -286,15 +163,12 @@ bool trace_flows(const net::Graph& g, const std::vector<FlowTransition>& flows,
 TransitionReport verify_transitions(const std::vector<FlowTransition>& flows,
                                     const VerifyOptions& opts) {
   CHRONUS_SPAN("verifier.transitions");
-  VerifyTally tally;
+  LoadLedger ledger;
+  VerifyTally tally{&ledger};
   TransitionReport report;
   if (flows.empty()) return report;
   const net::Graph& g = flows.front().instance->graph();
-  CHRONUS_EXPECTS(opts.window_slack >= 0, "window slack only widens");
-
-  Window w = make_window(g, flows);
-  w.trace_begin -= opts.window_slack;
-  w.trace_end += opts.window_slack;
+  const Window w = make_window(g, flows);
   const util::Deadline deadline(opts.deadline_sec);
 
   // Each looping / blackholing switch is reported once; a persistent loop
@@ -329,15 +203,13 @@ TransitionReport verify_transitions(const std::vector<FlowTransition>& flows,
     return true;
   };
 
-  Ledger ledger;
   if (!trace_flows(g, flows, w, ledger, tally.classes_traced, visit,
                    expired)) {
     return report;
   }
-  ledger.build(g, flows);
 
   // Link-major, entry step ascending: the order the events are reported in.
-  // A violating piece is counted cell by cell, so first_violation_only
+  // A violating stretch is counted cell by cell, so first_violation_only
   // stops at the same cell a class-by-class pass does.
   constexpr double kEps = 1e-9;
   for (net::LinkId link = 0; link < g.link_count(); ++link) {
@@ -365,25 +237,21 @@ TransitionReport verify_transitions(const std::vector<FlowTransition>& flows,
 TransitionReport verify_transition(const net::UpdateInstance& inst,
                                    const UpdateSchedule& sched,
                                    const VerifyOptions& opts) {
-  FlowTransition ft;
-  ft.instance = &inst;
-  ft.schedule = &sched;
-  return verify_transitions({ft}, opts);
+  return verify_transitions({{&inst, &sched, {}}}, opts);
 }
 
-namespace {
-
-/// Every entered (link, entry step) of the window and its load.
-std::map<std::pair<net::LinkId, TimePoint>, net::Demand> loads_of(
-    const net::Graph& g, const std::vector<FlowTransition>& flows) {
+std::map<std::pair<net::LinkId, TimePoint>, net::Demand> link_loads(
+    const net::UpdateInstance& inst, const UpdateSchedule& sched) {
+  const net::Graph& g = inst.graph();
+  // chronus-analyzer: allow(hot-alloc) diagnostics, one flow per call
+  const std::vector<FlowTransition> flows{{&inst, &sched, {}}};
   const Window w = make_window(g, flows);
-  Ledger ledger;
+  LoadLedger ledger;
   std::uint64_t traced = 0;
   trace_flows(
       g, flows, w, ledger, traced,
       [](const TraceResult&, TimePoint) { return false; },
       [](TimePoint, TimePoint) { return false; });
-  ledger.build(g, flows);
   std::map<std::pair<net::LinkId, TimePoint>, net::Demand> out;
   // Every class injected by trace_end enters its last link within d.
   const TimePoint end = w.trace_end + trajectory_bound(g);
@@ -397,16 +265,6 @@ std::map<std::pair<net::LinkId, TimePoint>, net::Demand> loads_of(
                 });
   }
   return out;
-}
-
-}  // namespace
-
-std::map<std::pair<net::LinkId, TimePoint>, net::Demand> link_loads(
-    const net::UpdateInstance& inst, const UpdateSchedule& sched) {
-  FlowTransition ft;
-  ft.instance = &inst;
-  ft.schedule = &sched;
-  return loads_of(inst.graph(), {ft});
 }
 
 void TransitionReport::merge(const TransitionReport& other) {

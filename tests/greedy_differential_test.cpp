@@ -7,7 +7,8 @@
 // run and of random update orders; the greedy itself must match the
 // oracle loop field by field in all 8 option combinations. Golden
 // digests pin the pure greedy's schedules at Fig. 10 scale and the
-// guarded greedy's outputs and counters on fat-tree reroutes.
+// guarded greedy's outputs and counters on fat-tree reroutes and on
+// Fig. 10-shape instances.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -408,6 +409,37 @@ TEST(GreedyDifferential, GuardedGreedyGoldenDigest) {
   // graph-wide bound (n + 2) * max_delay and re-probed every stalled head.
   EXPECT_EQ(unplannable, 23);
   EXPECT_EQ(d.h, 0x215ed40db35a86aeULL);
+}
+
+TEST(GreedyDifferential, GuardedGoldenDigestAtFig10Shape) {
+  // Sec. V.B instances drawn as bench/fig10_running_time draws them
+  // (Rng(seed).fork(n)), planned by the guarded greedy: long stalls,
+  // thousands of probes, and infeasible walks to the drain bound.
+  GreedyOptions opts;
+  opts.record_steps = false;
+  ASSERT_TRUE(opts.guard_with_verifier);
+  Digest d;
+  int infeasible = 0;
+  for (const std::size_t n : {60, 100, 150}) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      util::Rng rng = util::Rng(seed).fork(n);
+      net::RandomInstanceOptions io;
+      io.n = n;
+      const net::UpdateInstance inst = net::random_instance(io, rng);
+      obs::MetricsRegistry reg;
+      ScheduleResult res;
+      {
+        const obs::ScopedMetrics scoped(reg);
+        res = greedy_schedule(inst, opts);
+      }
+      infeasible += res.feasible() ? 0 : 1;
+      add_guarded_run(d, res, reg);
+    }
+  }
+  // Recorded by building this test against TransitionState's dense load
+  // columns and head/tail side tables, before the per-link run ledger.
+  EXPECT_EQ(infeasible, 1);
+  EXPECT_EQ(d.h, 0x92018fece4b4d036ULL);
 }
 
 }  // namespace

@@ -302,6 +302,8 @@ TEST(ObsExport, GoldenMaskedJsonSnapshot) {
       "\"value\":8},\n"
       "{\"name\":\"verifier.links_checked\",\"type\":\"counter\","
       "\"value\":85},\n"
+      "{\"name\":\"verifier.load_pieces\",\"type\":\"counter\","
+      "\"value\":10},\n"
       "{\"name\":\"verifier.violations\",\"type\":\"counter\",\"value\":0},\n"
       "{\"name\":\"span.greedy.schedule_wall_us\",\"type\":\"histogram\","
       "\"count\":1,\"sum_us\":0,\"max_us\":0,\"buckets\":\"\"},\n"

@@ -4,6 +4,9 @@
 // timed plan v2@t0, v3@t1, {v1,v4}@t2, v5@t3 is congestion- and loop-free.
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "net/generators.hpp"
 #include "timenet/schedule.hpp"
 #include "timenet/trajectory.hpp"
@@ -300,6 +303,54 @@ TEST(Verifier, MultiFlowLoadsAddUp) {
   t2.schedule = &s2;
   const auto report = verify_transitions({t1, t2});
   EXPECT_FALSE(report.congestion_free());
+}
+
+/// Every stretch scan() reports on `link`, as (first, last, load).
+std::vector<std::tuple<std::int64_t, std::int64_t, double>> stretches(
+    LoadLedger& ledger, net::LinkId link, TimePoint from, TimePoint to) {
+  std::vector<std::tuple<std::int64_t, std::int64_t, double>> out;
+  ledger.scan(link, from, to, [&](TimePoint a, TimePoint b, net::Demand x) {
+    out.emplace_back(a.count(), b.count(), x.value());
+    return true;
+  });
+  return out;
+}
+
+TEST(LoadLedger, PiecesSplitMergeAndFoldFlowsInOrder) {
+  LoadLedger ledger;
+  const std::vector<net::Demand> demands{net::Demand{0.5}, net::Demand{2.0}};
+  ledger.reset(2, demands);
+  // Consecutive unit classes coalesce; a removal splits, its undo merges.
+  for (std::int64_t e = 3; e <= 6; ++e) {
+    ledger.add(0, 0, TimePoint{e}, TimePoint{e}, 1);
+  }
+  EXPECT_EQ(ledger.pieces(), 1u);
+  ledger.add(0, 0, TimePoint{4}, TimePoint{4}, -1);
+  EXPECT_EQ(ledger.pieces(), 2u);
+  ledger.add(0, 0, TimePoint{4}, TimePoint{4}, 1);
+  EXPECT_EQ(ledger.pieces(), 1u);
+  // An open head and tail on the other flow; only entered steps report.
+  ledger.add(0, 1, LoadLedger::kBefore, TimePoint{4}, 1);
+  ledger.add(0, 1, TimePoint{9}, LoadLedger::kAfter, 1);
+  using S = std::tuple<std::int64_t, std::int64_t, double>;
+  EXPECT_EQ(stretches(ledger, 0, TimePoint{2}, TimePoint{10}),
+            (std::vector<S>{{2, 2, 2.0}, {3, 4, 2.5}, {5, 6, 0.5},
+                            {9, 10, 2.0}}));
+  // A count of two folds one addition per class: 0.5 + 0.5 + 2.0.
+  ledger.add(0, 0, TimePoint{3}, TimePoint{3}, 1);
+  EXPECT_EQ(stretches(ledger, 0, TimePoint{3}, TimePoint{3}),
+            (std::vector<S>{{3, 3, 3.0}}));
+  EXPECT_TRUE(stretches(ledger, 1, LoadLedger::kBefore, LoadLedger::kAfter)
+                  .empty());
+  // Removing everything leaves no piece; reset empties the ledger.
+  ledger.add(0, 0, TimePoint{3}, TimePoint{3}, -1);
+  ledger.add(0, 0, TimePoint{3}, TimePoint{6}, -1);
+  ledger.add(0, 1, LoadLedger::kBefore, TimePoint{4}, -1);
+  EXPECT_EQ(ledger.pieces(), 1u);
+  ledger.reset(2, demands);
+  EXPECT_EQ(ledger.pieces(), 0u);
+  EXPECT_TRUE(stretches(ledger, 0, LoadLedger::kBefore, LoadLedger::kAfter)
+                  .empty());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Map-based reference implementations of trajectory tracing and transition
 // verification: a hash-set tracer that looks rules up through the
 // instance's next-hop maps and links through Graph::find_link, a
-// std::map<(link, entry), Demand> load ledger, and the per-class verifier
+// std::map<(link, entry), Demand> load map, and the per-class verifier
 // loop over them. Slow and obviously correct. The library runs the same
-// algorithms over flat storage (RuleTable / Tracer / LoadColumns in
+// algorithms over flat storage (RuleTable / Tracer / LoadLedger in
 // src/timenet/trajectory.hpp); the differential tests hold it to these
 // field by field, and the TransitionState property tests take their
 // verdicts from here.
@@ -147,9 +147,7 @@ inline TransitionReport verify_transitions(
   if (flows.empty()) return report;
   const net::Graph& g = flows.front().instance->graph();
 
-  Window w = make_window(g, flows);
-  w.trace_begin -= opts.window_slack;
-  w.trace_end += opts.window_slack;
+  const Window w = make_window(g, flows);
   const util::Deadline deadline(opts.deadline_sec);
 
   LoadMap load;
