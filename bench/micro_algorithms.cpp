@@ -101,7 +101,7 @@ void BM_OrderPlanGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_OrderPlanGreedy)->Arg(10)->Arg(100);
 
-// ---- arena-backed planner paths (DESIGN.md §16) ---------------------------
+// ---- offline planners: path set P(f), OPT and OR search (DESIGN.md §16) ---
 
 void BM_PathEnum(benchmark::State& state) {
   const auto inst = make_instance(30, 9);

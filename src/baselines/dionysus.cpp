@@ -32,6 +32,7 @@ DionysusExecution dionysus_execute(const net::UpdateInstance& inst,
   std::set<net::NodeId> in_flight;  // issued, not yet confirmed
   std::set<net::NodeId> completed;
   std::map<timenet::TimePoint, std::vector<net::NodeId>> completions;
+  opt::RoundLoopCheck loops(inst);
 
   constexpr double kEps = 1e-9;
   timenet::TimePoint t{};
@@ -69,9 +70,10 @@ DionysusExecution dionysus_execute(const net::UpdateInstance& inst,
         ++it;
         continue;
       }
-      std::set<net::NodeId> round = in_flight;
-      round.insert(v);
-      if (!opt::round_is_loop_safe(inst, completed, round)) {
+      // The round is every in-flight operation plus v.
+      if (!loops.safe(completed, [&](net::NodeId w) {
+            return w == v || in_flight.contains(w);
+          })) {
         ++it;
         continue;
       }

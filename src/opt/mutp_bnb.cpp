@@ -9,10 +9,9 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "opt/arena_search.hpp"
+#include "opt/search_state.hpp"
 #include "timenet/transition_state.hpp"
 #include "timenet/verifier.hpp"
-#include "util/arena.hpp"
 #include "util/stopwatch.hpp"
 
 namespace chronus::opt {
@@ -28,41 +27,32 @@ bool is_clean(const net::UpdateInstance& inst,
   return !report.aborted && report.ok();
 }
 
-// Search state lives in the solve's arena (opt/arena_search.hpp): a flat
-// sorted pending set, per-depth candidate lists and a dominance memo under
-// binary keys.
-using Pending = arena_search::SortedNodeVec;
-using CandVec = arena_search::CandPool::CandVec;
+// Search state (opt/search_state.hpp): a flat sorted pending set,
+// per-depth candidate lists and a dominance memo under binary keys.
+using Pending = search_state::SortedNodeVec;
+// chronus-analyzer: allow(hot-alloc) one list per search depth, reused
+using CandVec = std::vector<net::NodeId>;
 
 struct Memo {
   std::int64_t drain = 0;
-  util::ArenaString key;  // reused scratch; contents rebuilt per probe
-  std::map<util::ArenaString, timenet::TimePoint,
-           std::less<util::ArenaString>,
-           util::ArenaAllocator<
-               std::pair<const util::ArenaString, timenet::TimePoint>>>
-      memo;
-
-  explicit Memo(util::Arena* a)
-      : key(util::ArenaAllocator<char>(a)),
-        memo(std::less<util::ArenaString>(),
-             util::ArenaAllocator<
-                 std::pair<const util::ArenaString, timenet::TimePoint>>(a)) {}
+  std::string key;  // reused scratch; contents rebuilt per probe
+  // chronus-analyzer: allow(hot-alloc) one memo per solve, an entry per state
+  std::map<std::string, timenet::TimePoint> memo;
 
   /// True if an at-least-as-early visit of this state is memoized;
   /// records the visit otherwise.
   bool probe(timenet::TimePoint t, const timenet::UpdateSchedule& sched,
              const Pending& pending) {
     key.clear();
-    for (const net::NodeId v : pending) arena_search::append_u32(key, v);
-    arena_search::append_u32(key, arena_search::kKeySeparator);
+    for (const net::NodeId v : pending) search_state::append_u32(key, v);
+    search_state::append_u32(key, search_state::kKeySeparator);
     // Updates older than the drain bound cannot influence any class that
     // is still in flight; only the recent update pattern (relative to t)
     // matters for the remaining subproblem.
     for (const auto& [v, tv] : sched.entries()) {
       if (tv >= t - drain) {
-        arena_search::append_u32(key, v);
-        arena_search::append_u64(key, static_cast<std::uint64_t>(t - tv));
+        search_state::append_u32(key, v);
+        search_state::append_u64(key, static_cast<std::uint64_t>(t - tv));
       }
     }
     const auto it = memo.find(key);
@@ -94,9 +84,7 @@ struct Search {
   // (property-tested in tests/property_test.cpp).
   std::uint64_t incumbent_updates = 0;
   Memo memo;
-  arena_search::CandPool cands;
-
-  explicit Search(util::Arena* arena) : memo(arena), cands(arena) {}
+  search_state::DepthSlots<CandVec> cands;
 
   void dfs(timenet::TimePoint t, std::size_t depth, Pending& pending);
   void branch(timenet::TimePoint t, std::size_t depth, Pending& pending,
@@ -215,9 +203,7 @@ MutpResult solve_mutp(const net::UpdateInstance& inst,
       greedy.feasible() &&
       (fast_clean || is_clean(inst, greedy.schedule, validate_budget));
 
-  util::Arena arena;
-  util::ArenaScope claim(arena);
-  Search s(&arena);
+  Search s;
   s.deadline = util::Deadline(opts.timeout_sec);
   s.max_candidates = opts.max_candidates_exact;
   s.memo.drain = drain;
@@ -233,7 +219,7 @@ MutpResult solve_mutp(const net::UpdateInstance& inst,
   }
   timenet::TransitionState state(inst);
   s.state = &state;
-  Pending pending(&arena);
+  Pending pending;
   pending.assign_sorted(to_update.begin(), to_update.end());
   if (s.deadline.expired()) {
     s.timed_out = true;  // a micro-timeout can expire before the first node
@@ -241,11 +227,6 @@ MutpResult solve_mutp(const net::UpdateInstance& inst,
     s.dfs(timenet::TimePoint{0}, 0, pending);
   }
 
-  const util::ArenaStats& st = arena.stats();
-  obs::add("arena.mutp.bytes", st.bytes_requested);
-  obs::add("arena.mutp.allocs", st.allocs);
-  obs::add("arena.mutp.chunks", st.chunks);
-  obs::add("arena.mutp.high_water", st.high_water);
   obs::add("mutp.calls");
   obs::add("mutp.nodes_visited", s.nodes);
   obs::add("mutp.prunes", s.prunes);

@@ -9,169 +9,73 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "opt/arena_search.hpp"
-#include "util/arena.hpp"
+#include "opt/search_state.hpp"
 #include "util/stopwatch.hpp"
 
 namespace chronus::opt {
 
-namespace {
-
-/// Cycle check on the union graph (see header). Each switch contributes at
-/// most two outgoing edges, so this is O(V). This map-based form is the
-/// public round_is_loop_safe, which greedy_maximal and Dionysus call; the
-/// exact search uses FlatLoopCheck below (same verdicts, flat
-/// epoch-stamped arrays instead of per-call maps).
-bool union_graph_acyclic(const net::UpdateInstance& inst,
-                         const std::set<net::NodeId>& updated,
-                         const std::set<net::NodeId>& round) {
-  const auto nodes = inst.touched_nodes();
-  std::map<net::NodeId, std::vector<net::NodeId>> adj;
-  for (const net::NodeId v : nodes) {
-    const auto on = inst.old_next(v);
-    const auto nn = inst.new_next(v);
-    auto& out = adj[v];
-    if (updated.count(v)) {
-      if (nn) out.push_back(*nn);
-    } else if (round.count(v)) {
-      if (on) out.push_back(*on);
-      if (nn && (!on || *nn != *on)) out.push_back(*nn);
-    } else {
-      if (on) out.push_back(*on);
-    }
+RoundLoopCheck::RoundLoopCheck(const net::UpdateInstance& inst) {
+  const std::size_t n = inst.graph().node_count();
+  const auto touched = inst.touched_nodes();
+  nodes_.assign(touched.begin(), touched.end());
+  touched_.assign(n, 0);
+  old_nx_.assign(n, net::kInvalidNode);
+  new_nx_.assign(n, net::kInvalidNode);
+  for (const net::NodeId v : nodes_) {
+    touched_[v] = 1;
+    if (const auto on = inst.old_next(v)) old_nx_[v] = *on;
+    if (const auto nn = inst.new_next(v)) new_nx_[v] = *nn;
   }
-  // Iterative three-color DFS.
-  std::map<net::NodeId, int> color;  // 0 white, 1 grey, 2 black
-  for (const net::NodeId start : nodes) {
-    if (color[start] != 0) continue;
-    std::vector<std::pair<net::NodeId, std::size_t>> stack{{start, 0}};
-    color[start] = 1;
-    while (!stack.empty()) {
-      auto& [v, i] = stack.back();
-      const auto it = adj.find(v);
-      if (it == adj.end() || i >= it->second.size()) {
-        color[v] = 2;
-        stack.pop_back();
+  out_.assign(2 * n, net::kInvalidNode);
+  out_n_.assign(n, 0);
+  color_.assign(n, 0);
+  stack_.reserve(nodes_.size());
+}
+
+/// Iterative three-colour DFS over the out-edges safe() filled in. Each
+/// switch has at most two out-edges, so this is O(V).
+bool RoundLoopCheck::acyclic() {
+  for (const net::NodeId v : nodes_) color_[v] = 0;
+  for (const net::NodeId start : nodes_) {
+    if (color_[start] != 0) continue;
+    stack_.clear();
+    stack_.push_back(Frame{start, 0});
+    color_[start] = 1;
+    while (!stack_.empty()) {
+      Frame& f = stack_.back();
+      if (f.i >= out_n_[f.v]) {
+        color_[f.v] = 2;
+        stack_.pop_back();
         continue;
       }
-      const net::NodeId w = it->second[i++];
-      if (!adj.count(w)) continue;  // sink (destination): no out edges
-      const int c = color[w];
+      const net::NodeId w = out_[2 * f.v + f.i++];
+      if (touched_[w] == 0) continue;  // sink (destination): no out edges
+      const unsigned char c = color_[w];
       if (c == 1) return false;
       if (c == 0) {
-        color[w] = 1;
-        stack.emplace_back(w, 0);
+        color_[w] = 1;
+        stack_.push_back(Frame{w, 0});
       }
     }
   }
   return true;
 }
 
-/// The exact search's union-graph cycle check: next-hop functions and the
-/// touched-node set are flattened once per search, and every safe_with()
-/// call reuses epoch-stamped color/adjacency arrays — no per-call
-/// allocation, no tree lookups. Verdict-identical to union_graph_acyclic
-/// (both decide acyclicity of the same union graph; tests/opt_test.cpp
-/// checks every round the search emits with round_is_loop_safe).
-class FlatLoopCheck {
- public:
-  FlatLoopCheck(util::Arena* arena, const net::UpdateInstance& inst)
-      : nodes_(util::ArenaAllocator<net::NodeId>(arena)),
-        old_nx_(util::ArenaAllocator<net::NodeId>(arena)),
-        new_nx_(util::ArenaAllocator<net::NodeId>(arena)),
-        stamp_(util::ArenaAllocator<std::uint64_t>(arena)),
-        color_(util::ArenaAllocator<unsigned char>(arena)),
-        out_(util::ArenaAllocator<net::NodeId>(arena)),
-        out_n_(util::ArenaAllocator<unsigned char>(arena)),
-        stack_(util::ArenaAllocator<Frame>(arena)) {
-    const std::size_t n = inst.graph().node_count();
-    const auto touched = inst.touched_nodes();
-    nodes_.assign(touched.begin(), touched.end());
-    old_nx_.assign(n, net::kInvalidNode);
-    new_nx_.assign(n, net::kInvalidNode);
-    for (const net::NodeId v : nodes_) {
-      if (const auto on = inst.old_next(v)) old_nx_[v] = *on;
-      if (const auto nn = inst.new_next(v)) new_nx_[v] = *nn;
-    }
-    stamp_.assign(n, 0);
-    color_.assign(n, 0);
-    out_.assign(2 * n, net::kInvalidNode);
-    out_n_.assign(n, 0);
-    stack_.reserve(nodes_.size());
-  }
+bool round_is_loop_safe(const net::UpdateInstance& inst,
+                        const std::set<net::NodeId>& updated,
+                        const std::set<net::NodeId>& round) {
+  return RoundLoopCheck(inst).safe(
+      updated, [&round](net::NodeId v) { return round.contains(v); });
+}
 
-  /// Acyclicity with `round` membership decided by any predicate.
-  template <typename Updated, typename RoundContains>
-  bool safe_with(const Updated& updated, RoundContains in_round) {
-    ++epoch_;
-    for (const net::NodeId v : nodes_) {
-      stamp_[v] = epoch_;
-      color_[v] = 0;
-      unsigned char cnt = 0;
-      const net::NodeId on = old_nx_[v];
-      const net::NodeId nn = new_nx_[v];
-      if (updated.contains(v)) {
-        if (nn != net::kInvalidNode) out_[2 * v + cnt++] = nn;
-      } else if (in_round(v)) {
-        if (on != net::kInvalidNode) out_[2 * v + cnt++] = on;
-        if (nn != net::kInvalidNode && (on == net::kInvalidNode || nn != on)) {
-          out_[2 * v + cnt++] = nn;
-        }
-      } else {
-        if (on != net::kInvalidNode) out_[2 * v + cnt++] = on;
-      }
-      out_n_[v] = cnt;
-    }
-    for (const net::NodeId start : nodes_) {
-      if (color_[start] != 0) continue;
-      stack_.clear();
-      stack_.push_back(Frame{start, 0});
-      color_[start] = 1;
-      while (!stack_.empty()) {
-        Frame& f = stack_.back();
-        if (f.i >= out_n_[f.v]) {
-          color_[f.v] = 2;
-          stack_.pop_back();
-          continue;
-        }
-        const net::NodeId w = out_[2 * f.v + f.i++];
-        if (stamp_[w] != epoch_) continue;  // sink: not a touched node
-        const unsigned char c = color_[w];
-        if (c == 1) return false;
-        if (c == 0) {
-          color_[w] = 1;
-          stack_.push_back(Frame{w, 0});
-        }
-      }
-    }
-    return true;
-  }
-
- private:
-  struct Frame {
-    net::NodeId v;
-    unsigned char i;
-  };
-
-  util::ArenaVector<net::NodeId> nodes_;
-  util::ArenaVector<net::NodeId> old_nx_;
-  util::ArenaVector<net::NodeId> new_nx_;
-  util::ArenaVector<std::uint64_t> stamp_;
-  util::ArenaVector<unsigned char> color_;
-  util::ArenaVector<net::NodeId> out_;
-  util::ArenaVector<unsigned char> out_n_;
-  util::ArenaVector<Frame> stack_;
-  std::uint64_t epoch_ = 0;
-};
+namespace {
 
 /// A round under construction: sorted flat vector plus membership mask.
 /// branch() inserts candidates in ascending order and erases in LIFO
 /// order, so push_back/pop_back keep the vector sorted.
 class RoundVec {
  public:
-  RoundVec(util::Arena* arena, std::size_t node_count)
-      : v_(util::ArenaAllocator<net::NodeId>(arena)),
-        mask_(arena, node_count) {}
+  explicit RoundVec(std::size_t node_count) : mask_(node_count) {}
 
   void insert(net::NodeId v) {
     CHRONUS_EXPECTS(v_.empty() || v_.back() < v,
@@ -196,83 +100,49 @@ class RoundVec {
   auto end() const { return v_.end(); }
 
  private:
-  util::ArenaVector<net::NodeId> v_;
-  arena_search::NodeMask mask_;
+  // chronus-analyzer: allow(hot-alloc) one round per search depth, reused
+  std::vector<net::NodeId> v_;
+  search_state::NodeMask mask_;
 };
 
-// Search state lives in the solve's arena (opt/arena_search.hpp).
-using Pending = arena_search::SortedNodeVec;
-using Updated = arena_search::NodeMask;
-using CandVec = arena_search::CandPool::CandVec;
+// Search state (opt/search_state.hpp).
+using Pending = search_state::SortedNodeVec;
+using Updated = search_state::NodeMask;
+// chronus-analyzer: allow(hot-alloc) one list per search depth, reused
+using CandVec = std::vector<net::NodeId>;
+// chronus-analyzer: allow(hot-alloc) the rounds an answer returns
+using RoundList = std::vector<std::vector<net::NodeId>>;
 
-/// Per-depth rounds under construction; slots are arena_new'd for the
-/// same reason as arena_search::CandPool's.
-struct RoundPool {
-  util::Arena* arena;
-  std::size_t node_count;
-  util::ArenaVector<RoundVec*> pool;
-
-  RoundPool(util::Arena* a, std::size_t n)
-      : arena(a), node_count(n), pool(util::ArenaAllocator<RoundVec*>(a)) {}
-  RoundVec& at_depth(std::size_t d) {
-    while (d >= pool.size()) {
-      pool.push_back(
-          arena_search::arena_new<RoundVec>(arena, arena, node_count));
-    }
-    pool[d]->clear();
-    return *pool[d];
-  }
-};
-
-/// Stack of completed rounds: per-depth slots are assigned in place so
-/// a long search never grows the arena with dead round copies.
+/// Stack of completed rounds: per-depth slots are assigned in place, so a
+/// long search reuses their buffers instead of copying a round per node.
 struct Rounds {
-  util::Arena* arena;
-  util::ArenaVector<util::ArenaVector<net::NodeId>*> pool;
+  RoundList slots;
   std::size_t n = 0;
 
-  explicit Rounds(util::Arena* a)
-      : arena(a),
-        pool(util::ArenaAllocator<util::ArenaVector<net::NodeId>*>(a)) {}
   void push(const RoundVec& r) {
-    if (n == pool.size()) {
-      pool.push_back(arena_search::arena_new<util::ArenaVector<net::NodeId>>(
-          arena, util::ArenaAllocator<net::NodeId>(arena)));
-    }
-    pool[n]->assign(r.begin(), r.end());
+    if (n == slots.size()) slots.emplace_back();
+    slots[n].assign(r.begin(), r.end());
     ++n;
   }
   void pop() { --n; }
   std::size_t size() const { return n; }
-  std::vector<std::vector<net::NodeId>> snapshot() const {
-    std::vector<std::vector<net::NodeId>> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.emplace_back(pool[i]->begin(), pool[i]->end());
-    }
-    return out;
+  RoundList snapshot() const {
+    return RoundList(slots.begin(),
+                     slots.begin() + static_cast<std::ptrdiff_t>(n));
   }
 };
 
 /// Dominance memo: pending set -> fewest rounds used to reach it.
 struct Memo {
-  util::ArenaString key;  // reused scratch; contents rebuilt per probe
-  std::map<util::ArenaString, std::size_t, std::less<util::ArenaString>,
-           util::ArenaAllocator<
-               std::pair<const util::ArenaString, std::size_t>>>
-      memo;
-
-  explicit Memo(util::Arena* a)
-      : key(util::ArenaAllocator<char>(a)),
-        memo(std::less<util::ArenaString>(),
-             util::ArenaAllocator<
-                 std::pair<const util::ArenaString, std::size_t>>(a)) {}
+  std::string key;  // reused scratch; contents rebuilt per probe
+  // chronus-analyzer: allow(hot-alloc) one memo per solve, an entry per state
+  std::map<std::string, std::size_t> memo;
 
   /// True if the pending set was already reached within `used` rounds;
   /// records the visit otherwise.
   bool probe(const Pending& pending, std::size_t used) {
     key.clear();
-    for (const net::NodeId v : pending) arena_search::append_u32(key, v);
+    for (const net::NodeId v : pending) search_state::append_u32(key, v);
     const auto it = memo.find(key);
     if (it != memo.end()) {
       if (it->second <= used) return true;
@@ -288,25 +158,19 @@ struct Search {
   util::Deadline deadline{0};
 
   std::size_t incumbent = std::numeric_limits<std::size_t>::max();
-  std::vector<std::vector<net::NodeId>> best;
+  RoundList best;
   bool found = false;
   bool timed_out = false;
   std::uint64_t nodes = 0;
   std::uint64_t prunes = 0;
   std::uint64_t memo_hits = 0;
   std::uint64_t incumbent_updates = 0;  // dfs-internal only (see mutp_bnb)
+  RoundLoopCheck* loops = nullptr;
+  std::size_t node_count = 0;
   Memo memo;
-  FlatLoopCheck loops;
-  arena_search::CandPool cands;
-  RoundPool round_pool;
+  search_state::DepthSlots<CandVec> cands;
+  search_state::DepthSlots<RoundVec> rounds_at_depth;
   Rounds current;
-
-  Search(util::Arena* arena, const net::UpdateInstance& inst)
-      : memo(arena),
-        loops(arena, inst),
-        cands(arena),
-        round_pool(arena, inst.graph().node_count()),
-        current(arena) {}
 
   void dfs(std::size_t depth, Pending& pending, Updated& updated);
   void branch(std::size_t depth, Pending& pending, Updated& updated,
@@ -340,13 +204,13 @@ void Search::dfs(std::size_t depth, Pending& pending, Updated& updated) {
 
   CandVec& cand = cands.at_depth(depth);
   for (const net::NodeId v : pending) {
-    if (loops.safe_with(updated, [v](net::NodeId w) { return w == v; })) {
+    if (loops->safe(updated, [v](net::NodeId w) { return w == v; })) {
       cand.push_back(v);
     }
   }
   if (cand.empty()) return;  // stuck: no single switch is safe
 
-  RoundVec& round = round_pool.at_depth(depth);
+  RoundVec& round = rounds_at_depth.at_depth(depth, node_count);
   branch(depth, pending, updated, cand, 0, round);
 }
 
@@ -373,24 +237,25 @@ void Search::branch(std::size_t depth, Pending& pending, Updated& updated,
   }
   const net::NodeId v = cand[idx];
   round.insert(v);
-  if (loops.safe_with(updated,
-                      [&round](net::NodeId w) { return round.contains(w); })) {
+  if (loops->safe(updated,
+                  [&round](net::NodeId w) { return round.contains(w); })) {
     branch(depth, pending, updated, cand, idx + 1, round);
   }
   round.erase(v);
   branch(depth, pending, updated, cand, idx + 1, round);
 }
 
-std::vector<std::vector<net::NodeId>> greedy_maximal(
-    const net::UpdateInstance& inst, std::set<net::NodeId> pending,
-    std::set<net::NodeId> updated, const util::Deadline& deadline) {
-  std::vector<std::vector<net::NodeId>> rounds;
+RoundList greedy_maximal(RoundLoopCheck& loops, std::set<net::NodeId> pending,
+                         std::set<net::NodeId> updated,
+                         const util::Deadline& deadline) {
+  RoundList rounds;
   while (!pending.empty()) {
     std::set<net::NodeId> round;
+    const auto in_round = [&round](net::NodeId w) { return round.contains(w); };
     for (const net::NodeId v : pending) {
       if (deadline.expired()) return {};
       round.insert(v);
-      if (!round_is_loop_safe(inst, updated, round)) round.erase(v);
+      if (!loops.safe(updated, in_round)) round.erase(v);
     }
     if (round.empty()) return {};  // stuck
     for (const net::NodeId v : round) {
@@ -403,12 +268,6 @@ std::vector<std::vector<net::NodeId>> greedy_maximal(
 }
 
 }  // namespace
-
-bool round_is_loop_safe(const net::UpdateInstance& inst,
-                        const std::set<net::NodeId>& updated,
-                        const std::set<net::NodeId>& round) {
-  return union_graph_acyclic(inst, updated, round);
-}
 
 OrderResult solve_order_replacement(const net::UpdateInstance& inst,
                                     const OrderOptions& opts) {
@@ -444,8 +303,9 @@ OrderResult solve_order_replacement(const net::UpdateInstance& inst,
   const std::set<net::NodeId> pre_installed(fresh.begin(), fresh.end());
 
   const util::Deadline deadline(opts.timeout_sec);
-  auto greedy = greedy_maximal(inst, pending, pre_installed, deadline);
-  const auto with_fresh_round = [&](std::vector<std::vector<net::NodeId>> rounds) {
+  RoundLoopCheck loops(inst);
+  RoundList greedy = greedy_maximal(loops, pending, pre_installed, deadline);
+  const auto with_fresh_round = [&](RoundList rounds) {
     if (!fresh.empty()) rounds.insert(rounds.begin(), fresh);
     return rounds;
   };
@@ -459,26 +319,21 @@ OrderResult solve_order_replacement(const net::UpdateInstance& inst,
     return res;
   }
 
-  util::Arena arena;
-  util::ArenaScope claim(arena);
-  Search s(&arena, inst);
+  Search s;
   s.deadline = deadline;
+  s.loops = &loops;
+  s.node_count = inst.graph().node_count();
   if (!greedy.empty()) {
     s.found = true;
     s.incumbent = greedy.size();
     s.best = std::move(greedy);
   }
-  Pending open(&arena);
+  Pending open;
   open.assign_sorted(pending.begin(), pending.end());
-  Updated updated(&arena, inst.graph().node_count());
+  Updated updated(s.node_count);
   for (const net::NodeId v : pre_installed) updated.insert(v);
   s.dfs(0, open, updated);
 
-  const util::ArenaStats& st = arena.stats();
-  obs::add("arena.order.bytes", st.bytes_requested);
-  obs::add("arena.order.allocs", st.allocs);
-  obs::add("arena.order.chunks", st.chunks);
-  obs::add("arena.order.high_water", st.high_water);
   obs::add("order.calls");
   obs::add("order.nodes_visited", s.nodes);
   obs::add("order.prunes", s.prunes);

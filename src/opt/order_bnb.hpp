@@ -26,8 +26,56 @@
 
 namespace chronus::opt {
 
-/// True iff updating all of `round` asynchronously, after `updated` already
-/// took effect, cannot create a transient forwarding loop.
+/// The union-graph cycle check, built once per instance and reused for
+/// every query: next hops and the touched switches are flattened at
+/// construction, and a query refills fixed per-node adjacency and colour
+/// arrays, so it allocates nothing.
+class RoundLoopCheck {
+ public:
+  explicit RoundLoopCheck(const net::UpdateInstance& inst);
+
+  /// True iff updating every switch v with in_round(v) asynchronously,
+  /// after the switches in `updated` (any set with contains()) took
+  /// effect, cannot create a transient forwarding loop.
+  template <typename Updated, typename InRound>
+  bool safe(const Updated& updated, InRound in_round) {
+    for (const net::NodeId v : nodes_) {
+      const net::NodeId on = old_nx_[v];
+      const net::NodeId nn = new_nx_[v];
+      unsigned char cnt = 0;
+      if (updated.contains(v)) {
+        if (nn != net::kInvalidNode) out_[2 * v + cnt++] = nn;
+      } else if (in_round(v)) {
+        if (on != net::kInvalidNode) out_[2 * v + cnt++] = on;
+        if (nn != net::kInvalidNode && nn != on) out_[2 * v + cnt++] = nn;
+      } else if (on != net::kInvalidNode) {
+        out_[2 * v + cnt++] = on;
+      }
+      out_n_[v] = cnt;
+    }
+    return acyclic();
+  }
+
+ private:
+  bool acyclic();
+
+  struct Frame {
+    net::NodeId v;
+    unsigned char i;
+  };
+
+  // Built once per instance: one entry per node of the graph, two for out_.
+  std::vector<net::NodeId> nodes_;  // the touched switches
+  std::vector<unsigned char> touched_;
+  std::vector<net::NodeId> old_nx_;  // kInvalidNode: no such rule
+  std::vector<net::NodeId> new_nx_;
+  std::vector<net::NodeId> out_;  // the current query's out-edges of v
+  std::vector<unsigned char> out_n_;
+  std::vector<unsigned char> color_;  // 0 white, 1 grey, 2 black
+  std::vector<Frame> stack_;
+};
+
+/// One-shot form of RoundLoopCheck::safe over explicit sets.
 bool round_is_loop_safe(const net::UpdateInstance& inst,
                         const std::set<net::NodeId>& updated,
                         const std::set<net::NodeId>& round);

@@ -100,14 +100,16 @@ TEST_P(PropertySweep, GreedyFeasibleImpliesTreeFeasible) {
 TEST_P(PropertySweep, UnionGraphMatchesExhaustiveInterleavings) {
   // round_is_loop_safe(U, S) must equal: "every subset X of S, applied on
   // top of U, yields an acyclic forwarding graph" (all reachable
-  // intermediate configurations of an asynchronous round).
+  // intermediate configurations of an asynchronous round). Each instance
+  // is checked with nothing updated yet, then after a random subset U of
+  // its switches took effect, with the round drawn from the rest.
   net::RandomInstanceOptions opt;
   opt.n = 7;
+  // U is drawn from its own stream, so the instances are those of the
+  // U = {} sweep alone.
+  util::Rng pick(900 + static_cast<std::uint64_t>(GetParam()));
   for (int i = 0; i < 5; ++i) {
     const auto inst = net::random_instance(opt, rng_);
-    auto to_update = inst.switches_to_update();
-    if (to_update.size() > 6) to_update.resize(6);
-    const std::set<NodeId> round(to_update.begin(), to_update.end());
 
     const auto acyclic_config = [&](const std::set<NodeId>& updated) {
       // Follow next-hops from every node; a cycle exists iff some walk
@@ -125,21 +127,40 @@ TEST_P(PropertySweep, UnionGraphMatchesExhaustiveInterleavings) {
       }
       return true;
     };
-
-    bool exhaustive_safe = true;
-    const auto items = std::vector<NodeId>(round.begin(), round.end());
-    for (std::size_t mask = 0; mask < (1u << items.size()); ++mask) {
-      std::set<NodeId> updated;
-      for (std::size_t b = 0; b < items.size(); ++b) {
-        if (mask & (1u << b)) updated.insert(items[b]);
+    const auto exhaustive_safe = [&](const std::set<NodeId>& prior,
+                                     const std::set<NodeId>& round) {
+      const std::vector<NodeId> items(round.begin(), round.end());
+      for (std::size_t mask = 0; mask < (1u << items.size()); ++mask) {
+        std::set<NodeId> updated = prior;
+        for (std::size_t b = 0; b < items.size(); ++b) {
+          if (mask & (1u << b)) updated.insert(items[b]);
+        }
+        if (!acyclic_config(updated)) return false;
       }
-      if (!acyclic_config(updated)) {
-        exhaustive_safe = false;
-        break;
+      return true;
+    };
+
+    const auto to_update = inst.switches_to_update();
+    const std::set<NodeId> round(
+        to_update.begin(),
+        to_update.begin() + static_cast<std::ptrdiff_t>(
+                                std::min<std::size_t>(to_update.size(), 6)));
+    EXPECT_EQ(opt::round_is_loop_safe(inst, {}, round),
+              exhaustive_safe({}, round))
+        << "instance " << i;
+
+    std::set<NodeId> prior;
+    std::set<NodeId> rest;
+    for (const NodeId v : to_update) {
+      if (pick.chance(0.5)) {
+        prior.insert(v);
+      } else if (rest.size() < 6) {
+        rest.insert(v);
       }
     }
-    EXPECT_EQ(opt::round_is_loop_safe(inst, {}, round), exhaustive_safe)
-        << "instance " << i;
+    EXPECT_EQ(opt::round_is_loop_safe(inst, prior, rest),
+              exhaustive_safe(prior, rest))
+        << "instance " << i << " after " << prior.size() << " updates";
   }
 }
 

@@ -1,25 +1,28 @@
-// The hot-path allocation pass (PR 9): the arena work (src/util/arena.hpp,
-// DESIGN.md §16) moved the planner hot loops off the general-purpose heap,
-// and this pass keeps them off. Inside the arena-managed modules it flags
-// every construct that reaches operator new — `new` expressions,
+// The hot-path allocation pass: the planner's per-call tables are built
+// once per call and reused, never allocated per step or per probe, and
+// this pass keeps it that way. Inside the planner modules it flags every
+// construct that reaches operator new — `new` expressions,
 // make_unique/make_shared, ostringstream state, and std:: containers left
 // on their default allocator — unless the line carries an explicit
 //   // chronus-analyzer: allow(hot-alloc) <why this one stays on the heap>
 // acknowledgement (same line, line above, or a block comment — the same
-// three placements every other rule honours).
+// three placements every other rule honours). The reason names how often
+// the site runs: once per call, per solve, per search depth.
 //
 // Scope: .cpp files under src/timenet/ and src/opt/, plus the greedy's
 // per-step loop in src/core/ (dependency, loop_check, greedy_scheduler:
 // dense per-call tables, nothing allocated per step). Headers are out
 // (they declare types for every caller, hot or not), and so is the rest of
-// the tree — the heap is the right default everywhere the arena does not
-// reach. src/fixture/ is the self-test mount point.
+// the tree — the heap is the right default everywhere else. src/fixture/
+// is the self-test mount point.
 //
-// Deliberately NOT flagged, because they are the sanctioned patterns:
-//   - placement new (`new (ptr) T...`) — that is how arena memory is
-//     constructed into;
-//   - containers whose template arguments name an allocator
-//     (ArenaAllocator, std::pmr, any `allocator` spelling);
+// Deliberately NOT flagged, because they allocate nothing from the default
+// heap at that site:
+//   - placement new (`new (ptr) T...`), which constructs into memory the
+//     caller already owns;
+//   - containers whose template arguments name a polymorphic allocator
+//     (std::pmr), which draws from a memory resource the caller chose
+//     (std::allocator, spelled out, is the default heap and is flagged);
 //   - references, pointers, nested-name uses (`std::vector<T>&`,
 //     `std::vector<T>::iterator`) and function declarations — types in
 //     those positions allocate nothing at that site.
@@ -34,7 +37,7 @@
 
 namespace chronus_analyzer {
 
-/// Arena-managed modules and the greedy's step loop only, and only where
+/// The planner modules and the greedy's step loop only, and only where
 /// code runs (.cpp). The src/fixture/ prefix is where the --self-test
 /// harness mounts fixture files, so the seeded bad_hot-alloc fixtures
 /// reach the pass.
@@ -69,9 +72,8 @@ inline void hot_alloc_pass(const SourceFile& f, std::vector<Finding>& findings) 
     if (allowed(f.lexed, "hot-alloc", line)) return;
     findings.push_back(
         {f.rel, line, "hot-alloc",
-         what + " on an arena-managed hot path — build into util::Arena "
-               "(ArenaAllocator / the module's scratch arena, DESIGN.md §16) "
-               "or acknowledge the heap with // chronus-analyzer: "
+         what + " on a planner hot path — build it once per call and "
+               "reuse it, or acknowledge the heap with // chronus-analyzer: "
                "allow(hot-alloc) and the reason"});
   };
 
@@ -79,9 +81,9 @@ inline void hot_alloc_pass(const SourceFile& f, std::vector<Finding>& findings) 
     const Token& tok = t[i];
     if (tok.kind != Tok::kIdent) continue;
 
-    // `new T...` — but not placement new, which is exactly how objects are
-    // constructed into arena memory (`new (arena.allocate(...)) T`), and
-    // not the header name in `#include <new>`.
+    // `new T...` — but not placement new (`new (slot) T`), which
+    // constructs into memory the caller already owns, and not the header
+    // name in `#include <new>`.
     if (tok.text == "new") {
       const bool placement = i + 1 < t.size() &&
                              t[i + 1].kind == Tok::kPunct &&
@@ -103,7 +105,8 @@ inline void hot_alloc_pass(const SourceFile& f, std::vector<Finding>& findings) 
     }
 
     // Stringstream state: `ostringstream os;` — SSO-defeating key building
-    // is the classic hot-loop allocator churn (util::ArenaString exists).
+    // is the classic hot-loop allocator churn (append into a reused
+    // std::string instead).
     if (is_stream_state(tok.text) && i + 1 < t.size() &&
         t[i + 1].kind == Tok::kIdent) {
       flag(tok.line, "'" + tok.text + "' state");
@@ -121,8 +124,8 @@ inline void hot_alloc_pass(const SourceFile& f, std::vector<Finding>& findings) 
     bool trailing_return = false;
     {
       std::size_t b = i;
-      while (b >= 1 && t[b - 1].kind == Tok::kIdent) --b;  // std
-      while (b >= 1 && t[b - 1].kind == Tok::kPunct && t[b - 1].text == ":") {
+      while (b >= 1 && (t[b - 1].kind == Tok::kIdent ||  // std::
+                        (t[b - 1].kind == Tok::kPunct && t[b - 1].text == ":"))) {
         --b;
       }
       if (b >= 2 && t[b - 1].kind == Tok::kPunct && t[b - 1].text == ">" &&
@@ -130,18 +133,16 @@ inline void hot_alloc_pass(const SourceFile& f, std::vector<Finding>& findings) 
         trailing_return = true;
       }
     }
-    // Walk the balanced template argument list; a named allocator anywhere
-    // inside it means the type is already routed off the default heap.
+    // Walk the balanced template argument list; a polymorphic allocator
+    // anywhere inside it means the type is already routed off the default
+    // heap.
     std::size_t j = i + 2;
     int angle = 1;
     bool custom_allocator = false;
     while (j < t.size() && angle > 0) {
       if (t[j].kind == Tok::kPunct && t[j].text == "<") ++angle;
       if (t[j].kind == Tok::kPunct && t[j].text == ">") --angle;
-      if (t[j].kind == Tok::kIdent &&
-          (t[j].text == "ArenaAllocator" || t[j].text == "allocator" ||
-           t[j].text == "polymorphic_allocator" ||
-           t[j].text == "ArenaVector" || t[j].text == "ArenaString")) {
+      if (t[j].kind == Tok::kIdent && t[j].text == "polymorphic_allocator") {
         custom_allocator = true;
       }
       ++j;

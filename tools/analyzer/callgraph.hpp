@@ -12,7 +12,8 @@
 //   - whether the body calls a blocking primitive directly (join /
 //     wait_idle / sleep_for / sleep_until / system / accept / accept4 /
 //     recv / send / poll as free calls — `x.send(...)` is a method on our
-//     own types and is resolved through the call graph instead);
+//     own types, recorded as a member call that summaries.hpp does not
+//     link);
 //   - whether any parameter is mentioned in a `return` statement (the
 //     param-taint-to-return propagation bit);
 //   - the head/end lines of the definition, which is the span a
@@ -91,7 +92,7 @@ inline bool cg_is_guard_name(const std::string& s) {
 }
 
 /// Free-call blocking primitives. Method spellings (`x.send(...)`) are
-/// resolved through the call graph as ordinary calls instead.
+/// member calls, which the whole-program call graph does not link.
 inline bool cg_is_blocking_primitive(const std::string& s) {
   static const std::set<std::string> kBlocking = {
       "join", "wait_idle", "sleep_for", "sleep_until", "system",

@@ -32,18 +32,6 @@
 //                      bounds-checking helper (`need`, `clamp`,
 //                      `bounded`, or any name containing `valid`/`check`/
 //                      `sanit`), or flowing through std::min/std::clamp.
-//   arena-escape       a pointer/reference/view whose storage lives in a
-//                      function-local bump arena (declared `Arena a;` in
-//                      this frame) escapes the owning ArenaScope: stored
-//                      into a member or global, captured by a lambda that
-//                      leaves the function, or returned. Caller-owned
-//                      arenas (an `Arena&`/`Arena*` parameter) only flag
-//                      on stores into globals — handing a caller-arena
-//                      pointer back to the caller is the documented
-//                      arena_new/allocate_array idiom, and an object
-//                      storing views of its *own* member arena (fixture
-//                      interproc/good_arena_member_owned.cpp) is clean
-//                      because object and arena share a lifetime.
 //   unit-provenance    raw arithmetic (+ - * / and compound assignment)
 //                      on a value that crossed a strong-type boundary via
 //                      TimeStep/TimePoint::count() or Demand/Capacity::
@@ -77,21 +65,6 @@ enum : unsigned {
   kTaintWall = kSumWall,  // wall clock / environment / device randomness
   kTaintWire = kSumWire,  // bytes or lengths decoded from the network
   kTaintUnit = kSumUnit,  // escaped a TimeStep/Demand/Capacity strong type
-  // The arena lifetime axis (PR 10): a pointer/reference/container view
-  // whose storage lives in a bump arena. Local = the arena is owned by
-  // the current function (dies with its ArenaScope); Param = the arena is
-  // caller-owned (a parameter or an object member), so the value's
-  // lifetime is the caller's/owner's problem, not this function's.
-  kTaintArenaLocal = kSumArenaLocal,
-  kTaintArenaParam = kSumArenaParam,
-};
-
-/// Which rule families the engine may emit. Phase-C invocations select
-/// these from the --passes set; summary-collection invocations emit
-/// nothing regardless.
-enum : unsigned {
-  kEmitTaintRules = 1u << 0,  // determinism-taint / wire-taint / unit-prov.
-  kEmitEscape = 1u << 1,      // arena-escape
 };
 
 /// TU-wide facts accumulated on the first engine pass and consumed on the
@@ -114,14 +87,10 @@ inline bool is_strong_type_name(const std::string& s) {
 
 class TaintEngine {
  public:
+  /// A null `out` collects summaries and emits nothing.
   TaintEngine(const SourceFile& f, TaintSummaries& sum,
-              std::vector<Finding>* out,
-              unsigned emit_mask = kEmitTaintRules | kEmitEscape)
-      : f_(f),
-        t_(f.lexed.tokens),
-        sum_(sum),
-        out_(out),
-        emit_mask_(emit_mask) {}
+              std::vector<Finding>* out)
+      : f_(f), t_(f.lexed.tokens), sum_(sum), out_(out) {}
 
   void run() {
     collect_types();
@@ -198,8 +167,7 @@ class TaintEngine {
     for (std::size_t i = 0; i + 1 < t_.size(); ++i) {
       if (!ident(i)) continue;
       const std::string& ty = t_[i].text;
-      if (!is_strong_type_name(ty) && ty != "Decoder" && ty != "Cursor" &&
-          ty != "Arena" && ty != "ArenaAllocator") {
+      if (!is_strong_type_name(ty) && ty != "Decoder" && ty != "Cursor") {
         continue;
       }
       std::size_t j = i + 1;
@@ -360,12 +328,7 @@ class TaintEngine {
           }
         }
         if (!name.empty() && name != "void" && !type.empty()) {
-          // A parameter of arena type hands this function a caller-owned
-          // arena: values carved from it carry the Param lifetime bit.
-          const unsigned bits = (type == "Arena" || type == "ArenaAllocator")
-                                    ? kTaintArenaParam
-                                    : 0u;
-          scopes_.back()[name] = {type, bits};
+          scopes_.back()[name] = {type, 0u};
         }
         arg_b = i + 1;
       }
@@ -459,24 +422,6 @@ class TaintEngine {
            s == "i64" || s == "f64" || s == "boolean";
   }
 
-  /// `sym.used()` / `sym->capacity()` — a non-aliasing accessor on an
-  /// arena-typed symbol at token `i`.
-  bool arena_stat_access(std::size_t i) const {
-    static const std::set<std::string> kStats = {
-        "used",      "capacity", "size",        "empty",
-        "remaining", "count",    "high_water",  "bytes_allocated",
-        "block_count"};
-    std::size_t m = 0;
-    if (punct(i + 1, ".")) {
-      m = i + 2;
-    } else if (punct(i + 1, "-") && punct(i + 2, ">")) {
-      m = i + 3;
-    } else {
-      return false;
-    }
-    return ident(m) && punct(m + 1, "(") && kStats.count(t_[m].text) > 0;
-  }
-
   unsigned eval(std::size_t b, std::size_t e) {
     unsigned bits = 0;
     bool masked = false, bounded = false;
@@ -557,15 +502,7 @@ class TaintEngine {
         }
         continue;
       }
-      unsigned sym = lookup(s);
-      // An arena *statistic* (`arena.used()`, `.capacity()`...) is a
-      // plain number — it does not alias arena storage, so the lifetime
-      // bits must not ride along.
-      if ((sym & (kTaintArenaLocal | kTaintArenaParam)) != 0 &&
-          arena_stat_access(i)) {
-        sym &= ~(kTaintArenaLocal | kTaintArenaParam);
-      }
-      bits |= sym;
+      bits |= lookup(s);
     }
     if (masked) bits &= ~kTaintWall;
     if (bounded) bits &= ~kTaintWire;
@@ -636,15 +573,6 @@ class TaintEngine {
     if (ident_is(b, "return")) {
       const unsigned bits = eval(b + 1, e);
       if (bits != 0) sum_.fn_return[fn_name_] |= bits;
-      // arena-escape: the storage behind this value unwinds with the
-      // function's own ArenaScope the moment it returns.
-      if ((bits & kTaintArenaLocal) != 0) {
-        emit("arena-escape", t_[b].line,
-             "arena-backed value returned past the owning ArenaScope — the "
-             "storage dies when '" + fn_name_ +
-                 "' returns; allocate from a caller-provided arena or copy "
-                 "out");
-      }
       check_sinks(b, e);
       return;
     }
@@ -673,7 +601,6 @@ class TaintEngine {
   bool try_declaration(std::size_t b, std::size_t e) {
     std::size_t i = b;
     std::vector<std::string> idents;
-    bool saw_indirection = false;
     while (i < e) {
       if (ident(i) && !is_keyword(t_[i].text)) {
         idents.push_back(t_[i].text);
@@ -691,7 +618,6 @@ class TaintEngine {
         continue;
       }
       if (punct(i, "*") || punct(i, "&")) {
-        saw_indirection = true;
         ++i;
         continue;
       }
@@ -714,10 +640,6 @@ class TaintEngine {
       const std::size_t close = match(i);
       bits = eval(i + 1, close - 1);
     }
-    // `Arena arena;` by value declares a function-owned arena: everything
-    // carved from it dies with this frame. A `Arena&`/`Arena*` local is an
-    // alias — its lifetime bits come from the initializer instead.
-    if (type == "Arena" && !saw_indirection) bits |= kTaintArenaLocal;
     scopes_.back()[name] = {type, bits};
     if (!name.empty() && name.back() == '_' && bits != 0) {
       sum_.member[name] |= bits;
@@ -756,7 +678,7 @@ class TaintEngine {
         }
         // LHS base symbol: the first ident of the chain. A `p[i] = x` or
         // `*p = x` shape stores INTO the pointee — the base keeps its own
-        // lifetime/taint history instead of being overwritten by the rhs.
+        // taint history instead of being overwritten by the rhs.
         std::string base;
         bool element_store = punct(b, "*");
         for (std::size_t j = b; j < i; ++j) {
@@ -780,27 +702,6 @@ class TaintEngine {
           if (((lhs | rhs) & kTaintUnit) != 0) unit_finding(t_[i].line);
           set_taint(base, lhs | rhs, /*merge=*/true);
         } else {
-          // arena-escape: stores into storage that outlives the arena.
-          // Members (trailing-underscore / this->) outlive a *local*
-          // arena's scope; globals (qualified or g_-named) outlive every
-          // arena, caller-owned ones included.
-          bool qualified_lhs = false;
-          for (std::size_t j = b; j + 1 < i; ++j) {
-            if (punct(j, ":") && punct(j + 1, ":")) qualified_lhs = true;
-          }
-          const bool member_lhs = !base.empty() && base.back() == '_';
-          const bool global_lhs = qualified_lhs || base.rfind("g_", 0) == 0;
-          if ((rhs & kTaintArenaLocal) != 0 && (member_lhs || global_lhs)) {
-            emit("arena-escape", t_[i].line,
-                 "arena-backed value stored into '" + base +
-                     "' which outlives the owning ArenaScope — copy the "
-                     "data out or allocate it from the long-lived side's "
-                     "arena");
-          } else if ((rhs & kTaintArenaParam) != 0 && global_lhs) {
-            emit("arena-escape", t_[i].line,
-                 "caller-arena-backed value stored into global '" + base +
-                     "' — globals outlive every arena; copy the data out");
-          }
           set_taint(base, rhs, /*merge=*/element_store);
         }
         return;
@@ -986,57 +887,6 @@ class TaintEngine {
     }
 
     unit_arithmetic_sink(b, e);
-    arena_lambda_sink(b, e);
-  }
-
-  /// arena-escape: a lambda whose capture list names an arena-local
-  /// value, in a statement that lets the lambda outlive this function —
-  /// `return [p]...` or a store into a member/global. A `[` is a capture
-  /// list only when it does not follow an ident / `)` / `]` (those are
-  /// subscripts).
-  void arena_lambda_sink(std::size_t b, std::size_t e) {
-    bool escaping_ctx = ident_is(b, "return");
-    if (!escaping_ctx) {
-      int depth = 0;
-      for (std::size_t i = b; i < e; ++i) {
-        if (t_[i].kind != Tok::kPunct) continue;
-        const std::string& p = t_[i].text;
-        if (p == "(" || p == "[" || p == "{") ++depth;
-        if (p == ")" || p == "]" || p == "}") --depth;
-        if (depth == 0 && p == "=" && i > b && !punct(i + 1, "=")) {
-          std::string base;
-          for (std::size_t j = b; j < i; ++j) {
-            if (ident(j) && t_[j].text != "this") {
-              base = t_[j].text;
-              break;
-            }
-          }
-          escaping_ctx = !base.empty() && (base.back() == '_' ||
-                                           base.rfind("g_", 0) == 0);
-          break;
-        }
-      }
-    }
-    if (!escaping_ctx) return;
-    for (std::size_t i = b; i < e; ++i) {
-      if (!punct(i, "[")) continue;
-      if (i > b && (ident(i - 1) || punct(i - 1, ")") || punct(i - 1, "]"))) {
-        continue;  // subscript
-      }
-      const std::size_t close = match(i);
-      for (std::size_t j = i + 1; j + 1 < close; ++j) {
-        if (!ident(j)) continue;
-        if ((lookup(t_[j].text) & kTaintArenaLocal) != 0) {
-          emit("arena-escape", t_[j].line,
-               "lambda captures arena-local '" + t_[j].text +
-                   "' and escapes '" + fn_name_ +
-                   "' — the capture dangles once the owning ArenaScope "
-                   "unwinds; capture a copy instead");
-          break;
-        }
-      }
-      i = close - 1;
-    }
   }
 
   void unit_arithmetic_sink(std::size_t b, std::size_t e) {
@@ -1081,11 +931,6 @@ class TaintEngine {
          "(e.g. TimeStep{t.count() + d}) to document the crossing");
   }
 
-  bool rule_on(const std::string& rule) const {
-    if (rule == "arena-escape") return (emit_mask_ & kEmitEscape) != 0;
-    return (emit_mask_ & kEmitTaintRules) != 0;
-  }
-
   void note_external(const std::string& name) {
     for (const std::string& s : ext_used_) {
       if (s == name) return;
@@ -1094,7 +939,7 @@ class TaintEngine {
   }
 
   void emit(const std::string& rule, long line, const std::string& msg) {
-    if (out_ == nullptr || !rule_on(rule)) return;
+    if (out_ == nullptr) return;
     if (allowed(f_.lexed, rule, line)) return;
     if (fn_allowed(f_.lexed.fn_allowances, rule, cur_head_line_,
                    cur_end_line_)) {
@@ -1116,8 +961,6 @@ class TaintEngine {
       want = kSumWall;
     } else if (rule == "wire-taint") {
       want = kSumWire;
-    } else if (rule == "arena-escape") {
-      want = kSumArenaLocal | kSumArenaParam;
     } else {
       return;
     }
@@ -1125,9 +968,7 @@ class TaintEngine {
       const FnSummary* s = sum_.global->merged(name);
       if (s == nullptr || (s->returns_taint & want) == 0) continue;
       const std::vector<RelatedLocation>& chain =
-          (want & kSumWall) != 0
-              ? s->wall_chain
-              : (want & kSumWire) != 0 ? s->wire_chain : s->arena_chain;
+          want == kSumWall ? s->wall_chain : s->wire_chain;
       for (const auto& r : chain) {
         if (fd->related.size() >= kMaxChain) break;
         fd->related.push_back(r);
@@ -1140,7 +981,6 @@ class TaintEngine {
   const std::vector<Token>& t_;
   TaintSummaries& sum_;
   std::vector<Finding>* out_;
-  unsigned emit_mask_ = kEmitTaintRules | kEmitEscape;
   std::vector<std::map<std::string, Sym>> scopes_;
   std::string fn_name_;
   bool digest_fn_ = false;
@@ -1169,16 +1009,14 @@ inline TaintSummaries collect_taint_summaries(const SourceFile& f) {
 }
 
 /// Phase-C entry: the interprocedural run. Two passes as in taint_pass,
-/// with the whole-program summary table visible to both, and the emit
-/// mask selecting which rule families (--passes) may fire.
+/// with the whole-program summary table visible to both.
 inline void interproc_dataflow_pass(const SourceFile& f,
                                     const GlobalSummaries& g,
-                                    unsigned emit_mask,
                                     std::vector<Finding>& findings) {
   TaintSummaries sum;
   sum.global = &g;
-  TaintEngine(f, sum, nullptr, emit_mask).run();
-  TaintEngine(f, sum, &findings, emit_mask).run();
+  TaintEngine(f, sum, nullptr).run();
+  TaintEngine(f, sum, &findings).run();
 }
 
 }  // namespace chronus_analyzer

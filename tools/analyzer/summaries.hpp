@@ -2,24 +2,26 @@
 //
 // Consumes the per-TU FnDef tables (callgraph.hpp, cached per content
 // hash) and links them into one call graph at overload-set granularity:
-// a call site named `f` edges to every definition of `f` anywhere in the
-// program (method-qualified definitions keep their qualified names for
+// a free call site named `f` edges to every definition of `f` anywhere in
+// the program (method-qualified definitions keep their qualified names for
 // reporting, but resolution is by bare name — the analyzer lexes, it does
-// not type-check). Summaries are then computed bottom-up over Tarjan
-// SCCs, iterating inside each SCC to a fixpoint (all summary fields are
-// monotone — taint bits and flags only ever widen — so termination is
-// structural):
+// not type-check). Member calls (`x.f()`, `x->f()`) are not linked: with
+// the receiver unknown, a bare-name match would tie `r->counter().add(n)`
+// to every `add` in the tree. Summaries are then computed bottom-up over
+// Tarjan SCCs, iterating inside each SCC to a fixpoint (all summary
+// fields are monotone — taint bits and flags only ever widen — so
+// termination is structural):
 //
-//   returns_taint     taint bits (wall / wire / unit / arena) of the
-//                     function's return value, local sources unioned with
-//                     every callee whose result flows into a `return`.
+//   returns_taint     taint bits (wall / wire / unit) of the function's
+//                     return value, local sources unioned with every
+//                     callee whose result flows into a `return`.
 //   propagates_param  some parameter is mentioned in a return statement —
 //                     callers must treat the result as tainted when any
 //                     argument is.
 //   blocks            the function reaches a blocking primitive through
 //                     any depth of calls; `block_chain` is the witness
 //                     path, rendered into SARIF relatedLocations.
-//   wall/wire/arena   witness chains for the corresponding return-taint
+//   wall/wire         witness chains for the corresponding return-taint
 //                     bits, same rendering.
 //
 // The transitive lock pass lives here too: a call site holding a lock
@@ -50,15 +52,12 @@ namespace chronus_analyzer {
 
 using chronus_tools::RelatedLocation;
 
-/// Taint bits shared by the dataflow engine and the summary fixpoint.
-/// (kTaintWall/Wire/Unit mirror dataflow.hpp's values; the arena bits are
-/// the PR 10 lifetime axis.)
+/// Taint bits shared by the dataflow engine and the summary fixpoint
+/// (dataflow.hpp's kTaintWall/Wire/Unit mirror these values).
 enum : unsigned {
   kSumWall = 1u << 0,
   kSumWire = 1u << 1,
   kSumUnit = 1u << 2,
-  kSumArenaLocal = 1u << 3,  // derived from a function-local Arena
-  kSumArenaParam = 1u << 4,  // derived from a caller-owned Arena
 };
 
 struct FnSummary {
@@ -68,7 +67,6 @@ struct FnSummary {
   std::vector<RelatedLocation> block_chain;
   std::vector<RelatedLocation> wall_chain;
   std::vector<RelatedLocation> wire_chain;
-  std::vector<RelatedLocation> arena_chain;
 };
 
 inline constexpr std::size_t kMaxChain = 8;
@@ -90,13 +88,12 @@ inline std::string serialize_summary(const std::string& qname,
   app(s.block_chain);
   app(s.wall_chain);
   app(s.wire_chain);
-  app(s.arena_chain);
   return out;
 }
 
 class GlobalSummaries {
  public:
-  /// Links every FnDef across `files` and runs the SCC fixpoint. The
+  /// Links every free call across `files` and runs the SCC fixpoint. The
   /// FileFacts vector must outlive this object (nodes point into it).
   void build(const std::vector<FileFacts>& files) {
     nodes_.clear();
@@ -111,6 +108,7 @@ class GlobalSummaries {
     for (Node& n : nodes_) {
       n.out.reserve(n.def->calls.size());
       for (std::size_t c = 0; c < n.def->calls.size(); ++c) {
+        if (n.def->calls[c].member_call) continue;
         const auto it = by_name_.find(n.def->calls[c].name);
         if (it == by_name_.end()) continue;
         for (const std::size_t callee : it->second) {
@@ -191,6 +189,7 @@ class GlobalSummaries {
         for (const std::size_t i : it->second) visit(i);
       }
       for (const CallSite& cs : fn.calls) {
+        if (cs.member_call) continue;  // unlinked, as in build()
         const auto ct = by_name_.find(cs.name);
         if (ct == by_name_.end()) continue;
         for (const std::size_t i : ct->second) visit(i);
@@ -233,7 +232,6 @@ class GlobalSummaries {
     if (m->block_chain.empty()) m->block_chain = s.block_chain;
     if (m->wall_chain.empty()) m->wall_chain = s.wall_chain;
     if (m->wire_chain.empty()) m->wire_chain = s.wire_chain;
-    if (m->arena_chain.empty()) m->arena_chain = s.arena_chain;
   }
 
   /// One monotone update of node `n` from its local facts and current
@@ -263,16 +261,11 @@ class GlobalSummaries {
       if ((local & kSumWire) != 0 && next.wire_chain.empty()) {
         next.wire_chain = {here};
       }
-      if ((local & (kSumArenaLocal | kSumArenaParam)) != 0 &&
-          next.arena_chain.empty()) {
-        next.arena_chain = {here};
-      }
     }
 
     for (const auto& [c, callee] : node.out) {
       const CallSite& cs = def.calls[c];
       const FnSummary& cs_sum = nodes_[callee].sum;
-      const std::string& cs_file = nodes_[callee].file;
       const std::string& cs_qname = nodes_[callee].def->qname;
 
       if (cs_sum.blocks && !next.blocks) {
@@ -295,10 +288,6 @@ class GlobalSummaries {
       if ((fresh & kSumWire) != 0) {
         append_chain(&next.wire_chain, via, cs_sum.wire_chain);
       }
-      if ((fresh & (kSumArenaLocal | kSumArenaParam)) != 0) {
-        append_chain(&next.arena_chain, via, cs_sum.arena_chain);
-      }
-      (void)cs_file;
     }
 
     const bool changed = next.returns_taint != node.sum.returns_taint ||
@@ -381,15 +370,15 @@ class GlobalSummaries {
   std::map<std::string, FnSummary> merged_;
 };
 
-/// The transitive lock-across-blocking pass: call sites holding a lock
-/// whose callee summary reaches a blocking primitive through any depth.
+/// The transitive lock-across-blocking pass: free call sites holding a
+/// lock whose callee summary reaches a blocking primitive through any depth.
 /// Fires only when every candidate definition blocks (see file comment);
 /// the direct-primitive case stays with the classic intra pass.
 inline void transitive_lock_pass(const FileFacts& f, const GlobalSummaries& g,
                                  std::vector<Finding>& out) {
   for (const FnDef& fn : f.fns) {
     for (const CallSite& cs : fn.calls) {
-      if (cs.lock_expr.empty()) continue;
+      if (cs.lock_expr.empty() || cs.member_call) continue;
       const auto cands = g.candidates(cs.name);
       if (cands.empty()) continue;
       bool all_block = true;

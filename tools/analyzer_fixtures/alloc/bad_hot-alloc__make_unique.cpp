@@ -1,5 +1,5 @@
 // Seeded: make_unique / make_shared each cost one heap allocation per
-// call; inside the planner loops that is exactly what the arena removed.
+// call; inside the planner loops that is churn per step or per probe.
 #include <memory>
 
 namespace fixture {

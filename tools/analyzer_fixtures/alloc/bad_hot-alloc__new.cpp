@@ -1,6 +1,6 @@
 // Seeded: a bare `new` expression on a hot path must fire [hot-alloc].
-// (Placement new is the sanctioned arena pattern and stays silent — see
-// good_arena_backed.cpp.)
+// (Placement new allocates nothing and stays silent — see
+// good_placement_new.cpp.)
 #include <cstddef>
 
 namespace fixture {

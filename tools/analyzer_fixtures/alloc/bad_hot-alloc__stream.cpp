@@ -1,6 +1,6 @@
 // Seeded: ostringstream key-building is the classic hot-loop allocator
-// churn (every str() is a fresh heap string) — util::ArenaString is the
-// arena-backed replacement.
+// churn (every str() is a fresh heap string) — appending into one reused
+// std::string is the replacement.
 #include <sstream>
 #include <string>
 

@@ -1,17 +1,27 @@
 // Clean: function-scope acknowledgement, block-comment form directly
 // above the definition head.
-#include <cstddef>
+#include <chrono>
+#include <mutex>
+#include <thread>
 
 namespace fixture {
 
-short* g_row = nullptr;
+void settle() { std::this_thread::sleep_for(std::chrono::milliseconds(1)); }
 
-/* chronus-analyzer: allow-fn(arena-escape)
-   The registry row is copied out by the consumer before the next call;
-   the dangling window is acknowledged in DESIGN.md section 17. */
-void publish_row() {
-  util::Arena arena;
-  g_row = static_cast<short*>(arena.allocate(8 * sizeof(short), alignof(short)));
-}
+class Registry {
+ public:
+  /* chronus-analyzer: allow-fn(lock-across-blocking)
+     Only shutdown takes this path, after every reader has left; the
+     millisecond settle under the lock stalls no one. */
+  void close() {
+    std::lock_guard<std::mutex> guard(mu_);
+    open_ = false;
+    settle();
+  }
+
+ private:
+  std::mutex mu_;
+  bool open_ = true;
+};
 
 }  // namespace fixture

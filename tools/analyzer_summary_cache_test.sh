@@ -26,9 +26,9 @@ cp -r "$SRC_TREE" "$WORK/tree"
 CACHE="$WORK/cache"
 
 run() {
-  # escape pass on the fixture tree is clean, so a non-zero exit is real.
+  # taint pass on the fixture tree is clean, so a non-zero exit is real.
   "$ANALYZER" --root "$WORK/tree" --manifest "$WORK/tree/layering.toml" \
-      --passes=escape --cache="$CACHE" --stats src 2>"$WORK/stats.txt" \
+      --passes=taint --cache="$CACHE" --stats src 2>"$WORK/stats.txt" \
       >"$WORK/findings.txt"
   cat "$WORK/stats.txt"
 }

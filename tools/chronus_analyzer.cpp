@@ -12,16 +12,17 @@
 //                 exception hygiene (stray-random, throw-in-dtor,
 //                 swallowed-catch).
 //   dataflow.hpp  the per-TU symbol-table + taint engine behind
-//                 determinism-taint, wire-taint, unit-provenance and
-//                 arena-escape; consumes the whole-program summary table
-//                 when one is supplied.
+//                 determinism-taint, wire-taint and unit-provenance;
+//                 consumes the whole-program summary table when one is
+//                 supplied.
 //   callgraph.hpp per-TU function/call-site extraction feeding the
 //                 whole-program call graph.
 //   summaries.hpp the cross-TU summary fixpoint (Tarjan SCCs, bottom-up)
 //                 plus the transitive lock-across-blocking pass.
-//   alloc.hpp     the hot-path allocation pass (hot-alloc): keeps the
-//                 arena-managed modules (src/timenet, src/opt) off the
-//                 default heap.
+//   alloc.hpp     the hot-path allocation pass (hot-alloc): flags heap
+//                 sites in the planner modules (src/timenet, src/opt and
+//                 the greedy's step loop) that carry no allow(hot-alloc)
+//                 reason.
 //   cache.hpp     content-hash FileFacts cache shared by every per-file
 //                 pass, so a warm tree scan lexes nothing.
 //
@@ -104,12 +105,9 @@ const chronus_tools::RuleCatalog& rule_catalog() {
        "strong-type boundary"},
       {"hot-alloc",
        "heap allocation (new/make_unique/make_shared/ostringstream/"
-       "default-allocator container) on an arena-managed hot path "
-       "(src/timenet, src/opt) without an allow(hot-alloc) acknowledgement"},
-      {"arena-escape",
-       "arena-backed pointer/reference/view escapes the owning ArenaScope: "
-       "stored into a member or global, captured by an escaping lambda, or "
-       "returned from the function that owns the arena"},
+       "default-allocator container) on a planner hot path (src/timenet, "
+       "src/opt, the greedy's step loop) without an allow(hot-alloc) "
+       "acknowledgement"},
   };
   return kRules;
 }
@@ -121,23 +119,16 @@ const chronus_tools::RuleCatalog& rule_catalog() {
 struct PassSet {
   bool classic = true;  // layering + lock + determinism hygiene
   bool taint = true;    // the dataflow engine
-  bool alloc = true;    // hot-path allocation discipline (arena modules)
-  bool escape = true;   // arena-escape lifetime analysis
+  bool alloc = true;    // hot-path allocation discipline (planner modules)
 
   /// Any pass that consumes the whole-program summary table (phase B/C):
-  /// classic feeds the transitive lock upgrade, taint/escape the
-  /// interprocedural dataflow run.
-  bool interproc() const { return classic || taint || escape; }
-
-  unsigned emit_mask() const {
-    return (taint ? chronus_analyzer::kEmitTaintRules : 0u) |
-           (escape ? chronus_analyzer::kEmitEscape : 0u);
-  }
+  /// classic feeds the transitive lock upgrade, taint the interprocedural
+  /// dataflow run.
+  bool interproc() const { return classic || taint; }
 
   std::string config_string() const {
     return std::string("classic=") + (classic ? "1" : "0") +
-           ";taint=" + (taint ? "1" : "0") + ";alloc=" + (alloc ? "1" : "0") +
-           ";escape=" + (escape ? "1" : "0");
+           ";taint=" + (taint ? "1" : "0") + ";alloc=" + (alloc ? "1" : "0");
   }
 };
 
@@ -169,7 +160,7 @@ FileFacts analyze_file(const fs::path& path, const std::string& rel,
     chronus_analyzer::lock_pass(f, facts.findings);
     chronus_analyzer::determinism_pass(f, facts.findings);
   }
-  if (passes.taint || passes.escape) {
+  if (passes.taint) {
     // Taint findings moved to phase C (the interprocedural run, which
     // re-emits the intra-procedural set with whole-program summaries
     // visible); phase A only computes each function's local return taint.
@@ -288,20 +279,19 @@ TreeScan scan_tree(const fs::path& root, const std::vector<fs::path>& paths,
 // ---------------------------------------------------------------------------
 
 /// Runs the summary-consuming passes for one TU and appends the findings:
-/// the interprocedural dataflow engine (taint + arena-escape, per the emit
-/// mask) and the transitive lock-across-blocking upgrade.
+/// the interprocedural taint engine and the transitive lock-across-blocking
+/// upgrade.
 void interproc_file(const fs::path& path, const FileFacts& facts,
                     const std::string& content,
                     const chronus_analyzer::GlobalSummaries& global,
                     const PassSet& passes, std::vector<Finding>* out) {
-  if (passes.taint || passes.escape) {
+  if (passes.taint) {
     SourceFile f;
     f.path = path;
     f.rel = facts.rel;
     f.module = facts.module;
     f.lexed = chronus_analyzer::lex(content);
-    chronus_analyzer::interproc_dataflow_pass(f, global, passes.emit_mask(),
-                                              *out);
+    chronus_analyzer::interproc_dataflow_pass(f, global, *out);
   }
   if (passes.classic) {
     chronus_analyzer::transitive_lock_pass(facts, global, *out);
@@ -604,18 +594,16 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--passes=", 0) == 0) {
       const std::string which = arg.substr(9);
       if (which == "classic") {
-        opt.passes = {true, false, false, false};
+        opt.passes = {true, false, false};
       } else if (which == "taint") {
-        opt.passes = {false, true, false, false};
+        opt.passes = {false, true, false};
       } else if (which == "alloc") {
-        opt.passes = {false, false, true, false};
-      } else if (which == "escape") {
-        opt.passes = {false, false, false, true};
+        opt.passes = {false, false, true};
       } else if (which == "all") {
-        opt.passes = {true, true, true, true};
+        opt.passes = {true, true, true};
       } else {
         std::cerr << "unknown pass set: " << which
-                  << " (expected classic|taint|alloc|escape|all)\n";
+                  << " (expected classic|taint|alloc|all)\n";
         return 2;
       }
     } else if (arg.rfind("--jobs=", 0) == 0) {
@@ -635,7 +623,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::cerr
           << "usage: chronus_analyzer [--root DIR] [--manifest FILE]\n"
-             "           [--passes=classic|taint|alloc|escape|all]\n"
+             "           [--passes=classic|taint|alloc|all]\n"
              "           [--jobs=N] [--stats]\n"
              "           [--cache=DIR | --no-cache]\n"
              "           [--baseline FILE [--baseline-diff]]\n"
