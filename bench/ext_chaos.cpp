@@ -12,8 +12,8 @@
 // shipped soak scenarios in testdata/scenarios/ stay inside the envelope
 // and are held to zero violations by `ctest -L chaos`).
 //
-//   ./bench/ext_chaos [--requests=N] [--workers=N] [--seed=N]
-//                     [--json=PATH] [--metrics=PATH]
+//   ./bench/ext_chaos [--requests=N] [--seed=N] [--json=PATH]
+//                     [--metrics=PATH]
 #include "bench_common.hpp"
 
 #include "service/service.hpp"
@@ -82,20 +82,18 @@ service::DegradationPolicy make_ladder() {
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const auto requests = static_cast<int>(cli.get_int("requests", 60));
-  const auto workers = static_cast<int>(cli.get_int("workers", 4));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   auto json = bench::json_from_cli(cli, "ext_chaos");
   auto metrics = bench::metrics_from_cli(cli, "ext_chaos");
   bench::reject_unknown_flags(cli);
   if (json) {
     json->meta("requests", static_cast<std::int64_t>(requests));
-    json->meta("workers", static_cast<std::int64_t>(workers));
     json->meta("seed", static_cast<std::int64_t>(seed));
   }
 
   bench::print_header("Extension", "update service under chaos campaigns");
-  std::printf("%d requests per point, %d workers, seed=%llu\n\n", requests,
-              workers, static_cast<unsigned long long>(seed));
+  std::printf("%d requests per point, seed=%llu\n\n", requests,
+              static_cast<unsigned long long>(seed));
 
   util::Table table({"scenario", "ladder", "done", "shed", "watchdog",
                      "faults", "retries", "health", "p95 ms", "violations"});
@@ -112,7 +110,6 @@ int main(int argc, char** argv) {
       const service::ServiceTrace trace = service::make_workload(wopt);
 
       service::ServiceOptions sopt;
-      sopt.workers = workers;
       sopt.seed = seed;
       sopt.chaos = &scenario;
       if (ladder) sopt.degradation = make_ladder();

@@ -11,8 +11,7 @@
 // columns carry the `_wall_us` suffix and are the only machine-dependent
 // fields (CI strips them before comparing BENCH_rpc.json).
 //
-//   ./bench/ext_rpc [--requests=N] [--workers=N] [--seed=N]
-//                   [--json=PATH] [--metrics=PATH]
+//   ./bench/ext_rpc [--requests=N] [--seed=N] [--json=PATH] [--metrics=PATH]
 #include "bench_common.hpp"
 
 #include "rpc/load_driver.hpp"
@@ -53,7 +52,6 @@ struct RowResult {
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const auto requests = static_cast<int>(cli.get_int("requests", 120));
-  const auto workers = static_cast<int>(cli.get_int("workers", 4));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   auto json = bench::json_from_cli(cli, "ext_rpc");
   auto metrics = bench::metrics_from_cli(cli, "ext_rpc");
@@ -65,14 +63,12 @@ int main(int argc, char** argv) {
     json->meta("schema", std::string("bench-trajectory-v1"));
     json->meta("noise_band_pct", std::int64_t{0});
     json->meta("requests", static_cast<std::int64_t>(requests));
-    json->meta("workers", static_cast<std::int64_t>(workers));
     json->meta("seed", static_cast<std::int64_t>(seed));
   }
 
   bench::print_header("Extension", "rpc front-end vs in-process service");
-  std::printf("%d requests, %d workers, seed=%llu; single planning round "
-              "per mode\n\n",
-              requests, workers, static_cast<unsigned long long>(seed));
+  std::printf("%d requests, seed=%llu; single planning round per mode\n\n",
+              requests, static_cast<unsigned long long>(seed));
 
   service::WorkloadOptions wopt;
   wopt.requests = requests;
@@ -80,7 +76,6 @@ int main(int argc, char** argv) {
   const service::ServiceTrace trace = service::make_workload(wopt);
 
   service::ServiceOptions sopt;
-  sopt.workers = workers;
   sopt.seed = seed;
 
   struct Mode {

@@ -9,8 +9,8 @@
 // congestion- and loop-free under the reservation capacities (the
 // `violations` column must stay 0).
 //
-//   ./bench/ext_service [--requests=N] [--workers=N] [--rescue=N]
-//                       [--seed=N] [--json=PATH] [--metrics=PATH]
+//   ./bench/ext_service [--requests=N] [--rescue=N] [--seed=N]
+//                       [--json=PATH] [--metrics=PATH]
 #include "bench_common.hpp"
 
 #include "service/service.hpp"
@@ -23,7 +23,6 @@ using namespace chronus;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const auto requests = static_cast<int>(cli.get_int("requests", 120));
-  const auto workers = static_cast<int>(cli.get_int("workers", 4));
   const auto rescue = static_cast<int>(cli.get_int("rescue", 2));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   auto json = bench::json_from_cli(cli, "ext_service");
@@ -36,16 +35,13 @@ int main(int argc, char** argv) {
     json->meta("schema", std::string("bench-trajectory-v1"));
     json->meta("noise_band_pct", std::int64_t{0});
     json->meta("requests", static_cast<std::int64_t>(requests));
-    json->meta("workers", static_cast<std::int64_t>(workers));
     json->meta("rescue_sites", static_cast<std::int64_t>(rescue));
     json->meta("seed", static_cast<std::int64_t>(seed));
   }
 
   bench::print_header("Extension", "online update service under load");
-  std::printf("%d requests per point, %d workers, %d rescue sites, "
-              "seed=%llu\n\n",
-              requests, workers, rescue,
-              static_cast<unsigned long long>(seed));
+  std::printf("%d requests per point, %d rescue sites, seed=%llu\n\n",
+              requests, rescue, static_cast<unsigned long long>(seed));
 
   util::Table table({"rate Hz", "pairs", "conflict", "done %", "rej %",
                      "thr req/s", "lat ms", "p95 ms", "joint", "rounds",
@@ -63,7 +59,6 @@ int main(int argc, char** argv) {
         const service::ServiceTrace trace = service::make_workload(wopt);
 
         service::ServiceOptions sopt;
-        sopt.workers = workers;
         sopt.seed = seed;
         service::UpdateService svc(trace.graph, sopt);
         const service::ServiceReport rep = svc.run(trace);

@@ -14,7 +14,7 @@ namespace {
 std::atomic<MetricsRegistry*> g_registry{nullptr};
 
 // Per-thread mute depth (MetricsMute nests): contract scans silence only
-// the thread running them, never concurrent workers.
+// the thread running them, never other threads.
 thread_local int t_mute_depth = 0;
 
 bool metrics_vetoed() {

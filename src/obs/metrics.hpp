@@ -18,9 +18,9 @@
 //
 // Determinism: metric *values* are atomically accumulated sums, so any
 // set of concurrent updaters whose logical work is deterministic produces
-// bit-identical counters regardless of thread interleaving or worker
-// count. Wall-clock metrics are segregated by name — anything ending in
-// `_wall_us` holds machine time and is masked out of golden comparisons
+// bit-identical counters regardless of thread interleaving. Wall-clock
+// metrics are segregated by name — anything ending in `_wall_us` holds
+// machine time and is masked out of golden comparisons
 // (MetricsSnapshot::write_json(mask_wall=true)); everything else is
 // logical and must replay exactly (tests/obs_test.cpp).
 //
@@ -247,7 +247,7 @@ void pop_mute() noexcept;
 /// the logical metric stream must stay bit-identical across contract
 /// levels or replay/golden comparisons would depend on the build preset.
 /// The mute must be thread-local — a global uninstall would race with
-/// concurrent workers and silently drop their samples.
+/// other threads and silently drop their samples.
 class MetricsMute {
  public:
   MetricsMute() noexcept { detail::push_mute(); }

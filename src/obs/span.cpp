@@ -12,9 +12,9 @@ thread_local const Span* t_current = nullptr;
 
 const Span* Span::current() noexcept { return t_current; }
 
-Span::Span(const char* name) : enabled_(registry() != nullptr) {
+Span::Span(const char* name, bool root) : enabled_(registry() != nullptr) {
   if (!enabled_) return;
-  if (t_current != nullptr && !t_current->path_.empty()) {
+  if (!root && t_current != nullptr && !t_current->path_.empty()) {
     path_.reserve(t_current->path_.size() + 1 + std::char_traits<char>::length(name));
     path_ = t_current->path_;
     path_ += '.';

@@ -9,8 +9,9 @@
 // Paths nest through a thread-local stack: a Span opened while another is
 // active on the same thread gets the parent's path as a prefix, so
 // CHRONUS_SPAN("serve") > CHRONUS_SPAN("greedy") records under
-// "span.serve.greedy_wall_us". Nesting never crosses threads — a worker
-// pool job starts a fresh root on its own thread.
+// "span.serve.greedy_wall_us". Nesting never crosses threads, and
+// Span::root starts a fresh path on the current one: the service's jobs
+// record under "workerpool.job..." whatever span the dispatcher holds.
 //
 // Overhead contract: when no registry is installed, constructing a Span is
 // one relaxed pointer load and a branch — no clock read, no string work.
@@ -27,7 +28,12 @@ namespace chronus::obs {
 class Span {
  public:
   /// `name` must outlive the span (string literals in practice).
-  explicit Span(const char* name);
+  explicit Span(const char* name) : Span(name, /*root=*/false) {}
+
+  /// A span whose path is `name` alone, as if no span were active on this
+  /// thread; the enclosing span is current again once it ends.
+  static Span root(const char* name) { return Span(name, /*root=*/true); }
+
   ~Span();
 
   Span(const Span&) = delete;
@@ -41,6 +47,8 @@ class Span {
   static const Span* current() noexcept;
 
  private:
+  Span(const char* name, bool root);
+
   bool enabled_;
   std::string path_;
   const Span* parent_ = nullptr;

@@ -25,7 +25,7 @@
 //                exceeded max_joint_batch); retried next round.
 //
 // The controller performs the reservations itself (it is only ever called
-// from the service's dispatcher thread, between worker-pool barriers), so a
+// from the service's dispatcher thread, before the round's jobs run), so a
 // returned round is already capacity-consistent: the service merely has to
 // release the reservations of requests whose planning later fails.
 #pragma once

@@ -10,7 +10,6 @@
 #include "core/multi_flow.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "service/worker_pool.hpp"
 #include "sim/chaos.hpp"
 #include "sim/updaters.hpp"
 #include "timenet/verifier.hpp"
@@ -46,20 +45,22 @@ int violation_count(const timenet::TransitionReport& rep) {
                           rep.blackholes.size());
 }
 
-net::UpdateInstance make_instance(const net::Graph& g,
-                                  const UpdateRequest& req) {
-  return net::UpdateInstance::from_paths(g, req.p_init, req.p_fin, req.demand);
+net::UpdateInstance make_instance(net::Graph g, const UpdateRequest& req) {
+  return net::UpdateInstance::from_paths(std::move(g), req.p_init, req.p_fin,
+                                         req.demand);
 }
 
-// Thread-safety note (DESIGN.md §12): the Plan/Exec result slots below are
-// deliberately *unguarded*. Exactly one worker writes a given slot, and
-// the dispatcher reads it only after WorkerPool::wait_idle() — a barrier
-// hand-off stronger than any per-slot mutex. Clang's capability analysis
-// cannot express barrier ownership transfer, so the contract lives here
-// and in the chronus_analyzer lock-discipline pass (which verifies the
-// dispatcher itself holds no lock across the blocking wait_idle call).
+/// Puts `base`'s capacities back on the links `fp` restricted. Since
+/// restricted_graph changes nothing else, `inst`'s graph then equals `base`
+/// link for link, and the plan's instance can run the execution.
+void restore_capacities(net::UpdateInstance& inst, const net::Graph& base,
+                        const Footprint& fp) {
+  for (const auto& [id, _] : fp) {
+    inst.mutable_graph().set_capacity(id, base.link(id).capacity);
+  }
+}
 
-/// Worker-side planning outcome; one slot per admitted single or group.
+/// Planning outcome of one admitted single or group.
 struct PlanResult {
   bool feasible = false;
   timenet::UpdateSchedule schedule;  ///< singles
@@ -69,7 +70,7 @@ struct PlanResult {
   std::string message;
 };
 
-/// Worker-side execution outcome; one slot per admitted request.
+/// Execution outcome of one admitted request.
 struct ExecResult {
   bool ran = false;
   bool completed = false;
@@ -81,78 +82,20 @@ struct ExecResult {
   std::string message;
 };
 
-/// Plans one request alone against its reservation-restricted graph.
-void plan_single_job(const net::Graph& restricted, const UpdateRequest& req,
-                     const core::GreedyOptions& gopts, PlanResult* out) {
-  try {
-    const net::UpdateInstance inst = make_instance(restricted, req);
-    core::ScheduleResult res = core::greedy_schedule(inst, gopts);
-    if (!res.feasible()) {
-      out->message = res.message.empty() ? "unschedulable" : res.message;
-      return;
-    }
-    // The greedy guard already checked each step; re-verify the complete
-    // plan under the reservation capacities so the record carries an
-    // end-to-end verdict independent of the scheduler.
-    const timenet::TransitionReport rep =
-        timenet::verify_transition(inst, res.schedule);
-    out->feasible = true;
-    out->schedule = std::move(res.schedule);
-    out->verified = rep.ok();
-    out->violations = violation_count(rep);
-  } catch (const std::exception& e) {
-    out->message = e.what();
-  }
-}
-
-/// Plans a conflict group jointly under the group reservation.
-void plan_group_job(const net::Graph& group_graph,
-                    const std::vector<const UpdateRequest*>& members,
-                    PlanResult* out) {
-  try {
-    std::vector<net::UpdateInstance> flows;
-    flows.reserve(members.size());
-    for (const UpdateRequest* r : members) {
-      flows.push_back(make_instance(group_graph, *r));
-    }
-    out->joint = core::schedule_flows_jointly(flows);
-    if (!out->joint.feasible()) {
-      out->message =
-          out->joint.message.empty() ? "joint plan infeasible" : out->joint.message;
-      return;
-    }
-    std::vector<timenet::FlowTransition> transitions;
-    transitions.reserve(flows.size());
-    for (std::size_t k = 0; k < flows.size(); ++k) {
-      timenet::FlowTransition ft;
-      ft.instance = &flows[k];
-      ft.schedule = &out->joint.schedules[k];
-      transitions.push_back(ft);
-    }
-    const timenet::TransitionReport rep =
-        timenet::verify_transitions(transitions);
-    out->feasible = true;
-    out->verified = rep.ok();
-    out->violations = violation_count(rep);
-  } catch (const std::exception& e) {
-    out->message = e.what();
-  }
-}
-
-/// Executes one planned schedule in a private simulation of the *original*
-/// network: own event queue, controller and RNG stream derived from
-/// (service seed, request id), so the outcome is independent of which
-/// worker runs it. `admitted_at` is the service-time admission instant the
-/// chaos scenario (if any) is compiled against: the campaign's phases are
-/// translated into the private simulation's time base and max-merged into
-/// the always-on fault floor, and the injector stream is derived from
-/// (service seed, scenario seed, request id) — never from the worker.
-void exec_job(const net::Graph& base, const UpdateRequest& req,
+/// Executes one planned schedule in a private simulation of `inst`, whose
+/// graph must carry the original capacities: own event queue, controller
+/// and RNG stream derived from (service seed, request id), so the outcome
+/// depends on nothing else the service does. `admitted_at` is the
+/// service-time admission instant the chaos scenario (if any) is compiled
+/// against: the campaign's phases are translated into the private
+/// simulation's time base and max-merged into the always-on fault floor,
+/// and the injector stream is derived from (service seed, scenario seed,
+/// request id).
+void exec_job(const net::UpdateInstance& inst, const UpdateRequest& req,
               const timenet::UpdateSchedule& schedule,
               const ServiceOptions& opts, sim::SimTime admitted_at,
               ExecResult* out) {
   try {
-    const net::UpdateInstance inst = make_instance(base, req);
     sim::Network net(inst.graph(), opts.step_unit, opts.bps_per_unit);
     sim::EventQueue eq;
     util::Rng parent(opts.seed);
@@ -209,17 +152,100 @@ bool served_before(const PendingRequest& a, const PendingRequest& b) {
 
 struct SingleJob {
   std::size_t pend_idx = 0;
-  net::Graph graph;  ///< reservation-restricted planning graph
   PlanResult plan;
   ExecResult exec;
 };
 
 struct GroupJob {
   JointGroup group;
-  net::Graph graph;  ///< group-reservation planning graph
   PlanResult plan;
   std::vector<ExecResult> execs;  ///< one per member
 };
+
+/// One job's scope: the span starts a fresh "workerpool.job" path (not one
+/// under service.run), so the layer readout finds every job at one path.
+obs::Span job_span() {
+  obs::add("workerpool.jobs");
+  return obs::Span::root("workerpool.job");
+}
+
+/// Plans one request alone against its reservation-restricted graph and,
+/// when the plan is feasible and `opts.execute` is set, executes it on the
+/// same instance once `base`'s capacities are back. A pure function of
+/// (request, graph, derived seed), like every job.
+void single_job(net::Graph restricted, const net::Graph& base,
+                const PendingRequest& p, const ServiceOptions& opts,
+                sim::SimTime now, SingleJob* job) {
+  const obs::Span span = job_span();
+  PlanResult& out = job->plan;
+  try {
+    net::UpdateInstance inst =
+        make_instance(std::move(restricted), *p.request);
+    core::ScheduleResult res = core::greedy_schedule(inst, opts.greedy);
+    if (!res.feasible()) {
+      out.message = res.message.empty() ? "unschedulable" : res.message;
+      return;
+    }
+    // The greedy guard already checked each step; re-verify the complete
+    // plan under the reservation capacities so the record carries an
+    // end-to-end verdict independent of the scheduler.
+    const timenet::TransitionReport rep =
+        timenet::verify_transition(inst, res.schedule);
+    out.feasible = true;
+    out.schedule = std::move(res.schedule);
+    out.verified = rep.ok();
+    out.violations = violation_count(rep);
+    if (!opts.execute) return;
+    restore_capacities(inst, base, p.footprint);
+    exec_job(inst, *p.request, out.schedule, opts, now, &job->exec);
+  } catch (const std::exception& e) {
+    out.message = e.what();
+  }
+}
+
+/// Plans a conflict group jointly under the group reservation and, when
+/// the plan is feasible and `opts.execute` is set, executes each member on
+/// its planning instance once `base`'s capacities are back.
+void group_job(const net::Graph& group_graph, const net::Graph& base,
+               const std::vector<PendingRequest>& pending,
+               const ServiceOptions& opts, sim::SimTime now, GroupJob* job) {
+  const obs::Span span = job_span();
+  PlanResult& out = job->plan;
+  try {
+    std::vector<net::UpdateInstance> flows;
+    flows.reserve(job->group.members.size());
+    for (const std::size_t idx : job->group.members) {
+      flows.push_back(make_instance(group_graph, *pending[idx].request));
+    }
+    out.joint = core::schedule_flows_jointly(flows);
+    if (!out.joint.feasible()) {
+      out.message =
+          out.joint.message.empty() ? "joint plan infeasible" : out.joint.message;
+      return;
+    }
+    std::vector<timenet::FlowTransition> transitions;
+    transitions.reserve(flows.size());
+    for (std::size_t k = 0; k < flows.size(); ++k) {
+      timenet::FlowTransition ft;
+      ft.instance = &flows[k];
+      ft.schedule = &out.joint.schedules[k];
+      transitions.push_back(ft);
+    }
+    const timenet::TransitionReport rep =
+        timenet::verify_transitions(transitions);
+    out.feasible = true;
+    out.verified = rep.ok();
+    out.violations = violation_count(rep);
+    if (!opts.execute) return;
+    for (std::size_t m = 0; m < flows.size(); ++m) {
+      restore_capacities(flows[m], base, job->group.reservation);
+      exec_job(flows[m], *pending[job->group.members[m]].request,
+               out.joint.schedules[m], opts, now, &job->execs[m]);
+    }
+  } catch (const std::exception& e) {
+    out.message = e.what();
+  }
+}
 
 }  // namespace
 
@@ -271,7 +297,6 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
 
   AdmissionController admission(base_, opts_.admission);
   CapacityLedger ledger(base_);
-  WorkerPool pool(opts_.workers);
 
   const DegradationPolicy& ladder = opts_.degradation;
   DegradationMode health = DegradationMode::kFull;
@@ -434,58 +459,23 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
         resolved[idx] = 1;
       }
 
-      // 4. Fan the reserved work out to the pool: plan phase, then (for
-      // feasible plans) execution phase, each ended by a barrier.
+      // 4. Run each reserved single, then each group, as one job: plan,
+      // then (for a feasible plan) execute.
       std::vector<SingleJob> singles(round.singles.size());
       for (std::size_t s = 0; s < round.singles.size(); ++s) {
-        singles[s].pend_idx = round.singles[s];
-        singles[s].graph = ledger.restricted_graph(
-            base_, pending[singles[s].pend_idx].footprint);
+        SingleJob& job = singles[s];
+        job.pend_idx = round.singles[s];
+        const PendingRequest& p = pending[job.pend_idx];
+        single_job(ledger.restricted_graph(base_, p.footprint), base_, p,
+                   opts_, now, &job);
       }
       std::vector<GroupJob> groups(round.groups.size());
       for (std::size_t gi = 0; gi < round.groups.size(); ++gi) {
-        groups[gi].group = std::move(round.groups[gi]);
-        groups[gi].graph =
-            ledger.restricted_graph(base_, groups[gi].group.reservation);
-        groups[gi].execs.resize(groups[gi].group.members.size());
-      }
-      for (SingleJob& job : singles) {
-        const UpdateRequest& r = *pending[job.pend_idx].request;
-        pool.submit([&job, &r, this] {
-          plan_single_job(job.graph, r, opts_.greedy, &job.plan);
-        });
-      }
-      for (GroupJob& job : groups) {
-        pool.submit([&job, &pending] {
-          std::vector<const UpdateRequest*> members;
-          members.reserve(job.group.members.size());
-          for (const std::size_t idx : job.group.members) {
-            members.push_back(pending[idx].request);
-          }
-          plan_group_job(job.graph, members, &job.plan);
-        });
-      }
-      pool.wait_idle();
-
-      if (opts_.execute) {
-        for (SingleJob& job : singles) {
-          if (!job.plan.feasible) continue;
-          const UpdateRequest& r = *pending[job.pend_idx].request;
-          pool.submit([&job, &r, now, this] {
-            exec_job(base_, r, job.plan.schedule, opts_, now, &job.exec);
-          });
-        }
-        for (GroupJob& job : groups) {
-          if (!job.plan.feasible) continue;
-          for (std::size_t m = 0; m < job.group.members.size(); ++m) {
-            const UpdateRequest& r = *pending[job.group.members[m]].request;
-            pool.submit([&job, &r, m, now, this] {
-              exec_job(base_, r, job.plan.joint.schedules[m], opts_, now,
-                       &job.execs[m]);
-            });
-          }
-        }
-        pool.wait_idle();
+        GroupJob& job = groups[gi];
+        job.group = std::move(round.groups[gi]);
+        job.execs.resize(job.group.members.size());
+        group_job(ledger.restricted_graph(base_, job.group.reservation), base_,
+                  pending, opts_, now, &job);
       }
 
       // 5. Commit results in request order; all ledger and record
@@ -532,8 +522,8 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
                                                        duration, 1));
         rec.completed = due;
         // Virtual (simulated) latency: a function of the deterministic
-        // epoch dispatch alone, so it replays bit-identically across
-        // worker counts — deliberately not a _wall_us metric.
+        // epoch dispatch alone, so it replays bit-identically — deliberately
+        // not a _wall_us metric.
         obs::observe("service.request_latency_us", due - r.arrival);
         return due;
       };

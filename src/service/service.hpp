@@ -5,20 +5,23 @@
 // and deterministic, (1) folds due completions back into the capacity
 // ledger, (2) ingests new arrivals, (3) runs one admission round
 // (service/admission.hpp) that reserves ledger capacity for independent
-// requests and conflict batches, (4) fans the reserved work out to the
-// worker pool — greedy planning against the reservation-restricted graph,
-// joint planning for batches, then timed execution through
-// sim::ResilientExecutor in a per-request private simulation — and
-// (5) commits the results in request order.
+// requests and conflict batches, (4) runs one job per reserved single and
+// per batch, in round order — greedy planning against the reservation-
+// restricted graph (joint planning for a batch), then timed execution
+// through sim::ResilientExecutor in a private simulation of the planning
+// instance with the original capacities put back — and (5) commits the
+// results in request order.
 //
-// Determinism contract: the jobs handed to the pool are pure functions of
-// (request, reservation graph, derived seed) and write only their own
-// result slot; every ledger mutation and every record update happens on
-// the dispatcher between pool barriers, in request order; and completions
-// are quantized to epoch boundaries and applied in (due time, id) order.
-// Hence the ServiceReport is bit-identical for any worker count — the pool
-// only changes how fast the wall clock gets there (tested in
-// tests/service_test.cpp, including under ThreadSanitizer).
+// Jobs run inline on the dispatcher thread. A round holds about one job,
+// so a worker pool spent more on threads and barriers than it won back in
+// parallel (DESIGN.md §9).
+//
+// Determinism contract: a job is a pure function of (request, reservation
+// graph, derived seed) and writes only its own result slot; every ledger
+// mutation and every record update happens in request order; and
+// completions are quantized to epoch boundaries and applied in (due time,
+// id) order. Hence the ServiceReport is a pure function of the requests
+// and the options (pinned by golden digests in tests/service_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -82,7 +85,8 @@ struct DegradationPolicy {
 };
 
 struct ServiceOptions {
-  /// Worker threads planning and executing admitted requests.
+  /// Ignored: every job runs on the dispatcher thread. Kept only because
+  /// perfbench/ still assigns it; deleting it changes the benchmark.
   int workers = 4;
 
   /// Admission quantum: arrivals are admitted and completions released at
@@ -102,7 +106,7 @@ struct ServiceOptions {
   double bps_per_unit = 500e6;
 
   /// Master seed; per-request streams are derived from it and the request
-  /// id, never from the worker that runs the job.
+  /// id alone.
   std::uint64_t seed = 1;
 
   /// Execute plans through sim::ResilientExecutor (else planning only:

@@ -1,5 +1,6 @@
 #include "sim/network.hpp"
 
+#include <span>
 #include <stdexcept>
 
 namespace chronus::sim {
@@ -12,8 +13,9 @@ Network::Network(const net::Graph& g, SimTime delay_unit, double bps_per_unit)
     switches_.emplace_back(v, g.name(v));
   }
   links_.resize(g.link_count());
-  // Port numbering: port k on switch u is its k-th outgoing link; ingress
-  // ports continue after the egress ports.
+  // Port numbering: port k on switch u is its k-th outgoing link, in id
+  // order as Graph::out_links lists them; ingress ports continue after the
+  // egress ports.
   std::vector<PortId> next_port(g.node_count(), 0);
   for (net::LinkId id = 0; id < g.link_count(); ++id) {
     const net::Link& l = g.link(id);
@@ -24,7 +26,6 @@ Network::Network(const net::Graph& g, SimTime delay_unit, double bps_per_unit)
     sl.delay = l.delay * delay_unit;
     sl.capacity_bps = l.capacity.value() * bps_per_unit;
     sl.src_port = next_port[l.src]++;
-    by_port_[{sl.src, sl.src_port}] = id;
   }
   for (net::LinkId id = 0; id < g.link_count(); ++id) {
     SimLink& sl = links_[id];
@@ -57,9 +58,10 @@ std::optional<net::LinkId> Network::link_between(SwitchId u, SwitchId v) const {
 }
 
 std::optional<net::LinkId> Network::link_on_port(SwitchId u, PortId port) const {
-  const auto it = by_port_.find({u, port});
-  if (it == by_port_.end()) return std::nullopt;
-  return it->second;
+  if (u >= switches_.size()) return std::nullopt;
+  const std::span<const net::LinkId> out = graph_->out_links(u);
+  if (port >= out.size()) return std::nullopt;
+  return out[port];
 }
 
 PortId Network::port_towards(SwitchId u, SwitchId v) const {

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -48,7 +47,8 @@ class Network {
   /// The link leaving `u` towards `v`, if present.
   std::optional<net::LinkId> link_between(SwitchId u, SwitchId v) const;
 
-  /// The link leaving `u` through egress port `port`, if present.
+  /// The link leaving `u` through egress port `port`, if present. Port k
+  /// on u is u's k-th outgoing link in id order (Graph::out_links).
   std::optional<net::LinkId> link_on_port(SwitchId u, PortId port) const;
 
   /// Egress port on u towards v; throws if absent.
@@ -60,7 +60,6 @@ class Network {
   const net::Graph* graph_;
   std::vector<SimSwitch> switches_;
   std::vector<SimLink> links_;
-  std::map<std::pair<SwitchId, PortId>, net::LinkId> by_port_;
 };
 
 }  // namespace chronus::sim

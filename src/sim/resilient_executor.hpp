@@ -31,9 +31,9 @@
 // Thread-safety contract (DESIGN.md §12): a ResilientExecutor is
 // *thread-confined*, not thread-safe — it holds no mutex because it owns
 // no shared state: the controller, event queue and RNG stream it drives
-// are private to the service worker that constructed it (exec_job builds
+// are private to the service job that constructed it (exec_job builds
 // one per request). Concurrency enters one layer up, at the capacity
-// ledger and worker pool, whose lock contracts are compiler-enforced via
+// ledger, whose lock contract is compiler-enforced via
 // util/thread_annotations.hpp. Do not share one executor across threads;
 // construct one per confined simulation instead.
 #pragma once

@@ -11,10 +11,11 @@
 // not capability-annotated, so Clang's analysis cannot see its lock() and
 // unlock() and every annotated member would false-positive. Instead the
 // concurrent classes (obs::MetricsRegistry, service::CapacityLedger,
-// service::WorkerPool) hold a `util::Mutex` and scope their critical
-// sections with `util::MutexLock`; condition waits go through
-// `util::CondVar`, whose wait() is annotated CHRONUS_REQUIRES(mu) so a
-// wait outside the critical section is a compile error on Clang.
+// service::IntakeQueue, rpc::Reactor, rpc::Server) hold a `util::Mutex`
+// and scope their critical sections with `util::MutexLock`; condition
+// waits go through `util::CondVar`, whose wait() is annotated
+// CHRONUS_REQUIRES(mu) so a wait outside the critical section is a
+// compile error on Clang.
 //
 // Conventions (enforced by `-Wthread-safety -Werror` on Clang and spelled
 // out in DESIGN.md §12):
@@ -24,10 +25,9 @@
 //     CHRONUS_EXCLUDES(mu_) (calling it with the lock held deadlocks);
 //   * a private helper that expects the caller to hold the lock is
 //     annotated CHRONUS_REQUIRES(mu_) and never locks;
-//   * data handed to worker threads by ownership transfer (the service's
-//     plan/exec result slots, synchronized by the WorkerPool::wait_idle
-//     barrier) is documented at the declaration instead — barrier
-//     hand-off is outside what the static analysis can express.
+//   * data handed between threads by ownership transfer is documented at
+//     the declaration instead — a hand-off is outside what the static
+//     analysis can express.
 #pragma once
 
 #include <condition_variable>

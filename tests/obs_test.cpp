@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -201,51 +202,52 @@ TEST(MetricsRegistry, ConcurrentUpdateHammer) {
 }
 
 // Deterministic replay over the full instrumented pipeline: the same
-// 200-request workload, workers=1 vs workers=4, must produce bit-identical
-// logical metrics (admissions, rejections, rescues, ledger totals, B&B and
+// 200-request workload run twice must produce bit-identical logical
+// metrics (admissions, rejections, rescues, ledger totals, B&B and
 // scheduler work counts, virtual-time latency histograms).
-TEST(ObsReplay, ServiceMetricsAreBitIdenticalAcrossWorkerCounts) {
+service::ServiceTrace replay_trace() {
   service::WorkloadOptions wopt;
   wopt.requests = 200;
   wopt.arrival_rate_hz = 40.0;
   wopt.conflict_density = 0.5;
   wopt.rescue_sites = 2;
   wopt.seed = 3;
-  const service::ServiceTrace trace = service::make_workload(wopt);
+  return service::make_workload(wopt);
+}
 
-  const auto run_with_workers = [&](int workers) {
-    service::ServiceOptions opts;
-    opts.workers = workers;
-    obs::MetricsRegistry reg;
-    const obs::ScopedMetrics scope(reg);
-    const service::ServiceReport report =
-        service::UpdateService(trace.graph, opts).run(trace);
-    EXPECT_EQ(report.violations, 0);
-    return reg.snapshot().logical();
-  };
+obs::MetricsSnapshot traced_run(const service::ServiceTrace& trace) {
+  obs::MetricsRegistry reg;
+  const obs::ScopedMetrics scope(reg);
+  const service::ServiceReport report =
+      service::UpdateService(trace.graph).run(trace);
+  EXPECT_EQ(report.violations, 0);
+  return reg.snapshot();
+}
 
-  const obs::MetricsSnapshot one = run_with_workers(1);
-  const obs::MetricsSnapshot four = run_with_workers(4);
+TEST(ObsReplay, ServiceMetricsAreBitIdenticalAcrossRuns) {
+  const service::ServiceTrace trace = replay_trace();
+  const obs::MetricsSnapshot one = traced_run(trace).logical();
+  const obs::MetricsSnapshot two = traced_run(trace).logical();
   ASSERT_FALSE(one.counters.empty());
   // Compare per metric rather than EXPECT_EQ on the snapshots so a
   // regression names the diverging counter instead of dumping raw bytes.
   for (const auto& [name, v] : one.counters) {
-    const auto it = four.counters.find(name);
-    if (it == four.counters.end()) {
-      ADD_FAILURE() << "counter only with workers=1: " << name;
+    const auto it = two.counters.find(name);
+    if (it == two.counters.end()) {
+      ADD_FAILURE() << "counter only in the first run: " << name;
     } else {
       EXPECT_EQ(v, it->second) << "counter diverged: " << name;
     }
   }
-  for (const auto& [name, v] : four.counters) {
+  for (const auto& [name, v] : two.counters) {
     if (one.counters.count(name) == 0) {
-      ADD_FAILURE() << "counter only with workers=4: " << name;
+      ADD_FAILURE() << "counter only in the second run: " << name;
     }
   }
   for (const auto& [name, h] : one.histograms) {
-    const auto it = four.histograms.find(name);
-    if (it == four.histograms.end()) {
-      ADD_FAILURE() << "histogram only with workers=1: " << name;
+    const auto it = two.histograms.find(name);
+    if (it == two.histograms.end()) {
+      ADD_FAILURE() << "histogram only in the first run: " << name;
       continue;
     }
     EXPECT_EQ(h.count, it->second.count) << "histogram count diverged: " << name;
@@ -254,8 +256,8 @@ TEST(ObsReplay, ServiceMetricsAreBitIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(h.buckets, it->second.buckets)
         << "histogram buckets diverged: " << name;
   }
-  EXPECT_EQ(one.histograms.size(), four.histograms.size());
-  EXPECT_EQ(one, four);
+  EXPECT_EQ(one.histograms.size(), two.histograms.size());
+  EXPECT_EQ(one, two);
   // Spot-check the families the replay contract names.
   EXPECT_GT(one.counters.at("ledger.reserves"), 0u);
   EXPECT_EQ(one.counters.at("ledger.reserves"),
@@ -264,6 +266,29 @@ TEST(ObsReplay, ServiceMetricsAreBitIdenticalAcrossWorkerCounts) {
   EXPECT_GT(one.counters.at("greedy.calls"), 0u);
   EXPECT_GT(one.counters.at("workerpool.jobs"), 0u);
   EXPECT_GT(one.histograms.at("service.request_latency_us").count, 0u);
+}
+
+// The layer readout (perfbench) finds the service's jobs at fixed span
+// paths: one "workerpool.job" root per admitted single and per joint
+// group, with the plan verify and the timed execution directly beneath
+// it. A job span that nested under "service.run" would move every one of
+// those paths.
+TEST(ObsReplay, EveryServiceJobIsOneRootSpan) {
+  const obs::MetricsSnapshot snap = traced_run(replay_trace());
+  const auto counter = [&snap](const std::string& name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  const std::uint64_t groups = counter("admission.joint_groups");
+  ASSERT_GT(groups, 0u);
+  const std::uint64_t jobs = counter("admission.singles") + groups;
+  EXPECT_EQ(counter("workerpool.jobs"), jobs);
+  EXPECT_EQ(counter("span.workerpool.job.calls"), jobs);
+  EXPECT_GT(counter("span.workerpool.job.verifier.transitions.calls"), 0u);
+  EXPECT_GT(counter("span.workerpool.job.executor.run_timed.calls"), 0u);
+  for (const auto& [name, v] : snap.counters) {
+    EXPECT_FALSE(name.starts_with("span.service.run.workerpool")) << name;
+  }
 }
 
 // Golden snapshot of the JSON export: a fixed-seed instance through the

@@ -77,7 +77,6 @@ TEST(RunIntakeTest, WireOrderIndependenceMatchesVectorRun) {
   const service::ServiceTrace trace = service::make_workload(wopt);
 
   service::ServiceOptions sopt;
-  sopt.workers = 2;
   const std::string direct =
       service::UpdateService(trace.graph, sopt).run(trace.requests).digest();
 
@@ -101,7 +100,6 @@ TEST(RpcServerTest, LoopbackBothCodecsMatchInProcessRun) {
   const service::ServiceTrace trace = service::make_workload(wopt);
 
   service::ServiceOptions sopt;
-  sopt.workers = 2;
   const service::ServiceReport direct =
       service::UpdateService(trace.graph, sopt).run(trace.requests);
 

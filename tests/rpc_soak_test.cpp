@@ -31,7 +31,6 @@ TEST(RpcSoakTest, ThreeTransportDigest) {
   const service::ServiceTrace trace = service::make_workload(wopt);
 
   service::ServiceOptions sopt;
-  sopt.workers = 2;
 
   // (a) the in-process vector run.
   const service::ServiceReport direct =
@@ -101,7 +100,6 @@ TEST(RpcSoakTest, ThousandSessionBackpressureSoak) {
   // life of the soak. Planning-only keeps the rounds cheap — the subject
   // here is the wire layer, not the executor.
   opts.intake_capacity = 8;
-  opts.service.workers = 2;
   opts.service.execute = false;
   Server server(trace.graph, opts);
   server.start();

@@ -2,8 +2,8 @@
 // semantics (including the multi-threaded invariants the ThreadSanitizer
 // preset hammers), admission control, workload generation, trace IO, and
 // the end-to-end determinism contract — a 200-request trace must complete
-// with zero verifier violations and a bit-identical report for any worker
-// count.
+// with zero verifier violations and replay to a bit-identical report, and
+// six golden digests pin whole runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,12 +12,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/greedy_scheduler.hpp"
+#include "io/scenario_io.hpp"
 #include "io/trace_io.hpp"
+#include "net/topologies.hpp"
 #include "obs/metrics.hpp"
 #include "service/admission.hpp"
 #include "service/capacity_ledger.hpp"
 #include "service/service.hpp"
-#include "service/worker_pool.hpp"
 #include "service/workload.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -145,18 +147,6 @@ TEST(CapacityLedger, ConcurrentReserveReleaseNeverOvercommits) {
   EXPECT_TRUE(ledger.idle());
   EXPECT_GT(reservations.load(), 0);
   EXPECT_LE(ledger.peak_utilization(), 1.0 + 1e-9);
-}
-
-TEST(WorkerPool, RunsEverySubmittedJobAcrossRounds) {
-  WorkerPool pool(4);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 40; ++i) {
-      pool.submit([&count] { ++count; });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 40 * (round + 1));
-  }
 }
 
 TEST(Workload, IsDeterministicPerSeed) {
@@ -349,8 +339,8 @@ TEST(UpdateService, PlanOnlyModeSkipsExecution) {
 }
 
 /// The acceptance bar: a 200-request generated trace completes with zero
-/// verifier violations and a bit-identical report digest for 1 and 4
-/// workers.
+/// verifier violations, and a second run of the same configuration gives a
+/// bit-identical report digest and logical metrics slice.
 TEST(UpdateService, TwoHundredRequestTraceIsDeterministicAndClean) {
   WorkloadOptions wopt;
   wopt.requests = 200;
@@ -360,50 +350,168 @@ TEST(UpdateService, TwoHundredRequestTraceIsDeterministicAndClean) {
   wopt.seed = 3;
   const ServiceTrace trace = make_workload(wopt);
 
-  ServiceOptions one;
-  one.workers = 1;
-  ServiceOptions four;
-  four.workers = 4;
-
   // Each run observes into its own registry, so the metrics surface can be
-  // compared across worker counts exactly like the report digest.
-  obs::MetricsRegistry reg1;
-  obs::MetricsSnapshot snap1;
-  ServiceReport rep1;
-  {
-    const obs::ScopedMetrics scope(reg1);
-    rep1 = UpdateService(trace.graph, one).run(trace);
-    snap1 = reg1.snapshot();
-  }
-  obs::MetricsRegistry reg4;
-  obs::MetricsSnapshot snap4;
-  ServiceReport rep4;
-  {
-    const obs::ScopedMetrics scope(reg4);
-    rep4 = UpdateService(trace.graph, four).run(trace);
-    snap4 = reg4.snapshot();
-  }
+  // compared across runs exactly like the report digest.
+  const auto run_once = [&trace](obs::MetricsSnapshot* snap) {
+    obs::MetricsRegistry reg;
+    const obs::ScopedMetrics scope(reg);
+    ServiceReport rep = UpdateService(trace.graph).run(trace);
+    *snap = reg.snapshot();
+    return rep;
+  };
+  obs::MetricsSnapshot snap1, snap2;
+  const ServiceReport rep1 = run_once(&snap1);
+  const ServiceReport rep2 = run_once(&snap2);
 
-  EXPECT_EQ(rep4.violations, 0);
-  EXPECT_EQ(rep4.failed, 0);
-  EXPECT_GT(rep4.completed, 100);
-  EXPECT_GE(rep4.joint_batches, 1);
-  EXPECT_GT(rep4.throughput_hz(), 0.0);
-  EXPECT_EQ(rep1.digest(), rep4.digest());
+  EXPECT_EQ(rep2.violations, 0);
+  EXPECT_EQ(rep2.failed, 0);
+  EXPECT_GT(rep2.completed, 100);
+  EXPECT_GE(rep2.joint_batches, 1);
+  EXPECT_GT(rep2.throughput_hz(), 0.0);
+  EXPECT_EQ(rep1.digest(), rep2.digest());
 
   // The determinism contract extends to every logical metric: counters
   // (admissions, rejections, rescues, ledger reserve/release totals, ...)
   // and virtual-time histograms must be bit-identical; only wall-clock
-  // durations and gauges may differ between worker counts.
+  // durations and gauges may differ between runs.
   const obs::MetricsSnapshot logical1 = snap1.logical();
-  const obs::MetricsSnapshot logical4 = snap4.logical();
-  EXPECT_EQ(logical1.counters, logical4.counters);
-  EXPECT_EQ(logical1.histograms, logical4.histograms);
-  EXPECT_GT(logical4.counters.at("ledger.reserves"), 0u);
-  EXPECT_EQ(logical4.counters.at("ledger.reserves"),
-            logical4.counters.at("ledger.releases"));
-  EXPECT_GT(logical4.counters.at("admission.rounds"), 0u);
-  EXPECT_GT(logical4.counters.at("service.completed"), 100u);
+  const obs::MetricsSnapshot logical2 = snap2.logical();
+  EXPECT_EQ(logical1.counters, logical2.counters);
+  EXPECT_EQ(logical1.histograms, logical2.histograms);
+  EXPECT_GT(logical2.counters.at("ledger.reserves"), 0u);
+  EXPECT_EQ(logical2.counters.at("ledger.reserves"),
+            logical2.counters.at("ledger.releases"));
+  EXPECT_GT(logical2.counters.at("admission.rounds"), 0u);
+  EXPECT_GT(logical2.counters.at("service.completed"), 100u);
+}
+
+// Golden digests of whole service runs: a 64-bit FNV-1a of
+// ServiceReport::digest() (every record field and the health log) over six
+// traces that between them reach every path of the dispatcher — deferral
+// and max-defers rejection, joint batches, chaos faults with retries and
+// the degradation ladder, plan-only mode, and fat-tree reroutes the
+// guarded greedy cannot plan. The values were recorded before the service
+// ran its jobs inline; a change that moves one changes some request's
+// outcome, so re-pin only deliberately and say which records moved.
+
+std::uint64_t digest_hash(const ServiceReport& rep) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : rep.digest()) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream out;
+  out << "0x" << std::hex << v;
+  return out.str();
+}
+
+/// Runs `wopt`'s trace through a service with `sopt` and returns the hash.
+std::uint64_t golden_run(const WorkloadOptions& wopt,
+                         const ServiceOptions& sopt = {}) {
+  const ServiceTrace trace = make_workload(wopt);
+  return digest_hash(UpdateService(trace.graph, sopt).run(trace));
+}
+
+/// `chronus_cli trace --requests=400 --rate=40 --seed=7`.
+WorkloadOptions golden_trace_400() {
+  WorkloadOptions w;
+  w.requests = 400;
+  w.arrival_rate_hz = 40.0;
+  w.seed = 7;
+  return w;
+}
+
+TEST(ServiceGoldenDigest, Trace400) {
+  EXPECT_EQ(hex(golden_run(golden_trace_400())), "0x1c8e99cf1310ec9f");
+}
+
+TEST(ServiceGoldenDigest, Burst2000) {
+  WorkloadOptions w;  // trace --requests=2000 --rate=1000 --pairs=16
+  w.requests = 2000;
+  w.arrival_rate_hz = 1000.0;
+  w.pairs = 16;
+  EXPECT_EQ(hex(golden_run(w)), "0x1a81924f6a3160d");
+}
+
+TEST(ServiceGoldenDigest, RescueTraceWithJointBatches) {
+  WorkloadOptions w = golden_trace_400();
+  w.conflict_density = 0.6;
+  w.rescue_sites = 20;
+  w.seed = 3;
+  const ServiceTrace trace = make_workload(w);
+  const ServiceReport rep = UpdateService(trace.graph).run(trace);
+  EXPECT_GT(rep.joint_batches, 0);
+  EXPECT_EQ(hex(digest_hash(rep)), "0x92ffc5578203a4a2");
+}
+
+TEST(ServiceGoldenDigest, Trace400UnderStormScenario) {
+  const sim::ChaosScenario storm = io::read_scenario_file(
+      std::string(CHRONUS_TESTDATA_DIR) + "/scenarios/storm.scn");
+  WorkloadOptions w = golden_trace_400();
+  w.chaos = &storm;
+  ServiceOptions o;
+  o.chaos = &storm;
+  o.degradation.latency_slo = 10 * sim::kSecond;
+  o.degradation.greedy_enter = 8;
+  o.degradation.greedy_exit = 4;
+  o.degradation.defer_enter = 40;
+  o.degradation.defer_exit = 20;
+  const ServiceTrace trace = make_workload(w);
+  const ServiceReport rep = UpdateService(trace.graph, o).run(trace);
+  EXPECT_GT(rep.faults_injected, 0u);
+  int retried = 0;
+  for (const RequestRecord& r : rep.records) retried += r.exec_retries > 0;
+  EXPECT_GT(retried, 0);
+  EXPECT_FALSE(rep.health_log.empty());
+  EXPECT_GT(rep.watchdog_cancelled, 0u);
+  EXPECT_EQ(hex(digest_hash(rep)), "0xe6b219294648b54b");
+}
+
+TEST(ServiceGoldenDigest, Trace400PlanOnly) {
+  ServiceOptions o;
+  o.execute = false;
+  EXPECT_EQ(hex(golden_run(golden_trace_400(), o)), "0x81c230d4693ed38f");
+}
+
+TEST(ServiceGoldenDigest, FatTreeWithUnplannableReroutes) {
+  const net::FatTree ft = net::fat_tree(8, net::Capacity{4.0});
+  util::Rng rng(20170605);
+  std::vector<UpdateRequest> requests;
+  int unplannable = 0;
+  while (requests.size() < 200) {
+    const std::size_t pod_a = rng.index(8);
+    std::size_t pod_b = rng.index(7);
+    if (pod_b >= pod_a) ++pod_b;
+    const NodeId src = ft.edge[pod_a][rng.index(ft.edge[pod_a].size())];
+    const NodeId dst = ft.edge[pod_b][rng.index(ft.edge[pod_b].size())];
+    const net::Demand demand{0.5 + static_cast<double>(rng.index(17)) / 16.0};
+    const auto inst = net::random_reroute(ft.graph, src, dst, demand, rng);
+    if (!inst) continue;
+    UpdateRequest r;
+    r.id = requests.size();
+    r.arrival = static_cast<sim::SimTime>(r.id) * 10 * sim::kMillisecond;
+    r.demand = demand;
+    r.p_init = inst->p_init();
+    r.p_fin = inst->p_fin();
+    // Plannable iff the guarded greedy finds an order within the request's
+    // own reservation on an idle network.
+    const net::UpdateInstance alone = net::UpdateInstance::from_paths(
+        CapacityLedger(ft.graph).restricted_graph(
+            ft.graph,
+            transition_footprint(ft.graph, r.p_init, r.p_fin, r.demand)),
+        r.p_init, r.p_fin, r.demand);
+    unplannable += core::greedy_schedule(alone, ServiceOptions{}.greedy)
+                       .feasible() ? 0 : 1;
+    requests.push_back(std::move(r));
+  }
+  ASSERT_GT(unplannable, 0);
+  const ServiceReport rep = UpdateService(ft.graph).run(requests);
+  EXPECT_EQ(rep.violations, 0);
+  EXPECT_EQ(hex(digest_hash(rep)), "0xc7e8d53d8af26ee3");
 }
 
 }  // namespace

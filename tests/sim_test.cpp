@@ -3,7 +3,12 @@
 // traffic tracer and the controller (latencies, timed mods, barriers).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "net/generators.hpp"
+#include "net/topologies.hpp"
 #include "sim/controller.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/flow_table.hpp"
@@ -214,6 +219,38 @@ TEST(NetworkT, MirrorsGraph) {
   EXPECT_EQ(net.link_on_port(0, l.src_port), net.link_between(0, 1));
   EXPECT_EQ(net.port_towards(0, 1), l.src_port);
   EXPECT_THROW(net.port_towards(1, 0), std::invalid_argument);
+}
+
+// Port k on switch u is u's k-th outgoing link, and u's ingress ports
+// continue after its egress ports, link by link.
+void expect_port_numbering(const net::Graph& g) {
+  const Network net(g, kMillisecond, 1e6);
+  std::vector<std::vector<PortId>> ingress(g.node_count());
+  for (net::LinkId id = 0; id < g.link_count(); ++id) {
+    const SimLink& l = net.link(id);
+    EXPECT_EQ(net.link_on_port(l.src, l.src_port), id);
+    EXPECT_EQ(net.port_towards(l.src, l.dst), l.src_port);
+    ingress[l.dst].push_back(l.dst_port);
+  }
+  for (SwitchId u = 0; u < g.node_count(); ++u) {
+    const auto egress = static_cast<PortId>(g.out_links(u).size());
+    std::vector<PortId> want(g.in_links(u).size());
+    std::iota(want.begin(), want.end(), egress);
+    std::sort(ingress[u].begin(), ingress[u].end());
+    EXPECT_EQ(ingress[u], want) << "switch " << u;
+    EXPECT_EQ(net.link_on_port(u, egress), std::nullopt) << "switch " << u;
+  }
+  const auto bad = static_cast<SwitchId>(g.node_count());
+  EXPECT_EQ(net.link_on_port(bad, 0), std::nullopt);
+}
+
+TEST(NetworkT, PortsFollowOutgoingLinkOrder) {
+  expect_port_numbering(net::fat_tree(8, net::Capacity{4.0}).graph);
+  // The final path's links are added after the line's, so a switch's
+  // outgoing link ids are not consecutive.
+  util::Rng rng(7);
+  expect_port_numbering(
+      net::random_instance({.n = 40, .detour_frac = 0.8}, rng).graph());
 }
 
 TEST(TrafficT, SteadyFlowLoadsPath) {

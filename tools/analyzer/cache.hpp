@@ -37,7 +37,7 @@ inline constexpr const char* kAnalyzerVersion = "chronus-analyzer 0.10";
 /// Bumped whenever any pass's *semantics* change without a record-format
 /// change (new sink, retuned heuristic, widened source set). This is what
 /// makes a pass upgrade invalidate warm caches in CI.
-inline constexpr int kPassRevision = 11;
+inline constexpr int kPassRevision = 12;
 
 inline std::uint64_t fnv1a(const std::string& s,
                            std::uint64_t h = 1469598103934665603ull) {

@@ -10,8 +10,8 @@
 //     and whether the call's result flows into a `return` statement (for
 //     transitive return-taint propagation);
 //   - whether the body calls a blocking primitive directly (join /
-//     wait_idle / sleep_for / sleep_until / system / accept / accept4 /
-//     recv / send / poll as free calls — `x.send(...)` is a method on our
+//     sleep_for / sleep_until / system / accept / accept4 / recv / send /
+//     poll as free calls — `x.send(...)` is a method on our
 //     own types, recorded as a member call that summaries.hpp does not
 //     link);
 //   - whether any parameter is mentioned in a `return` statement (the
@@ -95,7 +95,7 @@ inline bool cg_is_guard_name(const std::string& s) {
 /// member calls, which the whole-program call graph does not link.
 inline bool cg_is_blocking_primitive(const std::string& s) {
   static const std::set<std::string> kBlocking = {
-      "join", "wait_idle", "sleep_for", "sleep_until", "system",
+      "join", "sleep_for", "sleep_until", "system",
       "accept", "accept4", "recv", "send", "poll"};
   return kBlocking.count(s) > 0;
 }

@@ -299,7 +299,7 @@ inline void lock_pass(const SourceFile& f, std::vector<Finding>& findings) {
   // at the kernel boundary, and the rpc reactor's design rule is that no
   // I/O ever happens inside a lock region (src/rpc/reactor.hpp).
   static const std::set<std::string> kBlocking = {
-      "join", "wait_idle", "sleep_for", "sleep_until", "system",
+      "join", "sleep_for", "sleep_until", "system",
       "accept", "accept4", "recv", "send", "poll"};
 
   for (std::size_t i = 0; i < t.size(); ++i) {

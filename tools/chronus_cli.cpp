@@ -7,7 +7,7 @@
 //   chronus_cli or-plan --instance=fig1.inst
 //   chronus_cli dot --instance=fig1.inst [--schedule=fig1.sched]
 //   chronus_cli trace --requests=200 [--rate=40] [--conflict=0.5] > w.trace
-//   chronus_cli serve --trace=w.trace [--workers=4] [--json=report.json]
+//   chronus_cli serve --trace=w.trace [--json=report.json]
 //                     [--metrics=metrics.json]
 //                     [--listen=PORT] [--codec=binary|json] [--connections=N]
 //                     [--intake-cap=N] [--trigger-depth=N]
@@ -18,8 +18,8 @@
 // (branch-and-bound under --timeout seconds).
 //
 // `serve` drives the online update service (src/service) over a request
-// trace: admission, ledger reservation, worker-pool planning and timed
-// execution; exits non-zero if any accepted plan failed re-verification.
+// trace: admission, ledger reservation, planning and timed execution;
+// exits non-zero if any accepted plan failed re-verification.
 // With --listen=PORT (0 = ephemeral) the trace is instead served through
 // the rpc socket front-end (src/rpc): an rpc::Server is started on
 // loopback and the trace is replayed into it by the multi-connection load
@@ -64,8 +64,8 @@ int usage() {
                "  trace    [--requests=N] [--rate=HZ] [--conflict=P]"
                " [--pairs=N] [--rescue=N] [--seed=N] [--out=FILE]\n"
                "           [--metrics=FILE]\n"
-               "  serve    --trace=FILE [--workers=N] [--epoch-ms=N]"
-               " [--step-ms=N] [--seed=N]\n"
+               "  serve    --trace=FILE [--epoch-ms=N] [--step-ms=N]"
+               " [--seed=N]\n"
                "           [--max-defers=N] [--plan-only] [--json=FILE]"
                " [--metrics=FILE]\n"
                "           [--listen=PORT] [--codec=binary|json]"
@@ -231,7 +231,6 @@ int cmd_serve(const util::Cli& cli) {
   const service::ServiceTrace trace = io::read_trace_file(path);
 
   service::ServiceOptions opts;
-  opts.workers = static_cast<int>(cli.get_int("workers", 4));
   opts.epoch = cli.get_int("epoch-ms", 50) * sim::kMillisecond;
   opts.step_unit = cli.get_int("step-ms", 50) * sim::kMillisecond;
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
@@ -300,7 +299,6 @@ int cmd_serve(const util::Cli& cli) {
   if (!json_path.empty()) {
     util::JsonWriter json(json_path, "serve");
     json.meta("trace", path);
-    json.meta("workers", static_cast<std::int64_t>(opts.workers));
     json.meta("seed", static_cast<std::int64_t>(opts.seed));
     for (const service::RequestRecord& r : report.records) {
       json.begin_row();

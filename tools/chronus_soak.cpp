@@ -3,8 +3,8 @@
 // judges the outcome with the oracles the repo already trusts.
 //
 //   chronus_soak --scenario=storm.scn [--requests=N] [--rate=HZ]
-//                [--pairs=N] [--conflict=P] [--rescue=N] [--workers=N]
-//                [--seed=N] [--epoch-ms=N] [--step-ms=N] [--budget-s=N]
+//                [--pairs=N] [--conflict=P] [--rescue=N] [--seed=N]
+//                [--epoch-ms=N] [--step-ms=N] [--budget-s=N]
 //                [--slo-ms=N] [--greedy-enter=N --greedy-exit=N]
 //                [--defer-enter=N --defer-exit=N]
 //                [--shed-enter=N --shed-exit=N]
@@ -118,7 +118,6 @@ void write_json(const std::string& path, const std::string& scenario_name,
   chronus::util::JsonWriter json(path, "soak");
   json.meta("scenario", scenario_name);
   json.meta("seed", static_cast<std::int64_t>(cfg.workload.seed));
-  json.meta("workers", static_cast<std::int64_t>(cfg.service.workers));
   json.meta("requests",
             static_cast<std::int64_t>(out.report.records.size()));
   for (const auto& r : out.report.records) {
@@ -153,7 +152,6 @@ int soak_main(const chronus::util::Cli& cli) {
   cfg.workload.rescue_sites = static_cast<int>(cli.get_int("rescue", 0));
   cfg.workload.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   cfg.service.seed = cfg.workload.seed;
-  cfg.service.workers = static_cast<int>(cli.get_int("workers", 4));
   cfg.service.epoch = cli.get_int("epoch-ms", 50) * chronus::sim::kMillisecond;
   cfg.service.step_unit =
       cli.get_int("step-ms", 50) * chronus::sim::kMillisecond;
