@@ -82,23 +82,24 @@ SchemeRun run_scheme(const char* scheme, const net::UpdateInstance& inst,
   topts.t_begin = 0;
   topts.t_end = 25 * sim::kSecond;
   topts.quantum = 25 * sim::kMillisecond;
-  trace_traffic(network, {flow}, topts);
+  const sim::TrafficReport traffic = trace_traffic(network, {flow}, topts);
 
   SchemeRun out;
   const auto monitored = *network.link_between(3, 4);  // v4 -> v5
-  for (const double v : sim::bandwidth_series(network, monitored, 0,
+  for (const double v : sim::bandwidth_series(traffic, monitored, 0,
                                               25 * sim::kSecond, sim::kSecond)) {
     out.series.push_back(v / 1e6);
   }
   for (net::LinkId id = 0; id < network.link_count(); ++id) {
-    for (const double v : sim::bandwidth_series(network, id, 0,
+    for (const double v : sim::bandwidth_series(traffic, id, 0,
                                                 25 * sim::kSecond,
                                                 sim::kSecond)) {
       out.peak_any_link = std::max(out.peak_any_link, v / 1e6);
     }
     // A typical 1 MB per-port buffer: what the over-capacity interval
     // costs in actual traffic loss (the paper's "beyond the buffer size").
-    out.dropped_kb += sim::analyze_queue(network.link(id), 1e6, 0,
+    out.dropped_kb += sim::analyze_queue(network.link(id),
+                                         traffic.offered_bps[id], 1e6, 0,
                                          25 * sim::kSecond)
                           .dropped_bytes /
                       1e3;

@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the algorithmic building blocks:
 // dependency-set computation, loop checks, the verifier, the greedy
-// scheduler (both modes) and the planners.
+// scheduler (both modes), the planners, and one request through the
+// update service.
 //
 //   ./bench/micro_algorithms [--benchmark_filter=...]
 #include <benchmark/benchmark.h>
@@ -9,8 +10,10 @@
 #include "core/greedy_scheduler.hpp"
 #include "core/loop_check.hpp"
 #include "net/generators.hpp"
+#include "net/topologies.hpp"
 #include "opt/mutp_bnb.hpp"
 #include "opt/order_bnb.hpp"
+#include "service/service.hpp"
 #include "timenet/path_enum.hpp"
 #include "timenet/verifier.hpp"
 
@@ -133,6 +136,59 @@ void BM_OrderPlanExact(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OrderPlanExact)->Arg(14);
+
+// ---- serving path: one request through the update service (DESIGN.md §9)
+
+/// The first reroute between two pods of `ft` that the guarded greedy can
+/// plan within its own reservation on an idle network.
+service::UpdateRequest plannable_reroute(const net::FatTree& ft) {
+  util::Rng rng(20170605);
+  const std::size_t pods = ft.edge.size();
+  for (;;) {
+    const std::size_t pod_a = rng.index(pods);
+    std::size_t pod_b = rng.index(pods - 1);
+    if (pod_b >= pod_a) ++pod_b;
+    const net::NodeId src = ft.edge[pod_a][rng.index(ft.edge[pod_a].size())];
+    const net::NodeId dst = ft.edge[pod_b][rng.index(ft.edge[pod_b].size())];
+    const net::Demand demand{0.5 + static_cast<double>(rng.index(17)) / 16.0};
+    const auto inst = net::random_reroute(ft.graph, src, dst, demand, rng);
+    if (!inst) continue;
+    const net::UpdateInstance alone = net::UpdateInstance::from_paths(
+        service::CapacityLedger(ft.graph).restricted_graph(
+            ft.graph, service::transition_footprint(ft.graph, inst->p_init(),
+                                                    inst->p_fin(), demand)),
+        inst->p_init(), inst->p_fin(), demand);
+    if (!core::greedy_schedule(alone, service::ServiceOptions{}.greedy)
+             .feasible()) {
+      continue;
+    }
+    service::UpdateRequest r;
+    r.demand = demand;
+    r.p_init = inst->p_init();
+    r.p_fin = inst->p_fin();
+    return r;
+  }
+}
+
+/// UpdateService::run of one plannable reroute on fat_tree(k): admission,
+/// the guarded greedy, two verifier passes and the simulated execution.
+/// The request touches a handful of links whatever k is, so the /16 row
+/// over the /8 row shows how much of a request's cost still grows with
+/// the topology.
+void BM_ServiceSingle(benchmark::State& state) {
+  const net::FatTree ft =
+      net::fat_tree(static_cast<int>(state.range(0)), net::Capacity{4.0});
+  const service::UpdateRequest req = plannable_reroute(ft);
+  service::UpdateService svc(ft.graph);
+  if (svc.run({req}).completed != 1) {
+    state.SkipWithError("the reroute did not complete");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(svc.run({req}));
+  }
+}
+BENCHMARK(BM_ServiceSingle)->Arg(8)->Arg(16);
 
 }  // namespace
 

@@ -75,9 +75,9 @@ int main() {
   const auto through = *network.link_between(3, 4);   // m4 -> m5 (drained)
   const auto bypass = *network.link_between(m3, m6);  // m3 -> m6 (filling)
   std::printf("per-second bandwidth (Mbps)   m4->m5   m3->m6(bypass)\n");
-  const auto a = sim::bandwidth_series(network, through, 0, 10 * sim::kSecond,
+  const auto a = sim::bandwidth_series(traffic, through, 0, 10 * sim::kSecond,
                                        sim::kSecond);
-  const auto b = sim::bandwidth_series(network, bypass, 0, 10 * sim::kSecond,
+  const auto b = sim::bandwidth_series(traffic, bypass, 0, 10 * sim::kSecond,
                                        sim::kSecond);
   for (std::size_t i = 0; i < a.size(); ++i) {
     std::printf("  t=%2zus                      %6.1f   %6.1f\n", i,

@@ -18,7 +18,7 @@ using namespace chronus;
 namespace {
 
 void print_flow_table(const sim::Network& net, sim::SwitchId id) {
-  std::printf("  flow table at %s:\n", net.sw(id).name().c_str());
+  std::printf("  flow table at %s:\n", net.graph().name(id).c_str());
   for (const auto& e : net.sw(id).table().entries()) {
     std::printf("    %s\n", e.to_string().c_str());
   }

@@ -50,14 +50,21 @@ net::UpdateInstance make_instance(net::Graph g, const UpdateRequest& req) {
                                          req.demand);
 }
 
-/// Puts `base`'s capacities back on the links `fp` restricted. Since
-/// restricted_graph changes nothing else, `inst`'s graph then equals `base`
-/// link for link, and the plan's instance can run the execution.
-void restore_capacities(net::UpdateInstance& inst, const net::Graph& base,
+/// Puts `base`'s capacities back on the links `fp` restricted. Since a
+/// reservation changes nothing else, `g` then equals `base` link for link,
+/// and the plan's instance can run the execution.
+void restore_capacities(net::Graph& g, const net::Graph& base,
                         const Footprint& fp) {
-  for (const auto& [id, _] : fp) {
-    inst.mutable_graph().set_capacity(id, base.link(id).capacity);
-  }
+  for (const auto& [id, _] : fp) g.set_capacity(id, base.link(id).capacity);
+}
+
+/// True iff `g` carries `base`'s capacities on the links `fp` restricted,
+/// so that (a job changing no other link) `g` equals `base` again.
+[[maybe_unused]] bool restored(const net::Graph& g, const net::Graph& base,
+                               const Footprint& fp) {
+  return std::all_of(fp.begin(), fp.end(), [&](const auto& entry) {
+    return g.link(entry.first).capacity == base.link(entry.first).capacity;
+  });
 }
 
 /// Planning outcome of one admitted single or group.
@@ -169,38 +176,51 @@ obs::Span job_span() {
   return obs::Span::root("workerpool.job");
 }
 
-/// Plans one request alone against its reservation-restricted graph and,
-/// when the plan is feasible and `opts.execute` is set, executes it on the
-/// same instance once `base`'s capacities are back. A pure function of
-/// (request, graph, derived seed), like every job.
-void single_job(net::Graph restricted, const net::Graph& base,
+/// Plans one request alone and, when the plan is feasible and
+/// `opts.execute` is set, executes it on the same instance. `work` is the
+/// service's working copy of `base`, lent for the job: its footprint links
+/// are narrowed to the reservation, it moves into the plan's instance, and
+/// it comes back with `base`'s capacities however the job ends. A pure
+/// function of (request, reservation, derived seed), like every job.
+void single_job(net::Graph& work, const net::Graph& base,
                 const PendingRequest& p, const ServiceOptions& opts,
                 sim::SimTime now, SingleJob* job) {
   const obs::Span span = job_span();
   PlanResult& out = job->plan;
+  for (const auto& [id, amount] : p.footprint) {
+    work.set_capacity(id, util::capacity_for(amount));
+  }
+  std::optional<net::UpdateInstance> inst;
   try {
-    net::UpdateInstance inst =
-        make_instance(std::move(restricted), *p.request);
-    core::ScheduleResult res = core::greedy_schedule(inst, opts.greedy);
-    if (!res.feasible()) {
+    inst.emplace(make_instance(std::move(work), *p.request));
+    core::ScheduleResult res = core::greedy_schedule(*inst, opts.greedy);
+    if (res.feasible()) {
+      // The greedy guard already checked each step; re-verify the complete
+      // plan under the reservation capacities so the record carries an
+      // end-to-end verdict independent of the scheduler.
+      const timenet::TransitionReport rep =
+          timenet::verify_transition(*inst, res.schedule);
+      out.feasible = true;
+      out.schedule = std::move(res.schedule);
+      out.verified = rep.ok();
+      out.violations = violation_count(rep);
+    } else {
       out.message = res.message.empty() ? "unschedulable" : res.message;
-      return;
     }
-    // The greedy guard already checked each step; re-verify the complete
-    // plan under the reservation capacities so the record carries an
-    // end-to-end verdict independent of the scheduler.
-    const timenet::TransitionReport rep =
-        timenet::verify_transition(inst, res.schedule);
-    out.feasible = true;
-    out.schedule = std::move(res.schedule);
-    out.verified = rep.ok();
-    out.violations = violation_count(rep);
-    if (!opts.execute) return;
-    restore_capacities(inst, base, p.footprint);
-    exec_job(inst, *p.request, out.schedule, opts, now, &job->exec);
   } catch (const std::exception& e) {
     out.message = e.what();
   }
+  if (!inst) {
+    work = base;  // from_paths threw after taking the graph
+    return;
+  }
+  restore_capacities(inst->mutable_graph(), base, p.footprint);
+  if (out.feasible && opts.execute) {
+    exec_job(*inst, *p.request, out.schedule, opts, now, &job->exec);
+  }
+  work = std::move(inst->mutable_graph());
+  CHRONUS_ENSURES(restored(work, base, p.footprint),
+                  "the working graph came back narrowed");
 }
 
 /// Plans a conflict group jointly under the group reservation and, when
@@ -238,7 +258,8 @@ void group_job(const net::Graph& group_graph, const net::Graph& base,
     out.violations = violation_count(rep);
     if (!opts.execute) return;
     for (std::size_t m = 0; m < flows.size(); ++m) {
-      restore_capacities(flows[m], base, job->group.reservation);
+      restore_capacities(flows[m].mutable_graph(), base,
+                         job->group.reservation);
       exec_job(flows[m], *pending[job->group.members[m]].request,
                out.joint.schedules[m], opts, now, &job->execs[m]);
     }
@@ -297,6 +318,7 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
 
   AdmissionController admission(base_, opts_.admission);
   CapacityLedger ledger(base_);
+  if (!work_) work_.emplace(base_);
 
   const DegradationPolicy& ladder = opts_.degradation;
   DegradationMode health = DegradationMode::kFull;
@@ -460,14 +482,13 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
       }
 
       // 4. Run each reserved single, then each group, as one job: plan,
-      // then (for a feasible plan) execute.
+      // then (for a feasible plan) execute. Each single borrows the working
+      // graph; a group plans on copies narrowed to its reservation.
       std::vector<SingleJob> singles(round.singles.size());
       for (std::size_t s = 0; s < round.singles.size(); ++s) {
         SingleJob& job = singles[s];
         job.pend_idx = round.singles[s];
-        const PendingRequest& p = pending[job.pend_idx];
-        single_job(ledger.restricted_graph(base_, p.footprint), base_, p,
-                   opts_, now, &job);
+        single_job(*work_, base_, pending[job.pend_idx], opts_, now, &job);
       }
       std::vector<GroupJob> groups(round.groups.size());
       for (std::size_t gi = 0; gi < round.groups.size(); ++gi) {

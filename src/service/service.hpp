@@ -12,6 +12,10 @@
 // instance with the original capacities put back — and (5) commits the
 // results in request order.
 //
+// A single's job copies no topology: it borrows the service's one working
+// copy, narrows its footprint links to the reservation, plans and executes
+// on it, and hands it back with the original capacities (DESIGN.md §9).
+//
 // Jobs run inline on the dispatcher thread. A round holds about one job,
 // so a worker pool spent more on threads and barriers than it won back in
 // parallel (DESIGN.md §9).
@@ -25,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/greedy_scheduler.hpp"
@@ -150,6 +155,11 @@ class UpdateService {
  private:
   net::Graph base_;
   ServiceOptions opts_;
+  /// base_'s working copy, lent to one single's job at a time and equal
+  /// to base_ link for link between jobs. The first run() makes it, so
+  /// building a service (as rpc::Server does at start) copies the topology
+  /// once.
+  std::optional<net::Graph> work_;
 };
 
 }  // namespace chronus::service

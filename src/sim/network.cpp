@@ -10,7 +10,7 @@ Network::Network(const net::Graph& g, SimTime delay_unit, double bps_per_unit)
   if (delay_unit <= 0) throw std::invalid_argument("delay_unit must be > 0");
   switches_.reserve(g.node_count());
   for (net::NodeId v = 0; v < g.node_count(); ++v) {
-    switches_.emplace_back(v, g.name(v));
+    switches_.emplace_back(v);
   }
   links_.resize(g.link_count());
   // Port numbering: port k on switch u is its k-th outgoing link, in id

@@ -1,16 +1,18 @@
-// The simulated network: switches plus links with propagation delay,
-// capacity and byte counters, built from a net::Graph. Link delays in the
-// abstract graph are scaled by `delay_unit` into microseconds; capacities
-// by `bps_per_unit` into bits per second.
+// The simulated network: switches plus links with propagation delay and
+// capacity, built from a net::Graph. Link delays in the abstract graph are
+// scaled by `delay_unit` into microseconds; capacities by `bps_per_unit`
+// into bits per second. A link is a plain record: the offered load a
+// traffic trace finds on it belongs to that trace (sim/traffic.hpp), so
+// building a network for one execution costs one fill per link.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "net/graph.hpp"
 #include "sim/switch.hpp"
-#include "util/step_function.hpp"
 
 namespace chronus::sim {
 
@@ -23,13 +25,8 @@ struct SimLink {
   SimTime delay = 0;          ///< microseconds
   // chronus-lint: allow(raw-unit) physical bit/s rate, not an abstract Capacity
   double capacity_bps = 0.0;
-
-  /// Offered load in bit/s over time, filled in by the traffic tracer. The
-  /// paper's byte counters integrate this (buffers absorb transients, so a
-  /// counter difference can exceed capacity — exactly Fig. 6's 600 Mbps
-  /// reading on a 500 Mbps link).
-  util::StepFunction offered_bps;
 };
+static_assert(std::is_trivially_copyable_v<SimLink>);
 
 class Network {
  public:

@@ -6,14 +6,15 @@
 
 namespace chronus::sim {
 
-QueueStats analyze_queue(const SimLink& link, double buffer_bytes,
-                         SimTime t_begin, SimTime t_end) {
+QueueStats analyze_queue(const SimLink& link,
+                         const util::StepFunction& offered_bps,
+                         double buffer_bytes, SimTime t_begin, SimTime t_end) {
   QueueStats stats;
   // Value segments (from, to, offered_bps) covering [t_begin, t_end).
   std::vector<std::tuple<SimTime, SimTime, double>> segments;
   SimTime cursor = t_begin;
-  double value = link.offered_bps.at(t_begin);
-  for (const auto& [t, v] : link.offered_bps.breakpoints()) {
+  double value = offered_bps.at(t_begin);
+  for (const auto& [t, v] : offered_bps.breakpoints()) {
     if (t <= t_begin) {
       value = v;
       continue;

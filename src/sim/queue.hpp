@@ -6,6 +6,7 @@
 #pragma once
 
 #include "sim/network.hpp"
+#include "util/step_function.hpp"
 
 namespace chronus::sim {
 
@@ -18,9 +19,11 @@ struct QueueStats {
   SimTime dropping_time = 0;
 };
 
-/// Replays offered load through a drain-at-capacity queue with
-/// `buffer_bytes` of space over [t_begin, t_end).
-QueueStats analyze_queue(const SimLink& link, double buffer_bytes,
-                         SimTime t_begin, SimTime t_end);
+/// Replays `offered_bps` (the link's load from a traffic trace,
+/// TrafficReport::offered_bps) through a queue draining at the link's
+/// capacity with `buffer_bytes` of space over [t_begin, t_end).
+QueueStats analyze_queue(const SimLink& link,
+                         const util::StepFunction& offered_bps,
+                         double buffer_bytes, SimTime t_begin, SimTime t_end);
 
 }  // namespace chronus::sim

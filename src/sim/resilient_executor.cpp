@@ -200,14 +200,17 @@ ResilientExecutor::TimedOutcome ResilientExecutor::execute_timed_once(
 
   // Phase B — bundle-receipt confirmation. A bundle whose record shows a
   // fault kept it from being at its switch ahead of the execution instant
-  // is recalled (bundle discard) and re-sent. Only fault-flagged records
-  // are touched: a fault-free run never intervenes here.
+  // is recalled (bundle discard) and re-sent. A rejected bundle is as
+  // undelivered as a dropped one: the switch answered with an error, and
+  // left for Phase C its rule would land long after the instant its
+  // upstream flips, blackholing the flow in between. Only fault-flagged
+  // records are touched: a fault-free run never intervenes here.
   for (int round = 0;; ++round) {
     std::vector<PlannedMod*> broken;
     for (PlannedMod& p : planned) {
       const ModRecord& rec = ctrl_->record(p.id);
       const SimTime exec_at = t0 + p.step.count() * step_unit;
-      const bool undelivered = rec.dropped || rec.cancelled;
+      const bool undelivered = rec.dropped || rec.rejected || rec.cancelled;
       const bool late = rec.faulted() && !rec.rejected &&
                         rec.arrival != kNever && rec.arrival > exec_at;
       if (undelivered || late) broken.push_back(&p);

@@ -5,8 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/flow_table.hpp"
@@ -25,10 +24,10 @@ struct FlowMod {
 
 class SimSwitch {
  public:
-  SimSwitch(SwitchId id, std::string name) : id_(id), name_(std::move(name)) {}
+  /// The switch mirroring graph node `id` (its name stays in the graph).
+  explicit SimSwitch(SwitchId id) : id_(id) {}
 
   SwitchId id() const { return id_; }
-  const std::string& name() const { return name_; }
 
   /// Applies a FlowMod at simulation time `at`. Times must be non-
   /// decreasing across calls (the event queue guarantees this).
@@ -70,7 +69,6 @@ class SimSwitch {
   };
 
   SwitchId id_;
-  std::string name_;
   FlowTable table_;
   std::vector<LogEntry> log_;
   std::vector<LogEntry> rejections_;

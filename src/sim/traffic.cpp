@@ -34,12 +34,11 @@ class TableOracle {
 
 }  // namespace
 
-TrafficReport trace_traffic(Network& net, const std::vector<TrafficFlow>& flows,
+TrafficReport trace_traffic(const Network& net,
+                            const std::vector<TrafficFlow>& flows,
                             const TraceOptions& opts) {
   TrafficReport report;
-  for (net::LinkId id = 0; id < net.link_count(); ++id) {
-    net.link(id).offered_bps = util::StepFunction{};
-  }
+  report.offered_bps.resize(net.link_count());
   const TableOracle oracle(net);
 
   for (const TrafficFlow& flow : flows) {
@@ -74,8 +73,9 @@ TrafficReport trace_traffic(Network& net, const std::vector<TrafficFlow>& flows,
           }
           break;
         }
-        SimLink& link = net.link(*link_id);
-        link.offered_bps.add(now, now + opts.quantum, flow.rate_bps);
+        const SimLink& link = net.link(*link_id);
+        report.offered_bps[*link_id].add(now, now + opts.quantum,
+                                         flow.rate_bps);
         now += link.delay;
         at = link.dst;
         hdr.in_port = link.dst_port;
@@ -91,15 +91,15 @@ TrafficReport trace_traffic(Network& net, const std::vector<TrafficFlow>& flows,
 
   // Congestion: contiguous intervals where offered exceeds capacity.
   for (net::LinkId id = 0; id < net.link_count(); ++id) {
-    SimLink& link = net.link(id);
-    link.offered_bps.normalize();
-    const double cap = link.capacity_bps * (1.0 + 1e-9);
+    util::StepFunction& offered = report.offered_bps[id];
+    offered.normalize();
+    const double cap = net.link(id).capacity_bps * (1.0 + 1e-9);
 
     // Value segments (from, to, value) covering [t_begin, t_end).
     std::vector<std::tuple<SimTime, SimTime, double>> segments;
     SimTime cursor = opts.t_begin;
-    double value = link.offered_bps.at(opts.t_begin);
-    for (const auto& [t, v] : link.offered_bps.breakpoints()) {
+    double value = offered.at(opts.t_begin);
+    for (const auto& [t, v] : offered.breakpoints()) {
       if (t <= opts.t_begin) {
         value = v;
         continue;
@@ -132,11 +132,11 @@ TrafficReport trace_traffic(Network& net, const std::vector<TrafficFlow>& flows,
   return report;
 }
 
-std::vector<double> bandwidth_series(const Network& net, net::LinkId link,
-                                     SimTime t_begin, SimTime t_end,
-                                     SimTime interval) {
+std::vector<double> bandwidth_series(const TrafficReport& traffic,
+                                     net::LinkId link, SimTime t_begin,
+                                     SimTime t_end, SimTime interval) {
   std::vector<double> out;
-  const auto& f = net.link(link).offered_bps;
+  const util::StepFunction& f = traffic.offered_bps.at(link);
   for (SimTime t = t_begin; t + interval <= t_end; t += interval) {
     out.push_back(f.integral(t, t + interval) / static_cast<double>(interval));
   }

@@ -7,12 +7,16 @@
 // switch's FlowMod log), so in-flight traffic keeps following the rules it
 // saw — the asynchrony that makes naive updates unsafe. VLAN stamping
 // actions rewrite the class's header on the way (two-phase versioning).
+//
+// The offered load is the trace's result, not the network's state: it is
+// returned in the TrafficReport, and the network is only read.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "sim/network.hpp"
+#include "util/step_function.hpp"
 
 namespace chronus::sim {
 
@@ -47,6 +51,12 @@ struct TrafficReport {
   std::vector<TrafficDropEvent> drops;
   std::vector<LinkCongestionEvent> congestion;
 
+  /// Offered load in bit/s over time, one function per link id. The
+  /// paper's byte counters integrate this (buffers absorb transients, so a
+  /// counter difference can exceed capacity — exactly Fig. 6's 600 Mbps
+  /// reading on a 500 Mbps link).
+  std::vector<util::StepFunction> offered_bps;
+
   bool clean() const {
     return loops.empty() && drops.empty() && congestion.empty();
   }
@@ -59,17 +69,18 @@ struct TraceOptions {
   int hop_limit = 64;
 };
 
-/// Traces all flows over [t_begin, t_end), filling every link's offered_bps
-/// and returning the violations found. Resets previously traced loads.
-TrafficReport trace_traffic(Network& net, const std::vector<TrafficFlow>& flows,
+/// Traces all flows over [t_begin, t_end) and returns every link's
+/// offered load with the violations found.
+TrafficReport trace_traffic(const Network& net,
+                            const std::vector<TrafficFlow>& flows,
                             const TraceOptions& opts);
 
-/// Windowed bandwidth series for one link: the value at index k is the
-/// average offered load (bit/s) during [t_begin + k*interval, .. +interval),
-/// i.e., what the Floodlight statistics module computes from byte-counter
-/// differences.
-std::vector<double> bandwidth_series(const Network& net, net::LinkId link,
-                                     SimTime t_begin, SimTime t_end,
-                                     SimTime interval);
+/// Windowed bandwidth series for one link of a trace: the value at index k
+/// is the average offered load (bit/s) during
+/// [t_begin + k*interval, .. +interval), i.e., what the Floodlight
+/// statistics module computes from byte-counter differences.
+std::vector<double> bandwidth_series(const TrafficReport& traffic,
+                                     net::LinkId link, SimTime t_begin,
+                                     SimTime t_end, SimTime interval);
 
 }  // namespace chronus::sim

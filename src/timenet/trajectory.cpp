@@ -89,17 +89,36 @@ TraceResult Tracer::run(const RuleTable& rules, TimePoint injected,
 
 void LoadLedger::reset(std::size_t link_count,
                        std::span<const net::Demand> demands) {
-  for (std::vector<Piece>& pieces : slots_) pieces.clear();
+  // Rows past the touched ones are already empty.
+  const std::size_t used = touched_.size() * demand_.size();
+  for (std::size_t i = 0; i < used; ++i) rows_[i].clear();
+  for (const net::LinkId link : touched_) row_of_[link] = kNoRow;
+  touched_.clear();
   demand_.assign(demands.begin(), demands.end());
-  slots_.resize(link_count * demand_.size());
+  // chronus-analyzer: allow(hot-alloc) one row index per link, kept across resets
+  row_of_.resize(link_count, kNoRow);
   cursor_.resize(demand_.size());
   pieces_held_ = 0;
+}
+
+std::size_t LoadLedger::row(net::LinkId link) {
+  CHRONUS_EXPECTS(link < row_of_.size(), "load on a link the ledger lacks");
+  std::uint32_t& r = row_of_[link];
+  if (r == kNoRow) {
+    r = static_cast<std::uint32_t>(touched_.size());
+    // chronus-analyzer: allow(hot-alloc) one entry per loaded link, kept across resets
+    touched_.push_back(link);
+    const std::size_t need = touched_.size() * demand_.size();
+    // chronus-analyzer: allow(hot-alloc) one row per loaded link, kept across resets
+    if (rows_.size() < need) rows_.resize(need);
+  }
+  return r;
 }
 
 void LoadLedger::add(net::LinkId link, std::size_t flow, TimePoint first,
                      TimePoint last, int count) {
   CHRONUS_EXPECTS(first <= last, "a load piece needs first <= last");
-  std::vector<Piece>& pieces = slot(link, flow);
+  std::vector<Piece>& pieces = slot(row(link), flow);
   // Rebuild the pieces that overlap [first, last] or touch it (an equal
   // neighbour merges), then splice them back.
   const TimePoint before = first == kBefore ? first : first - 1;

@@ -171,6 +171,11 @@ class Tracer {
 /// piece per link of its shape; equal neighbours merge. scan() folds the
 /// flows in order, one addition of the flow's demand per class: bit for
 /// bit the sum a class-by-class pass makes (tests/verifier_oracle.hpp).
+///
+/// Only a link that was given a piece holds a row of piece lists: a
+/// request's transition loads a dozen links of a topology of hundreds, so
+/// reset() and the verifier's congestion pass (which walks touched()) cost
+/// what the flows touched, not what the graph has.
 class LoadLedger {
  public:
   /// Open ends of a piece: every entry step before / after.
@@ -178,7 +183,7 @@ class LoadLedger {
   static constexpr TimePoint kAfter = std::numeric_limits<TimePoint>::max();
 
   /// Empties the ledger for `link_count` links and one flow per demand,
-  /// keeping every buffer.
+  /// keeping every buffer; only the rows of touched() links are cleared.
   void reset(std::size_t link_count, std::span<const net::Demand> demands);
 
   /// Adds `count` classes of `flow` (removes them when negative) entering
@@ -192,6 +197,11 @@ class LoadLedger {
   template <class Fn>
   bool scan(net::LinkId link, TimePoint from, TimePoint to, Fn&& fn);
 
+  /// The links given a piece since the last reset, in the order of their
+  /// first add. A link whose pieces were all removed again stays listed
+  /// (its scan() reports nothing); every other link holds no piece.
+  std::span<const net::LinkId> touched() const { return touched_; }
+
   /// Pieces held over every link and flow.
   std::size_t pieces() const { return pieces_held_; }
 
@@ -201,15 +211,22 @@ class LoadLedger {
     TimePoint last{};
     int count = 0;
   };
+  static constexpr std::uint32_t kNoRow =
+      std::numeric_limits<std::uint32_t>::max();
 
-  std::vector<Piece>& slot(net::LinkId link, std::size_t flow) {
-    return slots_[link * demand_.size() + flow];
+  /// Row of `link`, made on its first add.
+  std::size_t row(net::LinkId link);
+
+  std::vector<Piece>& slot(std::size_t row, std::size_t flow) {
+    return rows_[row * demand_.size() + flow];
   }
 
-  std::vector<std::vector<Piece>> slots_;  ///< link-major, one per flow
-  std::vector<net::Demand> demand_;        ///< per flow
-  std::vector<Piece> rebuilt_;             ///< add()'s new pieces
-  std::vector<std::size_t> cursor_;        ///< scan()'s per-flow position
+  std::vector<std::uint32_t> row_of_;     ///< per link: its row, or kNoRow
+  std::vector<net::LinkId> touched_;      ///< the link of each row
+  std::vector<std::vector<Piece>> rows_;  ///< row-major, one per flow
+  std::vector<net::Demand> demand_;       ///< per flow
+  std::vector<Piece> rebuilt_;            ///< add()'s new pieces
+  std::vector<std::size_t> cursor_;       ///< scan()'s per-flow position
   std::size_t pieces_held_ = 0;
 };
 
@@ -294,8 +311,10 @@ class ClassRun {
 template <class Fn>
 bool LoadLedger::scan(net::LinkId link, TimePoint from, TimePoint to,
                       Fn&& fn) {
+  const std::uint32_t r = row_of_[link];
+  if (r == kNoRow) return true;  // no piece: no entered step
   for (std::size_t f = 0; f < demand_.size(); ++f) {
-    const std::vector<Piece>& pieces = slot(link, f);
+    const std::vector<Piece>& pieces = slot(r, f);
     cursor_[f] = static_cast<std::size_t>(
         std::partition_point(pieces.begin(), pieces.end(),
                              [&](const Piece& p) { return p.last < from; }) -
@@ -307,7 +326,7 @@ bool LoadLedger::scan(net::LinkId link, TimePoint from, TimePoint to,
     net::Demand x{};
     bool entered = false;
     for (std::size_t f = 0; f < demand_.size(); ++f) {
-      const std::vector<Piece>& pieces = slot(link, f);
+      const std::vector<Piece>& pieces = slot(r, f);
       std::size_t& i = cursor_[f];
       while (i < pieces.size() && pieces[i].last < at) ++i;
       if (i == pieces.size()) continue;

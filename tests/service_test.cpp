@@ -6,7 +6,9 @@
 // six golden digests pin whole runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -392,7 +394,10 @@ TEST(UpdateService, TwoHundredRequestTraceIsDeterministicAndClean) {
 // the degradation ladder, plan-only mode, and fat-tree reroutes the
 // guarded greedy cannot plan. The values were recorded before the service
 // ran its jobs inline; a change that moves one changes some request's
-// outcome, so re-pin only deliberately and say which records moved.
+// outcome, so re-pin only deliberately and say which records moved. The
+// storm value moved once, when the executor began re-sending rejected
+// timed bundles before their instant (only records that had a bundle
+// rejected changed).
 
 std::uint64_t digest_hash(const ServiceReport& rep) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -423,6 +428,20 @@ WorkloadOptions golden_trace_400() {
   w.arrival_rate_hz = 40.0;
   w.seed = 7;
   return w;
+}
+
+// A rejected timed bundle is re-sent before its instant like a dropped
+// one. Left to the per-step barrier sweep, a new-only switch's rule landed
+// after its upstream flipped, and the post-hoc verifier caught the
+// blackhole in between (18 violations on this trace).
+TEST(UpdateService, RejectedBundlesLeaveNoViolation) {
+  ServiceOptions o;
+  o.faults.reject_rate = 0.1;
+  const ServiceTrace trace = make_workload(golden_trace_400());
+  const ServiceReport rep = UpdateService(trace.graph, o).run(trace);
+  EXPECT_GT(rep.faults_injected, 0u);
+  EXPECT_GT(rep.completed, 200u);
+  EXPECT_EQ(rep.violations, 0);
 }
 
 TEST(ServiceGoldenDigest, Trace400) {
@@ -468,7 +487,7 @@ TEST(ServiceGoldenDigest, Trace400UnderStormScenario) {
   EXPECT_GT(retried, 0);
   EXPECT_FALSE(rep.health_log.empty());
   EXPECT_GT(rep.watchdog_cancelled, 0u);
-  EXPECT_EQ(hex(digest_hash(rep)), "0xe6b219294648b54b");
+  EXPECT_EQ(hex(digest_hash(rep)), "0xfb4e751ee6eabb95");
 }
 
 TEST(ServiceGoldenDigest, Trace400PlanOnly) {
@@ -477,41 +496,121 @@ TEST(ServiceGoldenDigest, Trace400PlanOnly) {
   EXPECT_EQ(hex(golden_run(golden_trace_400(), o)), "0x81c230d4693ed38f");
 }
 
+/// A reroute between edge switches of two pods of fat_tree(8), drawn from
+/// `rng`; nullopt when random_reroute finds none.
+std::optional<UpdateRequest> draw_reroute(const net::FatTree& ft,
+                                          util::Rng& rng) {
+  const std::size_t pod_a = rng.index(8);
+  std::size_t pod_b = rng.index(7);
+  if (pod_b >= pod_a) ++pod_b;
+  const NodeId src = ft.edge[pod_a][rng.index(ft.edge[pod_a].size())];
+  const NodeId dst = ft.edge[pod_b][rng.index(ft.edge[pod_b].size())];
+  const net::Demand demand{0.5 + static_cast<double>(rng.index(17)) / 16.0};
+  const auto inst = net::random_reroute(ft.graph, src, dst, demand, rng);
+  if (!inst) return std::nullopt;
+  UpdateRequest r;
+  r.demand = demand;
+  r.p_init = inst->p_init();
+  r.p_fin = inst->p_fin();
+  return r;
+}
+
+/// True iff the guarded greedy finds an order for `r` within its own
+/// reservation on an idle network.
+bool plannable_alone(const net::Graph& g, const UpdateRequest& r) {
+  const net::UpdateInstance alone = net::UpdateInstance::from_paths(
+      CapacityLedger(g).restricted_graph(
+          g, transition_footprint(g, r.p_init, r.p_fin, r.demand)),
+      r.p_init, r.p_fin, r.demand);
+  return core::greedy_schedule(alone, ServiceOptions{}.greedy).feasible();
+}
+
 TEST(ServiceGoldenDigest, FatTreeWithUnplannableReroutes) {
   const net::FatTree ft = net::fat_tree(8, net::Capacity{4.0});
   util::Rng rng(20170605);
   std::vector<UpdateRequest> requests;
   int unplannable = 0;
   while (requests.size() < 200) {
-    const std::size_t pod_a = rng.index(8);
-    std::size_t pod_b = rng.index(7);
-    if (pod_b >= pod_a) ++pod_b;
-    const NodeId src = ft.edge[pod_a][rng.index(ft.edge[pod_a].size())];
-    const NodeId dst = ft.edge[pod_b][rng.index(ft.edge[pod_b].size())];
-    const net::Demand demand{0.5 + static_cast<double>(rng.index(17)) / 16.0};
-    const auto inst = net::random_reroute(ft.graph, src, dst, demand, rng);
-    if (!inst) continue;
-    UpdateRequest r;
-    r.id = requests.size();
-    r.arrival = static_cast<sim::SimTime>(r.id) * 10 * sim::kMillisecond;
-    r.demand = demand;
-    r.p_init = inst->p_init();
-    r.p_fin = inst->p_fin();
-    // Plannable iff the guarded greedy finds an order within the request's
-    // own reservation on an idle network.
-    const net::UpdateInstance alone = net::UpdateInstance::from_paths(
-        CapacityLedger(ft.graph).restricted_graph(
-            ft.graph,
-            transition_footprint(ft.graph, r.p_init, r.p_fin, r.demand)),
-        r.p_init, r.p_fin, r.demand);
-    unplannable += core::greedy_schedule(alone, ServiceOptions{}.greedy)
-                       .feasible() ? 0 : 1;
-    requests.push_back(std::move(r));
+    std::optional<UpdateRequest> r = draw_reroute(ft, rng);
+    if (!r) continue;
+    r->id = requests.size();
+    r->arrival = static_cast<sim::SimTime>(r->id) * 10 * sim::kMillisecond;
+    unplannable += plannable_alone(ft.graph, *r) ? 0 : 1;
+    requests.push_back(std::move(*r));
   }
   ASSERT_GT(unplannable, 0);
   const ServiceReport rep = UpdateService(ft.graph).run(requests);
   EXPECT_EQ(rep.violations, 0);
   EXPECT_EQ(hex(digest_hash(rep)), "0xc7e8d53d8af26ee3");
+}
+
+/// Every field of a record, as one comparable line.
+std::string record_line(const RequestRecord& rec) {
+  ServiceReport one;
+  one.records.push_back(rec);
+  return one.digest() + rec.message;
+}
+
+// Each single's job borrows one working copy of the topology, narrows its
+// footprint links and hands the graph back. One run mixing a request
+// whose instance cannot be built (from_paths throws after taking the
+// graph), an unplannable reroute and plannable reroutes over the same
+// links must record every request as a fresh service running it alone
+// does. Only footprint capacities are read, so a graph handed back
+// narrowed would not show in the records; the job's postcondition throws
+// instead, and a graph not handed back throws on the next job.
+TEST(UpdateService, LentWorkingGraphComesBackUnchanged) {
+  const net::FatTree ft = net::fat_tree(8, net::Capacity{4.0});
+  util::Rng rng(20170605);
+  std::optional<UpdateRequest> stuck;  // the first unplannable reroute
+  std::vector<UpdateRequest> fine;
+  for (int draw = 0; draw < 4000 && (!stuck || fine.size() < 3); ++draw) {
+    const std::optional<UpdateRequest> r = draw_reroute(ft, rng);
+    if (!r) continue;
+    if (!plannable_alone(ft.graph, *r)) {
+      if (!stuck) stuck = r;
+      continue;
+    }
+    if (!stuck) continue;
+    // A plannable reroute sharing a link with the unplannable one.
+    const Footprint a = transition_footprint(ft.graph, stuck->p_init,
+                                             stuck->p_fin, stuck->demand);
+    const Footprint b =
+        transition_footprint(ft.graph, r->p_init, r->p_fin, r->demand);
+    const bool shared = std::any_of(a.begin(), a.end(), [&](const auto& e) {
+      return b.count(e.first) > 0;
+    });
+    if (shared) fine.push_back(*r);
+  }
+  ASSERT_TRUE(stuck.has_value());
+  ASSERT_EQ(fine.size(), 3u);
+
+  // Over the unplannable request's links, but ending elsewhere: the
+  // footprint exists, from_paths throws.
+  UpdateRequest broken = *stuck;
+  std::vector<NodeId> cut(stuck->p_fin.nodes().begin(),
+                          stuck->p_fin.nodes().end() - 1);
+  broken.p_fin = Path(cut);
+
+  std::vector<UpdateRequest> requests{fine[0], broken, fine[1], *stuck,
+                                      fine[2], broken, *stuck};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].id = i;
+    // 10 s apart: each request meets an idle ledger, alone or not.
+    requests[i].arrival = static_cast<sim::SimTime>(i) * 10 * sim::kSecond;
+  }
+  const ServiceReport together = UpdateService(ft.graph).run(requests);
+  ASSERT_EQ(together.records.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const ServiceReport alone = UpdateService(ft.graph).run({requests[i]});
+    ASSERT_EQ(alone.records.size(), 1u);
+    EXPECT_EQ(record_line(together.records[i]), record_line(alone.records[0]))
+        << "request " << i;
+  }
+  EXPECT_EQ(together.completed, 3u);
+  EXPECT_EQ(together.records[1].message,
+            "paths must share source and destination");
+  EXPECT_EQ(together.records[3].status, RequestStatus::kRejectedCapacity);
 }
 
 }  // namespace

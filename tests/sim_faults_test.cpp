@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/generators.hpp"
@@ -340,6 +341,59 @@ TEST(ResilientLadder, TotalFailureRollsBackCleanly) {
   EXPECT_EQ(b.net.sw(2).table().size(), 1u);  // v3: old rule only
   EXPECT_EQ(b.net.sw(3).table().size(), 1u);  // v4: old rule only
   EXPECT_EQ(b.net.sw(5).table().size(), 1u);  // v6: host rule only
+}
+
+TEST(ResilientLadder, RejectedBundleIsResentBeforeItsInstant) {
+  // s=0 -> a=1 -> b=2 -> t=3 moves to s -> c=4 -> d=5 -> t in one step:
+  // c and d hold no rule before the update, and s flips at the same
+  // instant as they install. c refuses its timed bundle; had the bundle
+  // waited for the step's barrier sweep, traffic would reach c before
+  // its rule did.
+  net::Graph g;
+  g.add_nodes(6);
+  for (const auto& [u, v] : {std::pair{0, 1}, {1, 2}, {2, 3}, {0, 4},
+                             {4, 5}, {5, 3}}) {
+    g.add_link(static_cast<net::NodeId>(u), static_cast<net::NodeId>(v),
+               net::Capacity{1.0}, 1);
+  }
+  const net::UpdateInstance inst = net::UpdateInstance::from_paths(
+      std::move(g), {0, 1, 2, 3}, {0, 4, 5, 3}, net::Demand{1.0});
+  constexpr SimTime kStep = 50 * kMillisecond;  // the service's step unit
+  Network net(inst.graph(), kStep, kBpsPerUnit);
+  EventQueue eq;
+  util::Rng rng(34);
+  const ControlChannelModel model{.latency_median = 10 * kMillisecond,
+                                  .latency_sigma = 0.5};
+  SimFlowSpec spec;
+  spec.rate_bps = 500e6;
+  FaultModel m;
+  m.reject_first_n[4] = 1;  // c's first install is its timed bundle
+  FaultInjector inj(m);
+  Controller ctrl(eq, net, rng, model);
+  ctrl.attach_fault_injector(&inj);
+  install_initial_rules(ctrl, inst, spec);
+
+  timenet::UpdateSchedule sched;
+  for (const net::NodeId v : {0u, 4u, 5u}) sched.set(v, timenet::TimePoint{0});
+  ResilientExecutor exec(ctrl);
+  const UpdateRunReport rep =
+      exec.run_timed(inst, spec, sched, 500 * kMillisecond, kStep);
+  EXPECT_TRUE(rep.completed);
+  EXPECT_EQ(rep.fallback, UpdateRunReport::Fallback::kNone);
+  EXPECT_EQ(rep.faults.rejections, 1u);
+  EXPECT_EQ(rep.retries, 1);
+  ASSERT_TRUE(rep.verified);
+  EXPECT_TRUE(rep.verification.blackholes.empty())
+      << rep.verification.to_string(inst.graph());
+  EXPECT_TRUE(rep.verification.ok())
+      << rep.verification.to_string(inst.graph());
+  // c's rule was in place before the first packet s sent its way (one
+  // link delay after s flipped) reached it.
+  const auto c_rule = rep.result.applied.find(4);
+  const auto s_rule = rep.result.applied.find(0);
+  ASSERT_NE(c_rule, rep.result.applied.end());
+  ASSERT_NE(s_rule, rep.result.applied.end());
+  EXPECT_LT(c_rule->second, s_rule->second + kStep);
 }
 
 // --- FaultModel contract validation (enforced by the injector ctor).

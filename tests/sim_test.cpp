@@ -160,7 +160,7 @@ TEST(FlowTableT, EntryToString) {
 }
 
 TEST(SimSwitchT, TableAtReconstructsHistory) {
-  SimSwitch sw(0, "s1");
+  SimSwitch sw(0);
   FlowMod add;
   add.type = FlowModType::kAdd;
   add.entry.match.dst_prefix = "10.";
@@ -181,7 +181,7 @@ TEST(SimSwitchT, TableAtReconstructsHistory) {
 }
 
 TEST(SimSwitchT, RejectsOutOfOrderMods) {
-  SimSwitch sw(0, "s1");
+  SimSwitch sw(0);
   FlowMod m;
   m.entry.action = Action::output(1);
   sw.apply(10, m);
@@ -189,7 +189,7 @@ TEST(SimSwitchT, RejectsOutOfOrderMods) {
 }
 
 TEST(SimSwitchT, PeakTableSize) {
-  SimSwitch sw(0, "s1");
+  SimSwitch sw(0);
   FlowMod a;
   a.entry.priority = 1;
   a.entry.action = Action::output(1);
@@ -280,7 +280,7 @@ TEST(TrafficT, SteadyFlowLoadsPath) {
   opts.t_end = 100 * kMillisecond;
   const TrafficReport rep = trace_traffic(net, {flow}, opts);
   EXPECT_TRUE(rep.clean());
-  const auto series = bandwidth_series(net, *net.link_between(0, 1),
+  const auto series = bandwidth_series(rep, *net.link_between(0, 1),
                                        10 * kMillisecond, 90 * kMillisecond,
                                        10 * kMillisecond);
   ASSERT_FALSE(series.empty());
@@ -382,7 +382,7 @@ TEST(TrafficT, VlanStampingIsApplied) {
   opts.t_end = 10 * kMillisecond;
   const TrafficReport rep = trace_traffic(net, {flow}, opts);
   EXPECT_TRUE(rep.clean());
-  EXPECT_GT(net.link(*net.link_between(1, 2)).offered_bps.at(5 * kMillisecond),
+  EXPECT_GT(rep.offered_bps[*net.link_between(1, 2)].at(5 * kMillisecond),
             0.0);
 }
 

@@ -179,16 +179,16 @@ TEST(TwoPhaseUpdater, OldPacketsDrainOnOldPath) {
   opts.t_begin = 0;
   opts.t_end = run.finish + 2 * kSecond;
   opts.quantum = 20 * kMillisecond;
-  trace_traffic(b.net, {flow_of(b.spec, b.inst.source())}, opts);
+  const TrafficReport rep =
+      trace_traffic(b.net, {flow_of(b.spec, b.inst.source())}, opts);
   // Traffic flowed over the old tail (v5->v6) before the flip and over the
   // new tail (v2->v6) after it.
   const auto old_tail = *b.net.link_between(4, 5);
   const auto new_tail = *b.net.link_between(1, 5);
-  EXPECT_GT(b.net.link(old_tail).offered_bps.at(kSecond), 0.0);
-  EXPECT_DOUBLE_EQ(b.net.link(new_tail).offered_bps.at(kSecond), 0.0);
-  EXPECT_GT(b.net.link(new_tail).offered_bps.at(run.flip_time + kSecond), 0.0);
-  EXPECT_DOUBLE_EQ(
-      b.net.link(old_tail).offered_bps.at(run.finish + kSecond), 0.0);
+  EXPECT_GT(rep.offered_bps[old_tail].at(kSecond), 0.0);
+  EXPECT_DOUBLE_EQ(rep.offered_bps[new_tail].at(kSecond), 0.0);
+  EXPECT_GT(rep.offered_bps[new_tail].at(run.flip_time + kSecond), 0.0);
+  EXPECT_DOUBLE_EQ(rep.offered_bps[old_tail].at(run.finish + kSecond), 0.0);
 }
 
 TEST(MultiFlowSim, JointPlanExecutesBothFlowsCleanly) {
@@ -260,11 +260,9 @@ TEST(MultiFlowSim, JointPlanExecutesBothFlowsCleanly) {
   EXPECT_TRUE(rep.congestion.empty());
 
   // Both aggregates ended up on their bypasses.
-  EXPECT_GT(network.link(*network.link_between(4, 3))
-                .offered_bps.at(7 * kSecond),
+  EXPECT_GT(rep.offered_bps[*network.link_between(4, 3)].at(7 * kSecond),
             0.0);
-  EXPECT_GT(network.link(*network.link_between(5, 3))
-                .offered_bps.at(7 * kSecond),
+  EXPECT_GT(rep.offered_bps[*network.link_between(5, 3)].at(7 * kSecond),
             0.0);
 }
 

@@ -353,5 +353,52 @@ TEST(LoadLedger, PiecesSplitMergeAndFoldFlowsInOrder) {
                   .empty());
 }
 
+TEST(LoadLedger, KeepsRowsOnlyForLoadedLinks) {
+  LoadLedger ledger;
+  const std::vector<net::Demand> demands{net::Demand{1.0}, net::Demand{2.0}};
+  ledger.reset(8, demands);
+  EXPECT_TRUE(ledger.touched().empty());
+  ledger.add(6, 1, TimePoint{2}, TimePoint{3}, 1);
+  ledger.add(2, 0, LoadLedger::kBefore, TimePoint{0}, 1);
+  ledger.add(6, 0, TimePoint{3}, TimePoint{3}, 1);
+  const auto touched = [&ledger] {
+    return std::vector<net::LinkId>(ledger.touched().begin(),
+                                    ledger.touched().end());
+  };
+  // The links given pieces, in the order of their first add.
+  EXPECT_EQ(touched(), (std::vector<net::LinkId>{6, 2}));
+  using S = std::tuple<std::int64_t, std::int64_t, double>;
+  EXPECT_EQ(stretches(ledger, 6, TimePoint{0}, TimePoint{9}),
+            (std::vector<S>{{2, 2, 2.0}, {3, 3, 3.0}}));
+  for (const net::LinkId link : {0u, 1u, 3u, 4u, 5u, 7u}) {
+    EXPECT_TRUE(
+        stretches(ledger, link, LoadLedger::kBefore, LoadLedger::kAfter)
+            .empty())
+        << "link " << link;
+  }
+  // A removal back to zero keeps the row but reports nothing.
+  ledger.add(2, 0, LoadLedger::kBefore, TimePoint{0}, -1);
+  EXPECT_EQ(touched(), (std::vector<net::LinkId>{6, 2}));
+  EXPECT_TRUE(stretches(ledger, 2, LoadLedger::kBefore, LoadLedger::kAfter)
+                  .empty());
+  EXPECT_EQ(ledger.pieces(), 2u);
+  // Reset forgets every row, whatever the next link count.
+  ledger.reset(4, demands);
+  EXPECT_TRUE(ledger.touched().empty());
+  ledger.add(3, 1, TimePoint{5}, TimePoint{5}, 1);
+  EXPECT_EQ(touched(), (std::vector<net::LinkId>{3}));
+  ledger.reset(8, std::vector<net::Demand>{net::Demand{0.5}});
+  EXPECT_TRUE(ledger.touched().empty());
+  for (const net::LinkId link : {2u, 3u, 6u}) {
+    EXPECT_TRUE(
+        stretches(ledger, link, LoadLedger::kBefore, LoadLedger::kAfter)
+            .empty())
+        << "link " << link;
+  }
+  ledger.add(6, 0, TimePoint{1}, TimePoint{1}, 1);
+  EXPECT_EQ(stretches(ledger, 6, TimePoint{0}, TimePoint{9}),
+            (std::vector<S>{{1, 1, 0.5}}));
+}
+
 }  // namespace
 }  // namespace chronus::timenet

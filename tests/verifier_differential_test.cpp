@@ -296,6 +296,66 @@ TEST(VerifierVsOracleT, GreedyPlansCheckEveryLinkAlike) {
   }
 }
 
+/// `inst`'s paths and demand over a copy of its graph whose link ids run
+/// backwards, so the links a flow enters first tend to have the highest
+/// ids.
+net::UpdateInstance with_reversed_link_ids(const net::UpdateInstance& inst) {
+  const net::Graph& g = inst.graph();
+  net::Graph rev;
+  rev.add_nodes(g.node_count());
+  for (net::LinkId id = static_cast<net::LinkId>(g.link_count()); id-- > 0;) {
+    const net::Link& l = g.link(id);
+    rev.add_link(l.src, l.dst, l.capacity, l.delay);
+  }
+  return net::UpdateInstance::from_paths(std::move(rev), inst.p_init(),
+                                         inst.p_fin(), inst.demand());
+}
+
+// The congestion pass scans only the links the flows loaded, sorted by
+// id, not in the order they were first loaded. Reports stay link-major
+// and first_violation_only stops at the oracle's event.
+TEST(VerifierVsOracleT, CongestionIsLinkAscendingWhateverTheLoadOrder) {
+  // 0 -> 1 -> 2 -> 3 moves to 0 -> 2 -> 3. The first class traced enters
+  // the source's old link first, and it has the highest id; every link
+  // is over-subscribed.
+  net::Graph g;
+  g.add_nodes(4);
+  g.add_link(2, 3, net::Capacity{0.5}, 1);  // 0
+  g.add_link(1, 2, net::Capacity{0.5}, 1);  // 1
+  g.add_link(0, 2, net::Capacity{0.5}, 2);  // 2
+  g.add_link(0, 1, net::Capacity{0.5}, 1);  // 3
+  const auto inst = net::UpdateInstance::from_paths(
+      std::move(g), {0, 1, 2, 3}, {0, 2, 3}, net::Demand{1.0});
+  UpdateSchedule sched;
+  sched.set(0, TimePoint{0});
+  const TransitionReport all = check({{&inst, &sched, {}}}, VerifyOptions{});
+  ASSERT_FALSE(all.congestion.empty());
+  EXPECT_EQ(all.congestion.front().link, 0u);
+  EXPECT_EQ(all.congestion.back().link, 3u);
+  for (std::size_t i = 1; i < all.congestion.size(); ++i) {
+    EXPECT_LE(all.congestion[i - 1].link, all.congestion[i].link);
+  }
+  VerifyOptions first_only;
+  first_only.first_violation_only = true;
+  const TransitionReport first = check({{&inst, &sched, {}}}, first_only);
+  ASSERT_EQ(first.congestion.size(), 1u);
+  EXPECT_EQ(first.congestion.front().link, 0u);
+
+  // Random cases with their link ids reversed.
+  util::Rng rng(1600);
+  std::size_t congested = 0;
+  for (int rep = 0; rep < 12; ++rep) {
+    const auto rev = with_reversed_link_ids(random_case(rng));
+    const UpdateSchedule rs = random_schedule(rev, rng);
+    for (const bool only : {false, true}) {
+      VerifyOptions vo;
+      vo.first_violation_only = only;
+      congested += check({{&rev, &rs, {}}}, vo).congestion.size();
+    }
+  }
+  EXPECT_GT(congested, 0u) << "no reversed case congested";
+}
+
 TEST(VerifierVsOracleT, ExpiredDeadlineAbortsAtTheSameClass) {
   util::Rng rng(1500);
   const auto inst = random_case(rng);
