@@ -1,10 +1,14 @@
 // Microbenchmarks (google-benchmark) for the algorithmic building blocks:
 // dependency-set computation, loop checks, the verifier, the greedy
-// scheduler (both modes), the planners, and one request through the
-// update service.
+// scheduler (both modes), the planners, one request through the update
+// service, and one frame through each wire codec.
 //
 //   ./bench/micro_algorithms [--benchmark_filter=...]
 #include <benchmark/benchmark.h>
+
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "core/dependency.hpp"
 #include "core/greedy_scheduler.hpp"
@@ -13,6 +17,8 @@
 #include "net/topologies.hpp"
 #include "opt/mutp_bnb.hpp"
 #include "opt/order_bnb.hpp"
+#include "rpc/codec.hpp"
+#include "rpc/wire.hpp"
 #include "service/service.hpp"
 #include "timenet/path_enum.hpp"
 #include "timenet/verifier.hpp"
@@ -139,34 +145,42 @@ BENCHMARK(BM_OrderPlanExact)->Arg(14);
 
 // ---- serving path: one request through the update service (DESIGN.md §9)
 
+/// One random reroute between two pods of `ft`, as perfbench's fat_tree
+/// workload draws them (nullopt when the draw found none).
+std::optional<service::UpdateRequest> draw_reroute(const net::FatTree& ft,
+                                                   util::Rng& rng) {
+  const std::size_t pods = ft.edge.size();
+  const std::size_t pod_a = rng.index(pods);
+  std::size_t pod_b = rng.index(pods - 1);
+  if (pod_b >= pod_a) ++pod_b;
+  const net::NodeId src = ft.edge[pod_a][rng.index(ft.edge[pod_a].size())];
+  const net::NodeId dst = ft.edge[pod_b][rng.index(ft.edge[pod_b].size())];
+  const net::Demand demand{0.5 + static_cast<double>(rng.index(17)) / 16.0};
+  const auto inst = net::random_reroute(ft.graph, src, dst, demand, rng);
+  if (!inst) return std::nullopt;
+  service::UpdateRequest r;
+  r.demand = demand;
+  r.p_init = inst->p_init();
+  r.p_fin = inst->p_fin();
+  return r;
+}
+
 /// The first reroute between two pods of `ft` that the guarded greedy can
 /// plan within its own reservation on an idle network.
 service::UpdateRequest plannable_reroute(const net::FatTree& ft) {
   util::Rng rng(20170605);
-  const std::size_t pods = ft.edge.size();
   for (;;) {
-    const std::size_t pod_a = rng.index(pods);
-    std::size_t pod_b = rng.index(pods - 1);
-    if (pod_b >= pod_a) ++pod_b;
-    const net::NodeId src = ft.edge[pod_a][rng.index(ft.edge[pod_a].size())];
-    const net::NodeId dst = ft.edge[pod_b][rng.index(ft.edge[pod_b].size())];
-    const net::Demand demand{0.5 + static_cast<double>(rng.index(17)) / 16.0};
-    const auto inst = net::random_reroute(ft.graph, src, dst, demand, rng);
-    if (!inst) continue;
+    const std::optional<service::UpdateRequest> r = draw_reroute(ft, rng);
+    if (!r) continue;
     const net::UpdateInstance alone = net::UpdateInstance::from_paths(
         service::CapacityLedger(ft.graph).restricted_graph(
-            ft.graph, service::transition_footprint(ft.graph, inst->p_init(),
-                                                    inst->p_fin(), demand)),
-        inst->p_init(), inst->p_fin(), demand);
-    if (!core::greedy_schedule(alone, service::ServiceOptions{}.greedy)
-             .feasible()) {
-      continue;
+            ft.graph, service::transition_footprint(ft.graph, r->p_init,
+                                                    r->p_fin, r->demand)),
+        r->p_init, r->p_fin, r->demand);
+    if (core::greedy_schedule(alone, service::ServiceOptions{}.greedy)
+            .feasible()) {
+      return *r;
     }
-    service::UpdateRequest r;
-    r.demand = demand;
-    r.p_init = inst->p_init();
-    r.p_fin = inst->p_fin();
-    return r;
   }
 }
 
@@ -189,6 +203,98 @@ void BM_ServiceSingle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServiceSingle)->Arg(8)->Arg(16);
+
+// ---- the wire: one frame through either codec (DESIGN.md §14)
+
+/// 64 fat_tree(8) reroutes on the wire: their submits, or the records the
+/// update service sends back for them. perfbench's fat_tree workload sends
+/// these frames, and its `rpc.codec_us_per_frame` is one encode plus one
+/// decode of each.
+std::vector<rpc::Message> fat_tree_frames(rpc::MsgType type) {
+  const net::FatTree ft = net::fat_tree(8, net::Capacity{4.0});
+  util::Rng rng(20170605);
+  std::vector<service::UpdateRequest> requests;
+  while (requests.size() < 64) {
+    std::optional<service::UpdateRequest> r = draw_reroute(ft, rng);
+    if (!r) continue;
+    r->id = requests.size();
+    r->name = std::to_string(r->id);
+    r->name.insert(r->name.begin(), 'r');
+    r->arrival = static_cast<sim::SimTime>(r->id) * 10 * sim::kMillisecond;
+    r->deadline = r->arrival + 60 * sim::kSecond;
+    requests.push_back(*r);
+  }
+  std::vector<rpc::Message> frames;
+  if (type == rpc::MsgType::kSubmit) {
+    for (const service::UpdateRequest& r : requests) {
+      rpc::Message& m = frames.emplace_back();
+      m.type = type;
+      m.submit = rpc::to_wire(ft.graph, r);
+    }
+    return frames;
+  }
+  const service::ServiceReport rep =
+      service::UpdateService(ft.graph).run(requests);
+  for (const service::RequestRecord& rec : rep.records) {
+    rpc::Message& m = frames.emplace_back();
+    m.type = type;
+    m.record = rpc::to_wire(rec);
+  }
+  return frames;
+}
+
+/// One frame per iteration, appended to a reused buffer as a session
+/// appends to its outbound buffer.
+void BM_CodecEncode(benchmark::State& state, rpc::Codec codec,
+                    rpc::MsgType type) {
+  const std::vector<rpc::Message> frames = fat_tree_frames(type);
+  std::string out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    out.clear();
+    rpc::encode_to(codec, frames[i++ % frames.size()], out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_CAPTURE(BM_CodecEncode, json_submit, rpc::Codec::kJson,
+                  rpc::MsgType::kSubmit);
+BENCHMARK_CAPTURE(BM_CodecEncode, json_record, rpc::Codec::kJson,
+                  rpc::MsgType::kRecord);
+BENCHMARK_CAPTURE(BM_CodecEncode, binary_submit, rpc::Codec::kBinary,
+                  rpc::MsgType::kSubmit);
+BENCHMARK_CAPTURE(BM_CodecEncode, binary_record, rpc::Codec::kBinary,
+                  rpc::MsgType::kRecord);
+
+/// One frame per iteration through a long-lived decoder, as a session
+/// feeds it.
+void BM_CodecDecode(benchmark::State& state, rpc::Codec codec,
+                    rpc::MsgType type) {
+  std::vector<std::string> bytes;
+  for (const rpc::Message& m : fat_tree_frames(type)) {
+    bytes.push_back(rpc::encode(codec, m));
+  }
+  rpc::Decoder decoder(codec);
+  rpc::Message m;
+  std::string error;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    decoder.feed(bytes[i++ % bytes.size()]);
+    if (decoder.next(&m, &error) != rpc::Decoder::Result::kMessage) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(m);
+  }
+}
+BENCHMARK_CAPTURE(BM_CodecDecode, json_submit, rpc::Codec::kJson,
+                  rpc::MsgType::kSubmit);
+BENCHMARK_CAPTURE(BM_CodecDecode, json_record, rpc::Codec::kJson,
+                  rpc::MsgType::kRecord);
+BENCHMARK_CAPTURE(BM_CodecDecode, binary_submit, rpc::Codec::kBinary,
+                  rpc::MsgType::kSubmit);
+BENCHMARK_CAPTURE(BM_CodecDecode, binary_record, rpc::Codec::kBinary,
+                  rpc::MsgType::kRecord);
 
 }  // namespace
 

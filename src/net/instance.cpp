@@ -6,8 +6,8 @@
 
 namespace chronus::net {
 
-UpdateInstance UpdateInstance::from_paths(Graph g, Path p_init, Path p_fin,
-                                          Demand demand) {
+void UpdateInstance::validate(const Graph& g, const Path& p_init,
+                              const Path& p_fin, Demand demand) {
   if (p_init.size() < 2 || p_fin.size() < 2) {
     throw std::invalid_argument("paths need at least two nodes");
   }
@@ -23,7 +23,11 @@ UpdateInstance UpdateInstance::from_paths(Graph g, Path p_init, Path p_fin,
   if (demand <= Demand{}) {
     throw std::invalid_argument("demand must be positive");
   }
+}
 
+UpdateInstance UpdateInstance::from_paths(Graph g, Path p_init, Path p_fin,
+                                          Demand demand) {
+  validate(g, p_init, p_fin, demand);
   UpdateInstance inst;
   inst.graph_ = std::move(g);
   inst.demand_ = demand;

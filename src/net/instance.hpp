@@ -26,6 +26,13 @@ class UpdateInstance {
   static UpdateInstance from_paths(Graph g, Path p_init, Path p_fin,
                                    Demand demand);
 
+  /// The checks from_paths makes on its arguments: throws
+  /// std::invalid_argument naming the first one that fails. The update
+  /// service runs it when a request arrives, so a request no instance can
+  /// be built for is rejected then.
+  static void validate(const Graph& g, const Path& p_init, const Path& p_fin,
+                       Demand demand);
+
   const Graph& graph() const { return graph_; }
   Graph& mutable_graph() { return graph_; }
   Demand demand() const { return demand_; }

@@ -1,6 +1,7 @@
 #include "rpc/codec.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -240,52 +241,56 @@ class Cursor {
 };
 
 // ---------------------------------------------------------------------------
-// JSON lines. Encoding reuses util::json_escape; decoding is a minimal
-// recursive-descent parser (objects, arrays, strings, numbers with exact
-// int64 detection, true/false/null) — enough for this protocol, with no
-// dependency beyond the standard library.
+// JSON lines. Encoding appends to the output in place: keys and literals
+// as they are, integers and doubles through std::to_chars, strings through
+// util::json_escape_to. Decoding makes one pass over the line (JsonScanner:
+// objects, arrays, strings, numbers with exact int64 detection,
+// true/false/null, at most kMaxJsonDepth deep) that keeps no tree: it
+// records the top-level object's members, and the elements of its arrays,
+// as spans into the line. JsonReader then reads the fields from the spans
+// and unescapes only the strings it returns.
 
 /// The JSON encoder's field visitor: `"key":value` pairs in field order.
 struct JsonLineWriter {
   std::string& s;
 
-  void key(const char* k) {
+  void key(std::string_view k) {
     if (s.back() != '{') s.push_back(',');
     s.push_back('"');
     s.append(k);
     s.append("\":");
   }
-  void quoted(const std::string& v) {
+  void quoted(std::string_view v) {
     s.push_back('"');
-    s.append(util::json_escape(v));
+    util::json_escape_to(s, v);
     s.push_back('"');
   }
-
-  template <class Int>
-  void integer(const char* k, Int v) {
+  template <class Number, class... Format>
+  void number(std::string_view k, Number v, Format... format) {
     key(k);
-    s.append(std::to_string(v));
+    char buf[40];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), v, format...);
+    s.append(buf, r.ptr);
   }
 
-  void operator()(const char* k, std::uint32_t v) { integer(k, v); }
-  void operator()(const char* k, std::uint64_t v) { integer(k, v); }
-  void operator()(const char* k, int v) { integer(k, v); }
-  void operator()(const char* k, std::int64_t v) { integer(k, v); }
-  void operator()(const char* k, bool v) {
+  void operator()(std::string_view k, std::uint32_t v) { number(k, v); }
+  void operator()(std::string_view k, std::uint64_t v) { number(k, v); }
+  void operator()(std::string_view k, int v) { number(k, v); }
+  void operator()(std::string_view k, std::int64_t v) { number(k, v); }
+  void operator()(std::string_view k, bool v) {
     key(k);
     s.append(v ? "true" : "false");
   }
-  void operator()(const char* k, net::Demand v) {
-    key(k);
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v.value());
-    s.append(buf);
+  void operator()(std::string_view k, net::Demand v) {
+    // %.17g: what printf would print, which round-trips every double.
+    number(k, v.value(), std::chars_format::general, 17);
   }
-  void operator()(const char* k, const std::string& v) {
+  void operator()(std::string_view k, std::string_view v) {
     key(k);
     quoted(v);
   }
-  void operator()(const char* k, const std::vector<std::string>& v) {
+  void operator()(std::string_view k, const std::vector<std::string>& v) {
     key(k);
     s.push_back('[');
     for (std::size_t i = 0; i < v.size(); ++i) {
@@ -296,192 +301,272 @@ struct JsonLineWriter {
   }
 };
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kInt, kUint, kDouble, kString, kArray,
-                    kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  std::int64_t i = 0;
-  std::uint64_t u = 0;  // kUint: integers above int64 range (u64 ids)
-  double d = 0.0;
-  std::string s;
-  std::vector<JsonValue> arr;
-  std::vector<std::pair<std::string, JsonValue>> obj;
+}  // namespace
+
+namespace detail {
+
+enum class JsonKind : std::uint8_t {
+  kNull, kBool, kInt, kUint, kDouble, kString, kArray, kObject
 };
 
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+/// One scanned JSON value. A number was parsed once, during the scan; a
+/// string keeps the raw bytes between its quotes. Small, because the scan
+/// writes one per member and array element.
+struct JsonSpan {
+  JsonKind kind = JsonKind::kNull;
+  bool escaped = false;  // kString: `raw` holds a backslash escape
+  bool b = false;
+  // A member's kArray: its elements are JsonScanner's elems[first, first +
+  // count).
+  std::uint32_t count = 0;
+  union {
+    std::int64_t i = 0;
+    std::uint64_t u;  // kUint: integers above int64 range (u64 ids)
+    double d;
+    std::size_t first;
+  };
+  std::string_view raw;
+};
 
-  JsonValue parse_document() {
-    JsonValue v = parse_value();
+struct JsonMember {
+  JsonSpan key;  // kString
+  JsonSpan value;
+};
+
+}  // namespace detail
+
+namespace {
+
+using detail::JsonKind;
+using detail::JsonMember;
+using detail::JsonSpan;
+
+/// Reads the escape whose backslash sits just before text[pos]: returns
+/// the position after it and, unless `out` is null, appends the bytes it
+/// stands for. Throws DecodeError on a malformed escape. The scan checks
+/// each escape with it; the reader decodes the strings it returns.
+std::size_t read_escape(std::string_view text, std::size_t pos,
+                        std::string* out) {
+  if (pos >= text.size()) throw DecodeError("unterminated JSON escape");
+  char plain = text[pos++];
+  switch (plain) {
+    case '"':
+    case '\\':
+    case '/':
+      break;
+    case 'b':
+      plain = '\b';
+      break;
+    case 'f':
+      plain = '\f';
+      break;
+    case 'n':
+      plain = '\n';
+      break;
+    case 'r':
+      plain = '\r';
+      break;
+    case 't':
+      plain = '\t';
+      break;
+    case 'u': {
+      if (text.size() - pos < 4) throw DecodeError("bad \\u escape");
+      std::uint32_t cp = 0;
+      for (int k = 0; k < 4; ++k) {
+        const char h = text[pos++];
+        cp <<= 4;
+        if (h >= '0' && h <= '9') {
+          cp |= static_cast<std::uint32_t>(h - '0');
+        } else if (h >= 'a' && h <= 'f') {
+          cp |= static_cast<std::uint32_t>(h - 'a' + 10);
+        } else if (h >= 'A' && h <= 'F') {
+          cp |= static_cast<std::uint32_t>(h - 'A' + 10);
+        } else {
+          throw DecodeError("bad \\u escape digit");
+        }
+      }
+      if (out == nullptr) return pos;
+      // json_escape only emits \u00XX for control bytes; decode the BMP
+      // code point as UTF-8 so round-trips are exact.
+      if (cp < 0x80) {
+        out->push_back(static_cast<char>(cp));
+      } else if (cp < 0x800) {
+        out->push_back(static_cast<char>(0xc0u | (cp >> 6)));
+        out->push_back(static_cast<char>(0x80u | (cp & 0x3fu)));
+      } else {
+        out->push_back(static_cast<char>(0xe0u | (cp >> 12)));
+        out->push_back(static_cast<char>(0x80u | ((cp >> 6) & 0x3fu)));
+        out->push_back(static_cast<char>(0x80u | (cp & 0x3fu)));
+      }
+      return pos;
+    }
+    default:
+      throw DecodeError("unknown JSON escape");
+  }
+  if (out != nullptr) out->push_back(plain);
+  return pos;
+}
+
+/// Appends the unescaped form of a scanned string.
+void unescape_to(const JsonSpan& str, std::string& out) {
+  if (!str.escaped) {
+    out.append(str.raw);
+    return;
+  }
+  const std::string_view raw = str.raw;
+  for (std::size_t k = 0; k < raw.size();) {
+    if (raw[k] == '\\') {
+      k = read_escape(raw, k + 1, &out);
+    } else {
+      out.push_back(raw[k++]);
+    }
+  }
+}
+
+/// One pass over a JSON line. It checks the whole grammar first, so a
+/// syntax error wins over any field error, and the first violation in the
+/// line names the error. It fills `members` with the top-level object's
+/// members and `elems` with the elements of their arrays; a deeper value
+/// is checked and dropped.
+class JsonScanner {
+ public:
+  JsonScanner(std::string_view text, std::vector<JsonMember>& members,
+              std::vector<JsonSpan>& elems)
+      : text_(text), members_(members), elems_(elems) {
+    members_.clear();
+    elems_.clear();
+  }
+
+  /// Scans the line; throws DecodeError on a syntax error, and when the
+  /// line is not one object.
+  void scan_document() {
+    JsonSpan top;
+    value(top, /*depth=*/0);
     skip_ws();
     if (pos_ != text_.size()) throw DecodeError("trailing bytes after JSON");
-    return v;
+    if (top.kind != JsonKind::kObject) {
+      throw DecodeError("JSON message must be an object");
+    }
   }
 
  private:
-  JsonValue parse_value() {
+  /// Scans one value into `v`. `depth` counts the arrays and objects
+  /// around it: the top-level object records its members, its members'
+  /// arrays record their elements.
+  void value(JsonSpan& v, int depth) {
     skip_ws();
     if (pos_ >= text_.size()) throw DecodeError("truncated JSON");
-    char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return parse_string_value();
-    if (c == 't' || c == 'f') return parse_bool();
-    if (c == 'n') return parse_null();
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
-    throw DecodeError("unexpected character in JSON");
+    const char c = text_[pos_];
+    if (c == '{' || c == '[') {
+      if (depth == kMaxJsonDepth) {
+        throw DecodeError("JSON nested deeper than " +
+                          std::to_string(kMaxJsonDepth));
+      }
+      if (c == '{') {
+        v.kind = JsonKind::kObject;
+        object(depth + 1);
+      } else {
+        v.kind = JsonKind::kArray;
+        array(v, depth + 1);
+      }
+    } else if (c == '"') {
+      ++pos_;
+      string(v);
+    } else if (c == 't' || c == 'f') {
+      v.kind = JsonKind::kBool;
+      if (text_.substr(pos_, 4) == "true") {
+        v.b = true;
+        pos_ += 4;
+      } else if (text_.substr(pos_, 5) == "false") {
+        pos_ += 5;
+      } else {
+        throw DecodeError("bad JSON literal");
+      }
+    } else if (c == 'n') {
+      v.kind = JsonKind::kNull;
+      if (text_.substr(pos_, 4) != "null") {
+        throw DecodeError("bad JSON literal");
+      }
+      pos_ += 4;
+    } else if (c == '-' || (c >= '0' && c <= '9')) {
+      number(v);
+    } else {
+      throw DecodeError("unexpected character in JSON");
+    }
   }
 
-  JsonValue parse_object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
+  /// `depth` == 1: the top-level object, whose members are recorded.
+  void object(int depth) {
+    ++pos_;  // '{'
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return v;
+      return;
     }
+    JsonMember scratch;
     for (;;) {
       skip_ws();
-      std::string key = parse_string();
+      JsonMember& m = depth == 1 ? members_.emplace_back() : scratch;
+      expect('"');
+      string(m.key);
       skip_ws();
       expect(':');
-      v.obj.emplace_back(std::move(key), parse_value());
+      value(m.value, depth);
       skip_ws();
-      char c = take();
-      if (c == '}') return v;
+      const char c = take();
+      if (c == '}') return;
       if (c != ',') throw DecodeError("expected ',' or '}' in JSON object");
     }
   }
 
-  JsonValue parse_array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    expect('[');
+  /// `depth` == 2: a top-level member's array, whose elements are
+  /// recorded.
+  void array(JsonSpan& v, int depth) {
+    ++pos_;  // '['
     skip_ws();
     if (peek() == ']') {
       ++pos_;
-      return v;
+      return;
     }
+    v.first = elems_.size();
+    JsonSpan scratch;
     for (;;) {
-      v.arr.push_back(parse_value());
+      // Only these arrays grow elems_, so the reference stays valid while
+      // the element's own value is scanned.
+      if (depth == 2) ++v.count;
+      value(depth == 2 ? elems_.emplace_back() : scratch, depth);
       skip_ws();
-      char c = take();
-      if (c == ']') return v;
+      const char c = take();
+      if (c == ']') return;
       if (c != ',') throw DecodeError("expected ',' or ']' in JSON array");
     }
   }
 
-  JsonValue parse_string_value() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kString;
-    v.s = parse_string();
-    return v;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
+  /// A string after its opening quote: checks every escape and records
+  /// the raw bytes up to the closing quote.
+  void string(JsonSpan& v) {
+    v.kind = JsonKind::kString;
+    const std::size_t start = pos_;
     for (;;) {
       if (pos_ >= text_.size()) throw DecodeError("unterminated JSON string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) throw DecodeError("unterminated JSON escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"':
-          out.push_back('"');
-          break;
-        case '\\':
-          out.push_back('\\');
-          break;
-        case '/':
-          out.push_back('/');
-          break;
-        case 'b':
-          out.push_back('\b');
-          break;
-        case 'f':
-          out.push_back('\f');
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'u': {
-          if (text_.size() - pos_ < 4) throw DecodeError("bad \\u escape");
-          std::uint32_t cp = 0;
-          for (int k = 0; k < 4; ++k) {
-            char h = text_[pos_++];
-            cp <<= 4;
-            if (h >= '0' && h <= '9') {
-              cp |= static_cast<std::uint32_t>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              cp |= static_cast<std::uint32_t>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              cp |= static_cast<std::uint32_t>(h - 'A' + 10);
-            } else {
-              throw DecodeError("bad \\u escape digit");
-            }
-          }
-          // json_escape only emits \u00XX for control bytes; decode the
-          // BMP code point as UTF-8 so round-trips are exact.
-          if (cp < 0x80) {
-            out.push_back(static_cast<char>(cp));
-          } else if (cp < 0x800) {
-            out.push_back(static_cast<char>(0xc0u | (cp >> 6)));
-            out.push_back(static_cast<char>(0x80u | (cp & 0x3fu)));
-          } else {
-            out.push_back(static_cast<char>(0xe0u | (cp >> 12)));
-            out.push_back(static_cast<char>(0x80u | ((cp >> 6) & 0x3fu)));
-            out.push_back(static_cast<char>(0x80u | (cp & 0x3fu)));
-          }
-          break;
-        }
-        default:
-          throw DecodeError("unknown JSON escape");
-      }
+      const char c = text_[pos_++];
+      if (c == '"') break;
+      if (c != '\\') continue;
+      v.escaped = true;
+      pos_ = read_escape(text_, pos_, nullptr);
     }
+    v.raw = text_.substr(start, pos_ - 1 - start);
   }
 
-  JsonValue parse_bool() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (text_.substr(pos_, 4) == "true") {
-      v.b = true;
-      pos_ += 4;
-    } else if (text_.substr(pos_, 5) == "false") {
-      v.b = false;
-      pos_ += 5;
-    } else {
-      throw DecodeError("bad JSON literal");
-    }
-    return v;
-  }
-
-  JsonValue parse_null() {
-    if (text_.substr(pos_, 4) != "null") throw DecodeError("bad JSON literal");
-    pos_ += 4;
-    return JsonValue{};
-  }
-
-  JsonValue parse_number() {
-    std::size_t start = pos_;
+  /// A number, parsed here once: an exact int64 when it is integral and in
+  /// range, else an exact u64 when it is positive and in range, else a
+  /// double.
+  void number(JsonSpan& v) {
+    const std::size_t start = pos_;
     bool integral = true;
-    if (peek() == '-') ++pos_;
+    if (text_[pos_] == '-') ++pos_;
     while (pos_ < text_.size()) {
-      char c = text_[pos_];
+      const char c = text_[pos_];
       if (c >= '0' && c <= '9') {
         ++pos_;
       } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
@@ -491,39 +576,52 @@ class JsonParser {
         break;
       }
     }
-    std::string token(text_.substr(start, pos_ - start));
-    JsonValue v;
-    errno = 0;
+    const std::string_view token = text_.substr(start, pos_ - start);
     if (integral) {
-      char* end = nullptr;
-      long long parsed = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end == token.c_str() + token.size()) {
-        v.kind = JsonValue::Kind::kInt;
-        v.i = static_cast<std::int64_t>(parsed);
-        return v;
+      // The token is `-?[0-9]*`. On it, std::from_chars accepts exactly
+      // what strtoll and strtoull accept and fails on the same overflows,
+      // with no copy and no errno.
+      const char* const first = token.data();
+      const char* const last = first + token.size();
+      std::int64_t i = 0;
+      if (const auto r = std::from_chars(first, last, i);
+          r.ec == std::errc{} && r.ptr == last) {
+        v.kind = JsonKind::kInt;
+        v.i = i;
+        return;
       }
-      if (token[0] != '-') {
-        // Above int64 but possibly still an exact u64 (binary ids use the
-        // full range; the JSON codec must not round them through double).
-        errno = 0;
-        end = nullptr;
-        unsigned long long uparsed = std::strtoull(token.c_str(), &end, 10);
-        if (errno == 0 && end == token.c_str() + token.size()) {
-          v.kind = JsonValue::Kind::kUint;
-          v.u = static_cast<std::uint64_t>(uparsed);
-          return v;
-        }
+      // Above int64 but possibly still an exact u64 (binary ids use the
+      // full range; the JSON codec must not round them through double).
+      // The unsigned parse takes no sign.
+      std::uint64_t u = 0;
+      if (const auto r = std::from_chars(first, last, u);
+          r.ec == std::errc{} && r.ptr == last) {
+        v.kind = JsonKind::kUint;
+        v.u = u;
+        return;
       }
-      errno = 0;  // out-of-range integer: fall through to double
+      // Out of both ranges: a double, as below.
+    }
+    // strtod needs a terminated copy: on the stack, or on the heap for a
+    // token longer than any number the protocol sends.
+    char stack[64];
+    std::string heap;
+    const char* s = stack;
+    if (token.size() < sizeof(stack)) {
+      std::memcpy(stack, token.data(), token.size());
+      stack[token.size()] = '\0';
+    } else {
+      heap.assign(token);
+      s = heap.c_str();
     }
     char* end = nullptr;
-    double parsed = std::strtod(token.c_str(), &end);
-    if (errno != 0 || end != token.c_str() + token.size()) {
+    errno = 0;
+    const double parsed = std::strtod(s, &end);
+    if (errno != 0 || end != s + token.size()) {
       throw DecodeError("bad JSON number");
     }
-    v.kind = JsonValue::Kind::kDouble;
+    v.kind = JsonKind::kDouble;
     v.d = parsed;
-    return v;
   }
 
   void skip_ws() {
@@ -539,7 +637,7 @@ class JsonParser {
   }
 
   char take() {
-    char c = peek();
+    const char c = peek();
     ++pos_;
     return c;
   }
@@ -552,51 +650,72 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::vector<JsonMember>& members_;
+  std::vector<JsonSpan>& elems_;
 };
 
-/// The JSON decoder's field visitor: looks each key up in the parsed
-/// object and checks its kind and range. Fields are visited in field
-/// order, so the first missing or ill-typed one names the error.
+/// The JSON decoder's field visitor: finds each key among the scanned
+/// members and checks its kind and range. Fields are read in field order,
+/// so the first missing or ill-typed one names the error. A key matches
+/// after unescaping, and a repeated key reads as its first occurrence.
 struct JsonReader {
-  const JsonValue& obj;
+  const std::vector<JsonMember>& members;
+  const std::vector<JsonSpan>& elems;
+  /// members[0, matched) each matched an earlier field. Field names are
+  /// distinct, so none of them can match a later one, and the search
+  /// starts here: in field order (as encode writes it), one compare per
+  /// field.
+  std::size_t matched = 0;
 
-  const JsonValue* find(const char* key) const {
-    for (const auto& [k, v] : obj.obj) {
-      if (k == key) return &v;
+  static bool key_is(const JsonSpan& key, std::string_view name) {
+    if (!key.escaped) return key.raw == name;
+    std::string plain;
+    unescape_to(key, plain);
+    return plain == name;
+  }
+
+  const JsonSpan* find(std::string_view key) {
+    for (std::size_t k = matched; k < members.size(); ++k) {
+      if (key_is(members[k].key, key)) {
+        if (k == matched) ++matched;
+        return &members[k].value;
+      }
     }
     return nullptr;
   }
-  const JsonValue& field(const char* key, JsonValue::Kind kind,
-                         const char* what) const {
-    const JsonValue* v = find(key);
+  const JsonSpan& field(std::string_view key, JsonKind kind,
+                        const char* what) {
+    return checked(find(key), key, kind, what);
+  }
+  static const JsonSpan& checked(const JsonSpan* v, std::string_view key,
+                                 JsonKind kind, const char* what) {
     if (v == nullptr || v->kind != kind) {
-      throw DecodeError(std::string("missing ") + what + " field '" + key +
-                        "'");
+      throw DecodeError(std::string("missing ") + what + " field '" +
+                        std::string(key) + "'");
     }
     return *v;
   }
-  [[noreturn]] static void out_of_range(const char* key) {
-    throw DecodeError(std::string("field out of range '") + key + "'");
+  [[noreturn]] static void out_of_range(std::string_view key) {
+    throw DecodeError("field out of range '" + std::string(key) + "'");
   }
 
-  void operator()(const char* k, std::uint32_t& v) {
+  void operator()(std::string_view k, std::uint32_t& v) {
     std::uint64_t wide = 0;
     (*this)(k, wide);
     if (wide > std::numeric_limits<std::uint32_t>::max()) out_of_range(k);
     v = static_cast<std::uint32_t>(wide);
   }
-  void operator()(const char* k, std::uint64_t& v) {
-    const JsonValue* f = find(k);
-    if (f != nullptr && f->kind == JsonValue::Kind::kUint) {
+  void operator()(std::string_view k, std::uint64_t& v) {
+    const JsonSpan* f = find(k);
+    if (f != nullptr && f->kind == JsonKind::kUint) {
       v = f->u;
       return;
     }
-    std::int64_t i = 0;
-    (*this)(k, i);
-    if (i < 0) throw DecodeError(std::string("negative field '") + k + "'");
+    const std::int64_t i = checked(f, k, JsonKind::kInt, "integer").i;
+    if (i < 0) throw DecodeError("negative field '" + std::string(k) + "'");
     v = static_cast<std::uint64_t>(i);
   }
-  void operator()(const char* k, int& v) {
+  void operator()(std::string_view k, int& v) {
     std::int64_t wide = 0;
     (*this)(k, wide);
     if (wide < std::numeric_limits<std::int32_t>::min() ||
@@ -605,45 +724,44 @@ struct JsonReader {
     }
     v = static_cast<std::int32_t>(wide);
   }
-  void operator()(const char* k, std::int64_t& v) {
-    v = field(k, JsonValue::Kind::kInt, "integer").i;
+  void operator()(std::string_view k, std::int64_t& v) {
+    v = field(k, JsonKind::kInt, "integer").i;
   }
-  void operator()(const char* k, bool& v) {
-    v = field(k, JsonValue::Kind::kBool, "bool").b;
+  void operator()(std::string_view k, bool& v) {
+    v = field(k, JsonKind::kBool, "bool").b;
   }
-  void operator()(const char* k, net::Demand& v) {
-    const JsonValue* f = find(k);
-    if (f != nullptr && f->kind == JsonValue::Kind::kDouble) {
+  void operator()(std::string_view k, net::Demand& v) {
+    const JsonSpan* f = find(k);
+    if (f != nullptr && f->kind == JsonKind::kDouble) {
       v = net::Demand{f->d};
-    } else if (f != nullptr && f->kind == JsonValue::Kind::kInt) {
+    } else if (f != nullptr && f->kind == JsonKind::kInt) {
       v = net::Demand{static_cast<double>(f->i)};
     } else {
-      throw DecodeError(std::string("missing number field '") + k + "'");
+      throw DecodeError("missing number field '" + std::string(k) + "'");
     }
   }
-  void operator()(const char* k, std::string& v) {
-    v = field(k, JsonValue::Kind::kString, "string").s;
-  }
-  void operator()(const char* k, std::vector<std::string>& v) {
-    const JsonValue& arr = field(k, JsonValue::Kind::kArray, "array");
+  void operator()(std::string_view k, std::string& v) {
     v.clear();
-    v.reserve(arr.arr.size());
-    for (const JsonValue& e : arr.arr) {
-      if (e.kind != JsonValue::Kind::kString) {
-        throw DecodeError(std::string("non-string element in '") + k + "'");
+    unescape_to(field(k, JsonKind::kString, "string"), v);
+  }
+  void operator()(std::string_view k, std::vector<std::string>& v) {
+    const JsonSpan& arr = field(k, JsonKind::kArray, "array");
+    v.clear();
+    v.reserve(arr.count);
+    for (std::size_t e = arr.first; e < arr.first + arr.count; ++e) {
+      if (elems[e].kind != JsonKind::kString) {
+        throw DecodeError("non-string element in '" + std::string(k) + "'");
       }
-      v.push_back(e.s);
+      unescape_to(elems[e], v.emplace_back());
     }
   }
 };
 
-Message decode_json_line(std::string_view line) {
-  JsonParser parser(line);
-  JsonValue doc = parser.parse_document();
-  if (doc.kind != JsonValue::Kind::kObject) {
-    throw DecodeError("JSON message must be an object");
-  }
-  JsonReader read{doc};
+Message decode_json_line(std::string_view line,
+                         std::vector<JsonMember>& members,
+                         std::vector<JsonSpan>& elems) {
+  JsonScanner(line, members, elems).scan_document();
+  JsonReader read{members, elems};
   std::string type_name;
   read("type", type_name);
   Message m;
@@ -656,29 +774,44 @@ Message decode_json_line(std::string_view line) {
 
 }  // namespace
 
-std::string encode(Codec c, const Message& m) {
-  if (c == Codec::kJson) {
-    std::string line = "{";
-    JsonLineWriter w{line};
-    w("type", std::string(to_string(m.type)));
-    visit_body(m, w);
-    line.append("}\n");
-    return line;
+void encode_to(Codec c, const Message& m, std::string& out) {
+  const std::size_t start = out.size();
+  try {
+    if (c == Codec::kJson) {
+      out.push_back('{');
+      JsonLineWriter w{out};
+      w("type", std::string_view(to_string(m.type)));
+      visit_body(m, w);
+      out.append("}\n");
+      return;
+    }
+    out.append(4, '\0');  // the length prefix, patched below
+    out.push_back(static_cast<char>(m.type));
+    BinaryWriter b{out};
+    visit_body(m, b);
+    const std::size_t len = out.size() - start - 4;
+    for (std::size_t i = 0; i < 4; ++i) {
+      out[start + i] = static_cast<char>((len >> (8 * i)) & 0xffu);
+    }
+  } catch (...) {
+    out.resize(start);  // leave no partial frame behind
+    throw;
   }
-  std::string body;
-  BinaryWriter b{body};
-  visit_body(m, b);
-  std::string frame;
-  frame.reserve(5 + body.size());
-  BinaryWriter f{frame};
-  f.put(1 + body.size(), 4);
-  f.put(static_cast<std::uint8_t>(m.type), 1);
-  frame.append(body);
-  return frame;
+}
+
+std::string encode(Codec c, const Message& m) {
+  std::string out;
+  // Most frames fit (a fat-tree submit or record line is 200-350 bytes),
+  // so the frame costs one allocation rather than one per doubling.
+  out.reserve(256);
+  encode_to(c, m, out);
+  return out;
 }
 
 Decoder::Decoder(Codec c, std::size_t max_frame)
     : codec_(c), max_frame_(max_frame) {}
+
+Decoder::~Decoder() = default;
 
 void Decoder::feed(std::string_view bytes) {
   if (poisoned_) return;
@@ -757,7 +890,7 @@ Decoder::Result Decoder::next(Message* out, std::string* error) {
                 "line length exceeds limit " + std::to_string(max_frame_));
   }
   try {
-    *out = decode_json_line(line);
+    *out = decode_json_line(line, members_, elems_);
   } catch (const DecodeError& e) {
     return fail(error, e.what());
   }

@@ -13,19 +13,23 @@
 //     decode(encode(m)) is bit-identical here too. A JSON client's first
 //     byte is '{', which is how the session tells the codecs apart.
 //
+// Encoding appends in place (encode_to): a session encodes every frame of
+// a reactor pass straight into its one outbound buffer.
+//
 // Decoding is incremental and defensive: feed() arbitrary byte slices
 // (down to one byte at a time), next() yields complete messages. Any
 // malformed input — oversized length prefix, unknown type tag, truncated
-// or non-JSON line, field of the wrong shape — yields kError with a
-// description and the decoder goes sticky: the stream is poisoned and the
-// session must close. Malformed *wire* input is a session-level error,
-// never a ContractViolation: remote bytes are input, not invariants.
+// or non-JSON line, JSON nested deeper than kMaxJsonDepth, field of the
+// wrong shape — yields kError with a description and the decoder goes
+// sticky: the stream is poisoned and the session must close. Malformed
+// *wire* input is a session-level error, never a ContractViolation:
+// remote bytes are input, not invariants.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "rpc/wire.hpp"
 
@@ -42,10 +46,24 @@ inline constexpr std::string_view kBinaryMagic = "CRB1";
 /// prefix against hostile or corrupted input).
 inline constexpr std::size_t kDefaultMaxFrame = 1u << 20;
 
+/// JSON arrays and objects nested deeper than this are a protocol error
+/// (the protocol itself nests two deep). It bounds the parser's recursion,
+/// which a line of a million '[' would otherwise run off the stack.
+inline constexpr int kMaxJsonDepth = 64;
+
+namespace detail {
+struct JsonMember;  // one scanned top-level member of a JSON line
+struct JsonSpan;    // one scanned value: a member's, or its array's element
+}  // namespace detail
+
 /// Identifies the codec from the first byte a client sends: 'C' (magic)
 /// -> kBinary, '{' -> kJson, anything else -> unknown (session closes).
 /// Returns true and sets `out` iff the byte is recognised.
 bool sniff_codec(char first_byte, Codec* out);
+
+/// Appends one message to `out` as a complete frame (binary) or line
+/// (JSON).
+void encode_to(Codec c, const Message& m, std::string& out);
 
 /// Encodes one message as a complete frame (binary) or line (JSON).
 std::string encode(Codec c, const Message& m);
@@ -60,6 +78,7 @@ class Decoder {
   };
 
   explicit Decoder(Codec c, std::size_t max_frame = kDefaultMaxFrame);
+  ~Decoder();
 
   /// Appends raw stream bytes (any split, including byte-at-a-time).
   void feed(std::string_view bytes);
@@ -83,6 +102,10 @@ class Decoder {
   std::size_t pos_ = 0;  // consumed prefix of buf_
   bool poisoned_ = false;
   std::string poison_;
+  // The JSON scan of the current line, kept so a long-lived stream reuses
+  // the storage line after line.
+  std::vector<detail::JsonMember> members_;
+  std::vector<detail::JsonSpan> elems_;
 };
 
 }  // namespace chronus::rpc

@@ -141,7 +141,7 @@ class Driver {
       Message hello;
       hello.type = MsgType::kHello;
       hello.version = kProtocolVersion;
-      c.out.append(encode(opts_.codec, hello));
+      encode_to(opts_.codec, hello, c.out);
     }
     if ((revents & Reactor::kWritable) != 0) flush(c);
     if (c.terminal()) return;
@@ -193,7 +193,7 @@ class Driver {
         c.state = Conn::State::kStreaming;
         for (auto& [id, submit] : c.submits) {
           c.outstanding[id] = true;
-          c.out.append(encode(opts_.codec, submit));
+          encode_to(opts_.codec, submit, c.out);
           ++submits_;
         }
         maybe_send_done(c);
@@ -212,7 +212,7 @@ class Driver {
           return false;
         }
         // Immediate retransmit: the server reads it after its next round.
-        c.out.append(encode(opts_.codec, it->second));
+        encode_to(opts_.codec, it->second, c.out);
         ++submits_;
         return true;
       }
@@ -244,7 +244,7 @@ class Driver {
     c.done_sent = true;
     Message done;
     done.type = MsgType::kDone;
-    c.out.append(encode(opts_.codec, done));
+    encode_to(opts_.codec, done, c.out);
     c.state = Conn::State::kAwaitingReport;
   }
 

@@ -234,7 +234,12 @@ void Server::deliver_round(std::size_t idx) {
     m.record = to_wire(rec);
     ctx.session->send(m);
   }
-  for (auto& [sid, ctx] : sessions_) maybe_send_report(ctx);
+  // One write per session for its records (and its report, which
+  // finish() flushes); an untouched session has nothing to write.
+  for (auto& [sid, ctx] : sessions_) {
+    maybe_send_report(ctx);
+    ctx.session->flush();
+  }
   maybe_finish_shutdown();
 }
 

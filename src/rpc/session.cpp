@@ -24,8 +24,8 @@ Session::~Session() {
 void Session::start() {
   obs::add("rpc.sessions_opened");
   obs::gauge_add("rpc.open_sessions", 1);
-  reactor_.add_fd(fd_, Reactor::kReadable,
-                  [this](short revents) { on_io(revents); });
+  interest_ = Reactor::kReadable;
+  reactor_.add_fd(fd_, interest_, [this](short revents) { on_io(revents); });
 }
 
 const char* Session::codec_tag() const {
@@ -35,7 +35,8 @@ const char* Session::codec_tag() const {
 
 void Session::on_io(short revents) {
   if (state_ == State::kClosed) return;
-  if ((revents & Reactor::kWritable) != 0) handle_writable();
+  // A backlog the socket refused in an earlier pass goes out first.
+  if ((revents & Reactor::kWritable) != 0) write_out();
   if (state_ == State::kClosed) return;
   // POLLERR/POLLHUP route through the read path, where recv() reports
   // the EOF or error authoritatively.
@@ -48,6 +49,8 @@ void Session::on_io(short revents) {
   }
   const short readish = static_cast<short>(Reactor::kReadable | err_bits);
   if ((revents & readish) != 0) handle_readable();
+  // One write for every reply the read loop queued.
+  flush();
 }
 
 void Session::handle_readable() {
@@ -196,27 +199,25 @@ void Session::handle_message(const Message& m) {
 void Session::send(const Message& m) {
   if (state_ == State::kClosed) return;
   if (m.type == MsgType::kRecord) ++delivered_;
-  std::string frame = encode(codec_, m);
-  if (codec_ == Codec::kBinary) {
-    obs::add("rpc.binary.frames_out");
-    obs::add("rpc.binary.bytes_out", frame.size());
-  } else {
-    obs::add("rpc.json.frames_out");
-    obs::add("rpc.json.bytes_out", frame.size());
-  }
   if (out_pos_ == out_.size()) {
     out_.clear();
     out_pos_ = 0;
   }
-  out_.append(frame);
-  flush();
-  if (state_ != State::kClosed) update_interest();
+  const std::size_t before = out_.size();
+  encode_to(codec_, m, out_);
+  if (codec_ == Codec::kBinary) {
+    obs::add("rpc.binary.frames_out");
+    obs::add("rpc.binary.bytes_out", out_.size() - before);
+  } else {
+    obs::add("rpc.json.frames_out");
+    obs::add("rpc.json.bytes_out", out_.size() - before);
+  }
 }
 
 void Session::finish() {
   if (state_ == State::kClosed) return;
   finishing_ = true;
-  flush();
+  write_out();
   if (state_ == State::kClosed) return;
   if (out_pos_ == out_.size()) {
     close_now("");
@@ -232,15 +233,24 @@ void Session::fail(const std::string& reason) {
   err.type = MsgType::kError;
   err.text = reason;
   if (decoder_ != nullptr) {
-    std::string frame = encode(codec_, err);
-    out_.append(frame);
-    flush();
+    encode_to(codec_, err, out_);
+    write_out();
   }
   close_now(reason);
 }
 
 void Session::flush() {
+  if (state_ == State::kClosed) return;
+  write_out();
+  if (state_ != State::kClosed) update_interest();
+}
+
+void Session::write_out() {
   while (out_pos_ < out_.size()) {
+    // Counted before the call, so a peer that has read the bytes also
+    // sees the count. Wall-timing-dependent, hence a gauge, which
+    // logical() drops.
+    obs::gauge_add("rpc.socket_writes", 1);
     ssize_t n = ::send(fd_, out_.data() + out_pos_, out_.size() - out_pos_,
                        MSG_NOSIGNAL);
     if (n > 0) {
@@ -255,11 +265,6 @@ void Session::flush() {
   if (finishing_ && out_pos_ == out_.size()) close_now("");
 }
 
-void Session::handle_writable() {
-  flush();
-  if (state_ != State::kClosed) update_interest();
-}
-
 void Session::pause_reading() {
   if (paused_ || state_ == State::kClosed) return;
   paused_ = true;
@@ -271,10 +276,11 @@ void Session::resume_reading() {
   if (!paused_ || state_ == State::kClosed) return;
   paused_ = false;
   obs::gauge_add("rpc.paused_sessions", -1);
-  update_interest();
   // Bytes already buffered in the decoder were parked by the pause;
-  // process them now rather than waiting for new socket traffic.
+  // process them now rather than waiting for new socket traffic, and
+  // send their replies in one write.
   process_input(std::string_view());
+  flush();
 }
 
 void Session::update_interest() {
@@ -283,6 +289,8 @@ void Session::update_interest() {
   if (out_pos_ < out_.size()) {
     events = static_cast<short>(events | Reactor::kWritable);
   }
+  if (events == interest_) return;
+  interest_ = events;
   reactor_.set_events(fd_, events);
 }
 

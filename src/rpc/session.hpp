@@ -32,6 +32,15 @@
 // server pauses a session whose submit the intake queue just deferred.
 // resume_reading() re-arms reads and immediately re-processes bytes
 // already buffered.
+//
+// Writes: send() only encodes the frame onto the end of the outbound
+// buffer. Each reactor entry point that queues frames — on_io after its
+// read loop, resume_reading after the parked bytes, the server's round
+// delivery after the round's records — ends with one flush(), so a pass
+// costs one send(2) per session however many frames it queued, and no
+// frame waits past the pass that queued it. fail() and finish() flush
+// on their own. Whatever the socket refuses stays queued behind write
+// interest, in order.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +78,13 @@ class Session {
   /// Registers with the reactor; call once, from the reactor thread.
   void start();
 
-  /// Queues one server->client message and arms write interest.
+  /// Queues one server->client message at the end of the outbound
+  /// buffer. Nothing reaches the socket until flush().
   void send(const Message& m);
+
+  /// Writes the queued frames (one send(2) when the socket takes them
+  /// all) and arms write interest for whatever it refused.
+  void flush();
 
   /// All server->client traffic has been queued: close as soon as the
   /// outbound buffer drains (immediately if already empty).
@@ -98,12 +112,12 @@ class Session {
  private:
   void on_io(short revents);
   void handle_readable();
-  void handle_writable();
   /// Sniffs the codec if still unknown, then decodes and dispatches
   /// every complete buffered message.
   void process_input(std::string_view bytes);
   void handle_message(const Message& m);
-  void flush();
+  /// The send(2) loop behind flush(), without the interest update.
+  void write_out();
   void update_interest();
   void close_now(const std::string& reason);
   const char* codec_tag() const;
@@ -119,6 +133,7 @@ class Session {
   std::string sniff_buf_;             // bytes seen before the codec is known
   std::string out_;                   // unflushed outbound bytes
   std::size_t out_pos_ = 0;
+  short interest_ = 0;                // events last registered
   bool paused_ = false;
   bool finishing_ = false;
   bool closed_hook_fired_ = false;

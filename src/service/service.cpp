@@ -190,16 +190,17 @@ void single_job(net::Graph& work, const net::Graph& base,
   for (const auto& [id, amount] : p.footprint) {
     work.set_capacity(id, util::capacity_for(amount));
   }
-  std::optional<net::UpdateInstance> inst;
+  // The request passed UpdateInstance::validate at arrival, and `work`
+  // has `base`'s links, so building the instance cannot throw.
+  net::UpdateInstance inst = make_instance(std::move(work), *p.request);
   try {
-    inst.emplace(make_instance(std::move(work), *p.request));
-    core::ScheduleResult res = core::greedy_schedule(*inst, opts.greedy);
+    core::ScheduleResult res = core::greedy_schedule(inst, opts.greedy);
     if (res.feasible()) {
       // The greedy guard already checked each step; re-verify the complete
       // plan under the reservation capacities so the record carries an
       // end-to-end verdict independent of the scheduler.
       const timenet::TransitionReport rep =
-          timenet::verify_transition(*inst, res.schedule);
+          timenet::verify_transition(inst, res.schedule);
       out.feasible = true;
       out.schedule = std::move(res.schedule);
       out.verified = rep.ok();
@@ -210,15 +211,11 @@ void single_job(net::Graph& work, const net::Graph& base,
   } catch (const std::exception& e) {
     out.message = e.what();
   }
-  if (!inst) {
-    work = base;  // from_paths threw after taking the graph
-    return;
-  }
-  restore_capacities(inst->mutable_graph(), base, p.footprint);
+  restore_capacities(inst.mutable_graph(), base, p.footprint);
   if (out.feasible && opts.execute) {
-    exec_job(*inst, *p.request, out.schedule, opts, now, &job->exec);
+    exec_job(inst, *p.request, out.schedule, opts, now, &job->exec);
   }
-  work = std::move(inst->mutable_graph());
+  work = std::move(inst.mutable_graph());
   CHRONUS_ENSURES(restored(work, base, p.footprint),
                   "the working graph came back narrowed");
 }
@@ -367,6 +364,9 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
         PendingRequest p;
         p.request = &r;
         p.footprint = transition_footprint(base_, r.p_init, r.p_fin, r.demand);
+        // The plan's instance would make these checks in every epoch; a
+        // request that fails them can never be planned.
+        net::UpdateInstance::validate(base_, r.p_init, r.p_fin, r.demand);
         pending.push_back(std::move(p));
       } catch (const std::exception& e) {
         rec.status = RequestStatus::kRejectedInfeasible;

@@ -6,36 +6,47 @@
 
 namespace chronus::util {
 
+void json_escape_to(std::string& out, std::string_view s) {
+  std::size_t run = 0;  // start of the pending run of plain bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* esc = nullptr;
+    switch (c) {
+      case '"':
+        esc = "\\\"";
+        break;
+      case '\\':
+        esc = "\\\\";
+        break;
+      case '\n':
+        esc = "\\n";
+        break;
+      case '\r':
+        esc = "\\r";
+        break;
+      case '\t':
+        esc = "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    if (esc != nullptr) {
+      out.append(esc);
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out.append(buf);
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  json_escape_to(out, s);
   return out;
 }
 

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace chronus::util {
 
@@ -66,5 +67,8 @@ class JsonWriter {
 
 /// JSON string escaping (quotes, backslashes, control characters).
 std::string json_escape(const std::string& s);
+
+/// The same escaping, appended to `out` (no temporary string).
+void json_escape_to(std::string& out, std::string_view s);
 
 }  // namespace chronus::util

@@ -430,6 +430,51 @@ TEST(Codec, OverlongJsonLineWithoutNewlineFails) {
   EXPECT_NE(err.find("exceeds limit"), std::string::npos) << err;
 }
 
+// An unknown field opening 100 000 arrays: a recursive parser with no
+// depth bound overflows its stack on this line (at 40 000 already).
+TEST(Codec, DeepJsonNestingFailsAndPoisons) {
+  Decoder dec(Codec::kJson);
+  dec.feed("{\"type\":\"submit\",\"x\":" + std::string(100000, '[') + "\n");
+  Message out;
+  std::string err;
+  EXPECT_EQ(dec.next(&out, &err), Decoder::Result::kError);
+  EXPECT_EQ(err, "JSON nested deeper than " + std::to_string(kMaxJsonDepth));
+  expect_poisoned(dec, "deep nesting");
+}
+
+TEST(Codec, JsonNestingUpToTheCapDecodes) {
+  // The message object is one level; kMaxJsonDepth - 1 arrays inside it
+  // reach the cap, one more passes it.
+  const auto line = [](int arrays) {
+    return "{\"type\":\"ack\",\"id\":3,\"x\":" + std::string(arrays, '[') +
+           std::string(arrays, ']') + "}\n";
+  };
+  EXPECT_EQ(decode_one(Codec::kJson, line(kMaxJsonDepth - 1)).id, 3u);
+  Decoder dec(Codec::kJson);
+  dec.feed(line(kMaxJsonDepth));
+  Message out;
+  std::string err;
+  EXPECT_EQ(dec.next(&out, &err), Decoder::Result::kError);
+  EXPECT_NE(err.find("nested deeper"), std::string::npos) << err;
+}
+
+// The decoder keeps no tree, only the top-level members as spans; keys
+// still match after unescaping, in any order, and a repeated key reads
+// as its first occurrence.
+TEST(Codec, JsonFieldsMatchByUnescapedKeyInAnyOrder) {
+  const Message first = decode_one(
+      Codec::kJson, "{\"i\\u0064\":2,\"\\u0074ype\":\"ack\",\"id\":3}\n");
+  EXPECT_EQ(first.type, MsgType::kAck);
+  EXPECT_EQ(first.id, 2u);
+  const Message rejected = decode_one(
+      Codec::kJson,
+      "{\"text\":\"a\\nb\",\"x\":[{\"id\":9}],\"id\":4,\"type\":\"rejected\","
+      "\"text\":\"later\"}\n");
+  EXPECT_EQ(rejected.type, MsgType::kRejected);
+  EXPECT_EQ(rejected.id, 4u);
+  EXPECT_EQ(rejected.text, "a\nb");
+}
+
 // ---------------------------------------------------------------------------
 // Numeric edges: boundary integers, non-finite doubles, and "negative"
 // lengths — the values a fuzzer finds first and a hand test forgets.

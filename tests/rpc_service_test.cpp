@@ -1,11 +1,13 @@
 // Tests for the rpc front-end of the update service: IntakeQueue
 // backpressure semantics, order-independent run digests, loopback
-// round-trips through both codecs, and the malformed-input contract —
-// a bad frame is a structured per-session error that never disturbs the
-// other sessions and never surfaces as a ContractViolation.
+// round-trips through both codecs, the malformed-input contract — a bad
+// frame is a structured per-session error that never disturbs the other
+// sessions and never surfaces as a ContractViolation — and the write
+// path: one send(2) per session per reactor pass.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -13,9 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "rpc/codec.hpp"
 #include "rpc/load_driver.hpp"
+#include "rpc/reactor.hpp"
 #include "rpc/server.hpp"
+#include "rpc/session.hpp"
 #include "service/intake_queue.hpp"
 #include "service/service.hpp"
 #include "service/workload.hpp"
@@ -178,6 +183,30 @@ void send_all(int fd, const std::string& bytes) {
     ASSERT_GT(n, 0);
     off += static_cast<std::size_t>(n);
   }
+}
+
+/// Reads exactly `n` server messages (fewer if the peer closes first).
+std::vector<Message> read_n(int fd, Codec codec, std::size_t n) {
+  Decoder dec(codec);
+  std::vector<Message> got;
+  char chunk[4096];
+  while (got.size() < n) {
+    const ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
+    EXPECT_GT(r, 0) << "recv timed out, failed or hit EOF";
+    if (r <= 0) break;
+    dec.feed(std::string_view(chunk, static_cast<std::size_t>(r)));
+    for (;;) {
+      Message m;
+      std::string err;
+      const Decoder::Result res = dec.next(&m, &err);
+      if (res == Decoder::Result::kNeedMore) break;
+      EXPECT_EQ(res, Decoder::Result::kMessage) << err;
+      if (res != Decoder::Result::kMessage) return got;
+      got.push_back(m);
+    }
+  }
+  EXPECT_FALSE(dec.has_partial()) << "more than " << n << " messages";
+  return got;
 }
 
 /// Reads server messages until EOF (or a decode error on our side, which
@@ -373,6 +402,183 @@ TEST(RpcProtocolTest, BinaryGarbageAfterMagicIsAStructuredError) {
   EXPECT_EQ(replies[1].type, MsgType::kError);
   EXPECT_NE(replies[1].text.find("unknown frame tag"), std::string::npos);
   EXPECT_EQ(server.stats().protocol_errors, 1u);
+}
+
+TEST(RpcProtocolTest, DeepJsonNestingFailsItsSessionAlone) {
+  const net::Graph g = named_diamond();
+  Server server(g);
+  server.start();
+
+  // A well-behaved session is mid-stream when the hostile one arrives.
+  const int good = dial(server.port());
+  send_all(good, json_line(hello()) +
+                     json_line(submit_msg(1, {"s", "m", "t"}, {"s", "b", "t"})));
+  const std::vector<Message> greeted = read_n(good, Codec::kJson, 2);
+  ASSERT_EQ(greeted.size(), 2u);
+  EXPECT_EQ(greeted[1].type, MsgType::kAck);
+
+  // An unknown field opening 100 000 arrays: enough to run an unbounded
+  // recursive parser off the reactor thread's stack, and so take down
+  // every session with it.
+  {
+    const int fd = dial(server.port());
+    send_all(fd, json_line(hello()) + "{\"type\":\"submit\",\"x\":" +
+                     std::string(100000, '[') + "\n");
+    const std::vector<Message> replies = read_until_eof(fd, Codec::kJson);
+    ::close(fd);
+    ASSERT_EQ(replies.size(), 2u);
+    EXPECT_EQ(replies[0].type, MsgType::kHelloAck);
+    EXPECT_EQ(replies[1].type, MsgType::kError);
+    EXPECT_NE(replies[1].text.find("nested deeper"), std::string::npos)
+        << replies[1].text;
+  }
+
+  Message done;
+  done.type = MsgType::kDone;
+  send_all(good, json_line(done));
+  const std::vector<Message> tail = read_until_eof(good, Codec::kJson);
+  ::close(good);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].type, MsgType::kRecord);
+  EXPECT_EQ(tail[0].record.id, 1u);
+  EXPECT_EQ(tail[1].type, MsgType::kReport);
+
+  // And a session that starts afterwards still gets full service.
+  std::vector<service::UpdateRequest> reqs;
+  for (std::uint64_t id = 2; id <= 4; ++id) reqs.push_back(small_request(id));
+  LoadOptions lopt;
+  lopt.port = server.port();
+  const LoadResult load = run_load(g, reqs, lopt);
+  server.join();
+
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_EQ(load.records.size(), 3u);
+  EXPECT_EQ(server.stats().protocol_errors, 1u);
+}
+
+// A request whose paths no instance can be built from (init ends at t,
+// fin at b) passes the wire checks, which only resolve names. The service
+// rejects it as infeasible when it arrives, in the round's one epoch:
+// admitted, it would fail to plan in every epoch until max_defers turned
+// it into a capacity rejection.
+TEST(RpcServerTest, MalformedPathsAreRejectedAtArrival) {
+  obs::MetricsRegistry reg;
+  const obs::ScopedMetrics scope(reg);
+  const net::Graph g = named_diamond();
+  Server server(g);
+  server.start();
+  service::UpdateRequest r = small_request(1);
+  r.p_fin = net::Path{0, 3};  // s -> b
+  LoadOptions lopt;
+  lopt.port = server.port();
+  const LoadResult load = run_load(g, {r}, lopt);
+  server.join();
+
+  ASSERT_TRUE(load.ok) << load.error;
+  ASSERT_EQ(load.records.size(), 1u);
+  EXPECT_EQ(load.records[0].status, "rejected-infeasible");
+  EXPECT_EQ(load.records[0].defers, 0);
+  EXPECT_EQ(load.records[0].message,
+            "paths must share source and destination");
+  EXPECT_EQ(reg.snapshot().counters.at("service.epochs"), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The write path: a reactor pass costs one send(2) per session however
+// many frames it queued (rpc.socket_writes counts the calls).
+
+std::int64_t socket_writes(const obs::MetricsRegistry& reg) {
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const auto it = snap.gauges.find("rpc.socket_writes");
+  return it == snap.gauges.end() ? 0 : it->second.value;
+}
+
+TEST(SessionWrites, OnePassAnswersEveryBufferedFrameInOneWrite) {
+  obs::MetricsRegistry reg;
+  const obs::ScopedMetrics scope(reg);
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+  ASSERT_EQ(::fcntl(sv[0], F_SETFL, O_NONBLOCK), 0);
+  timeval tv{};
+  tv.tv_sec = 30;  // wall-clock safety net for the reads below
+  ::setsockopt(sv[1], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+
+  Reactor reactor;
+  Session::Hooks hooks;
+  hooks.on_submit = [](Session&, const WireRequest& w) {
+    Message ack;
+    ack.type = MsgType::kAck;
+    ack.id = w.id;
+    return ack;
+  };
+  Session session(reactor, sv[0], 1, hooks);
+  session.start();
+
+  std::string in(kBinaryMagic);
+  in += encode(Codec::kBinary, hello());
+  for (std::uint64_t id = 1; id <= 20; ++id) {
+    in += encode(Codec::kBinary,
+                 submit_msg(id, {"s", "m", "t"}, {"s", "b", "t"}));
+  }
+  send_all(sv[1], in);
+
+  ASSERT_TRUE(reactor.poll_once(0));
+  EXPECT_EQ(socket_writes(reg), 1);
+  const std::vector<Message> replies = read_n(sv[1], Codec::kBinary, 21);
+  ASSERT_EQ(replies.size(), 21u);
+  EXPECT_EQ(replies[0].type, MsgType::kHelloAck);
+  for (std::uint64_t id = 1; id <= 20; ++id) {
+    EXPECT_EQ(replies[id].type, MsgType::kAck);
+    EXPECT_EQ(replies[id].id, id);
+  }
+  EXPECT_EQ(session.submitted(), 20u);
+
+  // A pass with nothing to read writes nothing.
+  ASSERT_TRUE(reactor.poll_once(0));
+  EXPECT_EQ(socket_writes(reg), 1);
+  ::close(sv[1]);
+}
+
+TEST(SessionWrites, ARoundsRecordsLeaveInOneWritePerSession) {
+  obs::MetricsRegistry reg;
+  const obs::ScopedMetrics scope(reg);
+  Server server(named_diamond());
+  server.start();
+
+  constexpr std::size_t kSessions = 3;
+  constexpr std::size_t kPerSession = 4;
+  std::vector<int> fds;
+  std::uint64_t id = 0;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    const int fd = dial(server.port());
+    std::string out = json_line(hello());
+    for (std::size_t k = 0; k < kPerSession; ++k) {
+      out += json_line(submit_msg(++id, {"s", "m", "t"}, {"s", "b", "t"}));
+    }
+    send_all(fd, out);
+    // Every session still streams, so no round can start before the last
+    // one sends done.
+    const std::vector<Message> acks = read_n(fd, Codec::kJson, 1 + kPerSession);
+    ASSERT_EQ(acks.size(), 1 + kPerSession);
+    EXPECT_EQ(acks.back().type, MsgType::kAck);
+    fds.push_back(fd);
+  }
+
+  const std::int64_t before = socket_writes(reg);
+  Message done;
+  done.type = MsgType::kDone;
+  for (const int fd : fds) send_all(fd, json_line(done));
+  for (const int fd : fds) {
+    // The session's records, then its report, and the close.
+    const std::vector<Message> tail = read_until_eof(fd, Codec::kJson);
+    ::close(fd);
+    ASSERT_EQ(tail.size(), kPerSession + 1);
+    EXPECT_EQ(tail.back().type, MsgType::kReport);
+  }
+  server.join();
+  EXPECT_EQ(server.stats().rounds, 1u);
+  EXPECT_EQ(socket_writes(reg) - before,
+            static_cast<std::int64_t>(kSessions));
 }
 
 }  // namespace

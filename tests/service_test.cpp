@@ -553,10 +553,9 @@ std::string record_line(const RequestRecord& rec) {
 
 // Each single's job borrows one working copy of the topology, narrows its
 // footprint links and hands the graph back. One run mixing a request
-// whose instance cannot be built (from_paths throws after taking the
-// graph), an unplannable reroute and plannable reroutes over the same
-// links must record every request as a fresh service running it alone
-// does. Only footprint capacities are read, so a graph handed back
+// whose instance cannot be built (rejected when it arrives), an
+// unplannable reroute and plannable reroutes over the same links must
+// record every request as a fresh service running it alone does. Only footprint capacities are read, so a graph handed back
 // narrowed would not show in the records; the job's postcondition throws
 // instead, and a graph not handed back throws on the next job.
 TEST(UpdateService, LentWorkingGraphComesBackUnchanged) {
@@ -611,6 +610,26 @@ TEST(UpdateService, LentWorkingGraphComesBackUnchanged) {
   EXPECT_EQ(together.records[1].message,
             "paths must share source and destination");
   EXPECT_EQ(together.records[3].status, RequestStatus::kRejectedCapacity);
+}
+
+// testdata/malformed_paths.trace holds one request, `init s0 A B t0` /
+// `fin s0 C D`: its links exist, so it has a footprint, but its paths end
+// apart, so no instance can be built from them. It is rejected as
+// infeasible at arrival, in the run's only epoch: admitted, it would throw
+// in from_paths in every epoch until max_defers (64) turned it into a
+// capacity rejection.
+TEST(UpdateService, MalformedPathsAreRejectedAtArrival) {
+  const ServiceTrace trace = io::read_trace_file(
+      std::string(CHRONUS_TESTDATA_DIR) + "/malformed_paths.trace");
+  obs::MetricsRegistry reg;
+  const obs::ScopedMetrics scope(reg);
+  const ServiceReport rep = UpdateService(trace.graph).run(trace);
+  ASSERT_EQ(rep.records.size(), 1u);
+  const RequestRecord& r = rep.records[0];
+  EXPECT_EQ(r.status, RequestStatus::kRejectedInfeasible);
+  EXPECT_EQ(r.defers, 0);
+  EXPECT_EQ(r.message, "paths must share source and destination");
+  EXPECT_EQ(reg.snapshot().counters.at("service.epochs"), 1u);
 }
 
 }  // namespace

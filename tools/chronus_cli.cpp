@@ -74,22 +74,33 @@ int usage() {
   return 2;
 }
 
-net::UpdateInstance load_instance(const util::Cli& cli) {
-  const std::string path = cli.get("instance", "");
+/// Each command reads every flag it takes before it does any work and
+/// then calls this: a flag it never read (a typo, or another command's
+/// flag) stops it with exit status 2 instead of being ignored.
+int unknown_flags(const util::Cli& cli) {
+  const std::vector<std::string> unused = cli.unused();
+  if (unused.empty()) return 0;
+  std::fprintf(stderr, "unknown flag: --%s\n", unused.front().c_str());
+  return 2;
+}
+
+net::UpdateInstance load_instance(const std::string& path) {
   if (path.empty()) throw std::runtime_error("--instance is required");
   return io::read_instance_file(path);
 }
 
 int cmd_example(const util::Cli& cli) {
   const std::string name = cli.get("name", "fig1");
+  net::RandomInstanceOptions opt;
+  opt.n = static_cast<std::size_t>(cli.get_int("n", 10));
+  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  if (int rc = unknown_flags(cli)) return rc;
   if (name == "fig1") {
     io::write_instance(std::cout, net::fig1_instance());
     return 0;
   }
   if (name == "random") {
-    net::RandomInstanceOptions opt;
-    opt.n = static_cast<std::size_t>(cli.get_int("n", 10));
-    util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
+    util::Rng rng(seed);
     io::write_instance(std::cout, net::random_instance(opt, rng));
     return 0;
   }
@@ -113,8 +124,12 @@ int report_schedule(const net::UpdateInstance& inst,
 }
 
 int cmd_schedule(const util::Cli& cli) {
-  const auto inst = load_instance(cli);
+  const std::string path = cli.get("instance", "");
   const std::string algo = cli.get("algo", "greedy");
+  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const double timeout = cli.get_double("timeout", 10.0);
+  if (int rc = unknown_flags(cli)) return rc;
+  const auto inst = load_instance(path);
   if (algo == "greedy" || algo == "pure") {
     core::GreedyOptions opts;
     opts.guard_with_verifier = algo == "greedy";
@@ -126,7 +141,7 @@ int cmd_schedule(const util::Cli& cli) {
     return report_schedule(inst, res.schedule, res.feasible(), res.message);
   }
   if (algo == "restart") {
-    util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
+    util::Rng rng(seed);
     const auto res = core::randomized_restart_schedule(inst, rng);
     return report_schedule(inst, res.schedule, res.feasible(), res.message);
   }
@@ -136,7 +151,7 @@ int cmd_schedule(const util::Cli& cli) {
   }
   if (algo == "opt") {
     opt::MutpOptions opts;
-    opts.timeout_sec = cli.get_double("timeout", 10.0);
+    opts.timeout_sec = timeout;
     const auto res = opt::solve_mutp(inst, opts);
     if (res.feasible() && !res.proved_optimal) {
       std::fprintf(stderr, "# warning: optimality not proved (%s)\n",
@@ -150,9 +165,10 @@ int cmd_schedule(const util::Cli& cli) {
 
 int cmd_schedule_flows(const util::Cli& cli) {
   const std::string path = cli.get("instance", "");
+  const std::string mode = cli.get("mode", "joint");
+  if (int rc = unknown_flags(cli)) return rc;
   if (path.empty()) throw std::runtime_error("--instance is required");
   const auto flows = io::read_flows_file(path);
-  const std::string mode = cli.get("mode", "joint");
   const auto res = mode == "seq"
                        ? core::schedule_flows_sequentially(flows)
                        : core::schedule_flows_jointly(flows);
@@ -172,8 +188,10 @@ int cmd_schedule_flows(const util::Cli& cli) {
 }
 
 int cmd_verify(const util::Cli& cli) {
-  const auto inst = load_instance(cli);
+  const std::string path = cli.get("instance", "");
   const std::string spath = cli.get("schedule", "");
+  if (int rc = unknown_flags(cli)) return rc;
+  const auto inst = load_instance(path);
   if (spath.empty()) throw std::runtime_error("--schedule is required");
   std::ifstream in(spath);
   if (!in) throw std::runtime_error("cannot open " + spath);
@@ -184,7 +202,9 @@ int cmd_verify(const util::Cli& cli) {
 }
 
 int cmd_or_plan(const util::Cli& cli) {
-  const auto inst = load_instance(cli);
+  const std::string path = cli.get("instance", "");
+  if (int rc = unknown_flags(cli)) return rc;
+  const auto inst = load_instance(path);
   const auto plan = opt::solve_order_replacement(inst);
   if (!plan.feasible) {
     std::fprintf(stderr, "no loop-free round sequence: %s\n",
@@ -204,7 +224,7 @@ int cmd_or_plan(const util::Cli& cli) {
 }
 
 int cmd_trace(const util::Cli& cli) {
-  const obs::MetricsSidecar metrics(cli.get("metrics", ""), "chronus_cli.trace");
+  const std::string metrics_path = cli.get("metrics", "");
   service::WorkloadOptions opt;
   opt.requests = static_cast<int>(cli.get_int("requests", 200));
   opt.arrival_rate_hz = cli.get_double("rate", 40.0);
@@ -214,6 +234,8 @@ int cmd_trace(const util::Cli& cli) {
   opt.rescue_sites = static_cast<int>(cli.get_int("rescue", 0));
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const std::string out = cli.get("out", "");
+  if (int rc = unknown_flags(cli)) return rc;
+  const obs::MetricsSidecar metrics(metrics_path, "chronus_cli.trace");
   if (out.empty()) {
     io::write_trace(std::cout, service::make_workload(opt));
   } else {
@@ -225,10 +247,8 @@ int cmd_trace(const util::Cli& cli) {
 }
 
 int cmd_serve(const util::Cli& cli) {
-  const obs::MetricsSidecar metrics(cli.get("metrics", ""), "chronus_cli.serve");
+  const std::string metrics_path = cli.get("metrics", "");
   const std::string path = cli.get("trace", "");
-  if (path.empty()) throw std::runtime_error("--trace is required");
-  const service::ServiceTrace trace = io::read_trace_file(path);
 
   service::ServiceOptions opts;
   opts.epoch = cli.get_int("epoch-ms", 50) * sim::kMillisecond;
@@ -240,29 +260,32 @@ int cmd_serve(const util::Cli& cli) {
   const std::string json_path = cli.get("json", "");
 
   const long long listen_port = cli.get_int("listen", -1);
+  rpc::ServerOptions sopts;
+  sopts.intake_capacity =
+      static_cast<std::size_t>(cli.get_int("intake-cap", 256));
+  sopts.round_trigger_depth =
+      static_cast<std::size_t>(cli.get_int("trigger-depth", 0));
+  sopts.service = opts;
+  rpc::LoadOptions lopts;
+  lopts.codec = cli.get("codec", "binary") == "json" ? rpc::Codec::kJson
+                                                     : rpc::Codec::kBinary;
+  lopts.connections = static_cast<std::size_t>(cli.get_int("connections", 4));
+  if (int rc = unknown_flags(cli)) return rc;
+
+  const obs::MetricsSidecar metrics(metrics_path, "chronus_cli.serve");
+  if (path.empty()) throw std::runtime_error("--trace is required");
+  const service::ServiceTrace trace = io::read_trace_file(path);
 
   if (listen_port >= 0) {
     // Socket front-end: serve the request stream to ourselves over
     // loopback through the rpc server, exactly as a remote client would.
-    rpc::ServerOptions sopts;
     sopts.port = static_cast<std::uint16_t>(listen_port);
-    sopts.intake_capacity =
-        static_cast<std::size_t>(cli.get_int("intake-cap", 256));
-    sopts.round_trigger_depth =
-        static_cast<std::size_t>(cli.get_int("trigger-depth", 0));
-    sopts.service = opts;
     rpc::Server server(trace.graph, sopts);
     server.start();
     std::fprintf(stderr, "# listening on %s:%u\n", sopts.host.c_str(),
                  static_cast<unsigned>(server.port()));
 
-    rpc::LoadOptions lopts;
     lopts.port = server.port();
-    lopts.codec =
-        cli.get("codec", "binary") == "json" ? rpc::Codec::kJson
-                                             : rpc::Codec::kBinary;
-    lopts.connections =
-        static_cast<std::size_t>(cli.get_int("connections", 4));
     const rpc::LoadResult load =
         rpc::run_load(trace.graph, trace.requests, lopts);
     server.join();
@@ -324,8 +347,10 @@ int cmd_serve(const util::Cli& cli) {
 }
 
 int cmd_dot(const util::Cli& cli) {
-  const auto inst = load_instance(cli);
+  const std::string path = cli.get("instance", "");
   const std::string spath = cli.get("schedule", "");
+  if (int rc = unknown_flags(cli)) return rc;
+  const auto inst = load_instance(path);
   if (spath.empty()) {
     std::printf("%s", io::to_dot(inst).c_str());
     return 0;
