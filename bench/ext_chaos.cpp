@@ -68,8 +68,6 @@ sim::ChaosScenario make_scenario(int intensity) {
 service::DegradationPolicy make_ladder() {
   service::DegradationPolicy p;
   p.latency_slo = 30 * sim::kSecond;
-  p.greedy_enter = 6;
-  p.greedy_exit = 3;
   p.defer_enter = 10;
   p.defer_exit = 5;
   p.shed_enter = 14;

@@ -4,10 +4,10 @@
 //
 // Sweeps arrival rate x flow-pair count x conflict density over generated
 // workloads (service/workload.hpp) and reports, per point: completion
-// throughput, rejection rate, mean and p95 request latency, joint batches
-// formed, and admission rounds — all with every accepted plan re-verified
-// congestion- and loop-free under the reservation capacities (the
-// `violations` column must stay 0).
+// throughput, rejection rate, mean and p95 request latency, and admission
+// rounds — all with every accepted plan re-verified congestion- and
+// loop-free under the reservation capacities (the `violations` column must
+// stay 0).
 //
 //   ./bench/ext_service [--requests=N] [--rescue=N] [--seed=N]
 //                       [--json=PATH] [--metrics=PATH]
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
               requests, rescue, static_cast<unsigned long long>(seed));
 
   util::Table table({"rate Hz", "pairs", "conflict", "done %", "rej %",
-                     "thr req/s", "lat ms", "p95 ms", "joint", "rounds",
+                     "thr req/s", "lat ms", "p95 ms", "rounds",
                      "violations"});
   for (const double rate : {10.0, 25.0, 50.0}) {
     for (const int pairs : {4, 8}) {
@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
              util::fmt(rep.throughput_hz(), 1),
              util::fmt(rep.mean_latency() / 1000.0, 0),
              util::fmt(rep.latency_percentile(95) / 1000.0, 0),
-             std::to_string(rep.joint_batches),
              std::to_string(rep.admission_rounds),
              std::to_string(rep.violations)});
         if (json) {
@@ -86,8 +85,6 @@ int main(int argc, char** argv) {
           json->field("throughput_hz", rep.throughput_hz());
           json->field("latency_mean_us", rep.mean_latency());
           json->field("latency_p95_us", rep.latency_percentile(95));
-          json->field("joint_batches",
-                      static_cast<std::int64_t>(rep.joint_batches));
           json->field("admission_rounds",
                       static_cast<std::int64_t>(rep.admission_rounds));
           json->field("violations", static_cast<std::int64_t>(rep.violations));

@@ -101,8 +101,6 @@ void visit_body(M& m, Visit& visit) {
       visit("admitted", r.admitted);
       visit("completed", r.completed);
       visit("defers", r.defers);
-      visit("joint", r.joint);
-      visit("batch", r.batch);
       visit("plan_span", r.plan_span);
       visit("exec_duration", r.exec_duration);
       visit("retries", r.retries);

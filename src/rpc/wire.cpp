@@ -91,8 +91,6 @@ WireRecord to_wire(const service::RequestRecord& rec) {
   w.admitted = rec.admitted;
   w.completed = rec.completed;
   w.defers = rec.defers;
-  w.joint = rec.joint;
-  w.batch = rec.batch;
   w.plan_span = rec.plan_span;
   w.exec_duration = rec.exec_duration;
   w.retries = rec.exec_retries;

@@ -31,7 +31,9 @@
 
 namespace chronus::rpc {
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// Version 2 dropped the record's `joint` and `batch` fields; a version 1
+/// client is refused at hello rather than misreading records.
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 enum class MsgType : std::uint8_t {
   kHello = 0x01,
@@ -88,8 +90,6 @@ struct WireRecord {
   sim::SimTime admitted = 0;
   sim::SimTime completed = 0;
   int defers = 0;
-  bool joint = false;
-  std::uint64_t batch = 0;
   std::int64_t plan_span = 0;
   sim::SimTime exec_duration = 0;
   int retries = 0;

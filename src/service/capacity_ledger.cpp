@@ -43,20 +43,6 @@ net::Demand CapacityLedger::committed(net::LinkId id) const {
   return committed_.at(id);
 }
 
-net::Capacity CapacityLedger::headroom(net::LinkId id) const {
-  const util::MutexLock lock(mu_);
-  const net::Capacity room = capacity_.at(id) - committed_.at(id);
-  return room > net::Capacity{} ? room : net::Capacity{};
-}
-
-bool CapacityLedger::fits(const Footprint& fp) const {
-  const util::MutexLock lock(mu_);
-  for (const auto& [id, amount] : fp) {
-    if (committed_.at(id) + amount > capacity_.at(id) + kEps) return false;
-  }
-  return true;
-}
-
 bool CapacityLedger::try_reserve(const Footprint& fp) {
   obs::add("ledger.reserve_attempts");
   const util::MutexLock lock(mu_);

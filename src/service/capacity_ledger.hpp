@@ -50,13 +50,6 @@ class CapacityLedger {
   /// Capacity currently committed to in-flight transitions.
   net::Demand committed(net::LinkId id) const CHRONUS_EXCLUDES(mu_);
 
-  /// capacity - committed, never negative.
-  net::Capacity headroom(net::LinkId id) const CHRONUS_EXCLUDES(mu_);
-
-  /// True iff the whole footprint fits the current headroom (advisory: a
-  /// concurrent reserve may invalidate it; use try_reserve to commit).
-  bool fits(const Footprint& fp) const CHRONUS_EXCLUDES(mu_);
-
   /// Atomically commits the footprint; returns false (ledger unchanged)
   /// if any link lacks headroom. Negative reservations are a contract
   /// violation (always a caller bug).

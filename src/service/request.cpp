@@ -34,8 +34,6 @@ const char* to_string(DegradationMode m) {
   switch (m) {
     case DegradationMode::kFull:
       return "full";
-    case DegradationMode::kGreedyOnly:
-      return "greedy-only";
     case DegradationMode::kDefer:
       return "defer";
     case DegradationMode::kShed:
@@ -124,8 +122,7 @@ std::string ServiceReport::to_string() const {
           << "s -> " << service::to_string(mode) << "\n";
     }
   }
-  out << "joint batches " << joint_batches << ", admission rounds "
-      << admission_rounds << ", peak link utilization "
+  out << "admission rounds " << admission_rounds << ", peak link utilization "
       << util::fmt(100.0 * peak_utilization, 1) << "%\n";
   out << "makespan " << util::fmt(static_cast<double>(makespan) / sim::kSecond,
                                   3)
@@ -136,7 +133,7 @@ std::string ServiceReport::to_string() const {
   out << "verifier violations " << violations << "\n";
 
   util::Table table({"id", "status", "arrival ms", "wait ms", "latency ms",
-                     "defers", "mode", "span", "retries", "verified"});
+                     "defers", "span", "retries", "verified"});
   for (const RequestRecord& r : records) {
     const bool done = r.status == RequestStatus::kCompleted ||
                       r.status == RequestStatus::kFailed;
@@ -149,7 +146,6 @@ std::string ServiceReport::to_string() const {
                           1)
               : "-",
          std::to_string(r.defers),
-         done ? (r.joint ? "joint#" + std::to_string(r.batch) : "single") : "-",
          done ? std::to_string(r.plan_span) : "-",
          done ? std::to_string(r.exec_retries) : "-",
          done ? (r.plan_verified && r.run_verified ? "clean" : "VIOLATION")
@@ -164,9 +160,9 @@ std::string ServiceReport::digest() const {
   for (const RequestRecord& r : records) {
     out << r.id << '|' << service::to_string(r.status) << '|' << r.arrival
         << '|' << r.admitted << '|' << r.completed << '|' << r.defers << '|'
-        << r.joint << '|' << r.batch << '|' << r.plan_span << '|'
-        << r.exec_duration << '|' << r.exec_retries << '|' << r.plan_verified
-        << '|' << r.run_verified << '|' << r.violations;
+        << r.plan_span << '|' << r.exec_duration << '|' << r.exec_retries
+        << '|' << r.plan_verified << '|' << r.run_verified << '|'
+        << r.violations;
     // Ladder fields are appended only when a campaign touched the request,
     // so clean-run digests stay byte-identical to the pre-ladder format.
     if (r.faults != 0 || r.degradation != DegradationMode::kFull) {
@@ -174,8 +170,8 @@ std::string ServiceReport::digest() const {
     }
     out << '\n';
   }
-  out << "batches=" << joint_batches << " rounds=" << admission_rounds
-      << " violations=" << violations << '\n';
+  out << "rounds=" << admission_rounds << " violations=" << violations
+      << '\n';
   for (const auto& [t, mode] : health_log) {
     out << "health|" << t << '|' << service::to_string(mode) << '\n';
   }

@@ -4,8 +4,8 @@
 // service instead receives a *stream* of UpdateRequests — "move flow f from
 // p_init to p_fin, demand d, before this deadline" — arriving over virtual
 // time, and answers each with a RequestRecord describing what happened to
-// it: admitted (alone or in a joint batch), deferred-then-admitted,
-// rejected by the admission controller, or failed in execution. A
+// it: admitted, deferred-then-admitted, rejected (by the admission
+// controller or because no plan exists), or failed in execution. A
 // ServiceReport aggregates the per-request records into the service-level
 // metrics (throughput, latency percentiles, rejection breakdown).
 #pragma once
@@ -44,10 +44,13 @@ struct UpdateRequest {
 enum class RequestStatus {
   kPending,             ///< not yet decided (only seen mid-run)
   kCompleted,           ///< planned, executed, commitments released
-  kRejectedInfeasible,  ///< demand exceeds a link's raw capacity
+  kRejectedInfeasible,  ///< no plan can exist: the paths make no instance,
+                        ///< the demand exceeds a link's raw capacity, or
+                        ///< the guarded greedy found no order within the
+                        ///< request's own reservation
   kRejectedDeadline,    ///< deadline passed while queued
   kRejectedCapacity,    ///< gave up after max_defers admission rounds
-  kFailed,              ///< admitted but planning/execution failed
+  kFailed,              ///< planned, but execution failed
   kShedOverload,        ///< shed by the degradation ladder under overload
   kWatchdogTimeout,     ///< planning cancelled past the latency SLO
 };
@@ -55,18 +58,16 @@ enum class RequestStatus {
 const char* to_string(RequestStatus s);
 
 /// The graceful-degradation ladder's health states, escalating with
-/// dispatcher-queue pressure: full planning (joint batching + execution)
-/// -> greedy-only (joint batching disabled) -> defer (no admissions while
-/// the backlog can still drain through completions or keeps growing) ->
-/// shed (excess queue entries rejected outright). The dispatcher walks the
-/// ladder on queue-depth thresholds with hysteresis
+/// dispatcher-queue pressure: full (admit and plan every epoch) -> defer
+/// (no admissions while the backlog can still drain through completions or
+/// keeps growing) -> shed (excess queue entries rejected outright). The
+/// dispatcher walks the ladder on queue-depth thresholds with hysteresis
 /// (service::DegradationPolicy) and records the mode each request was
 /// decided under.
 enum class DegradationMode {
   kFull = 0,
-  kGreedyOnly = 1,
-  kDefer = 2,
-  kShed = 3,
+  kDefer = 1,
+  kShed = 2,
 };
 
 const char* to_string(DegradationMode m);
@@ -80,9 +81,6 @@ struct RequestRecord {
   sim::SimTime admitted = 0;    ///< admission round that reserved capacity
   sim::SimTime completed = 0;   ///< virtual completion (release) instant
   int defers = 0;               ///< admission rounds spent waiting
-
-  bool joint = false;           ///< planned via schedule_flows_jointly
-  std::uint64_t batch = 0;      ///< joint batch id (joint records only)
 
   std::int64_t plan_span = 0;       ///< schedule steps of the plan
   sim::SimTime exec_duration = 0;   ///< simulated execution wall time
@@ -120,7 +118,6 @@ struct ServiceReport {
   std::size_t rejected_infeasible = 0;
   std::size_t rejected_deadline = 0;
   std::size_t rejected_capacity = 0;
-  std::size_t joint_batches = 0;
   std::size_t admission_rounds = 0;
   std::size_t shed = 0;                ///< requests shed under overload
   std::size_t watchdog_cancelled = 0;  ///< planning cancelled past the SLO

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/multi_flow.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/chaos.hpp"
@@ -22,16 +21,11 @@ void DegradationPolicy::validate() const {
   const auto rung = [](std::size_t enter, std::size_t exit, const char* msg) {
     CHRONUS_EXPECTS(enter == 0 || exit < enter, msg);
   };
-  rung(greedy_enter, greedy_exit, "greedy_exit must be below greedy_enter");
   rung(defer_enter, defer_exit, "defer_exit must be below defer_enter");
   rung(shed_enter, shed_exit, "shed_exit must be below shed_enter");
-  // Enter thresholds must be non-decreasing up the ladder wherever two
-  // adjacent rungs are both enabled, else a depth could skip a rung's
-  // window entirely and the ladder order would be meaningless.
-  if (greedy_enter > 0 && defer_enter > 0) {
-    CHRONUS_EXPECTS(greedy_enter <= defer_enter,
-                    "defer_enter must be at or above greedy_enter");
-  }
+  // Enter thresholds must be non-decreasing up the ladder when both rungs
+  // are enabled, else a depth could skip the defer window entirely and
+  // the ladder order would be meaningless.
   if (defer_enter > 0 && shed_enter > 0) {
     CHRONUS_EXPECTS(defer_enter <= shed_enter,
                     "shed_enter must be at or above defer_enter");
@@ -67,12 +61,11 @@ void restore_capacities(net::Graph& g, const net::Graph& base,
   });
 }
 
-/// Planning outcome of one admitted single or group.
+/// Planning outcome of one admitted request.
 struct PlanResult {
   bool feasible = false;
-  timenet::UpdateSchedule schedule;  ///< singles
-  core::MultiFlowResult joint;       ///< groups
-  bool verified = false;             ///< plan re-check under the reservation
+  timenet::UpdateSchedule schedule;
+  bool verified = false;  ///< plan re-check under the reservation
   int violations = 0;
   std::string message;
 };
@@ -158,23 +151,9 @@ bool served_before(const PendingRequest& a, const PendingRequest& b) {
 }
 
 struct SingleJob {
-  std::size_t pend_idx = 0;
   PlanResult plan;
   ExecResult exec;
 };
-
-struct GroupJob {
-  JointGroup group;
-  PlanResult plan;
-  std::vector<ExecResult> execs;  ///< one per member
-};
-
-/// One job's scope: the span starts a fresh "workerpool.job" path (not one
-/// under service.run), so the layer readout finds every job at one path.
-obs::Span job_span() {
-  obs::add("workerpool.jobs");
-  return obs::Span::root("workerpool.job");
-}
 
 /// Plans one request alone and, when the plan is feasible and
 /// `opts.execute` is set, executes it on the same instance. `work` is the
@@ -185,7 +164,10 @@ obs::Span job_span() {
 void single_job(net::Graph& work, const net::Graph& base,
                 const PendingRequest& p, const ServiceOptions& opts,
                 sim::SimTime now, SingleJob* job) {
-  const obs::Span span = job_span();
+  obs::add("workerpool.jobs");
+  // A fresh "workerpool.job" path (not one under service.run), so the
+  // layer readout finds every job at one path.
+  const obs::Span span = obs::Span::root("workerpool.job");
   PlanResult& out = job->plan;
   for (const auto& [id, amount] : p.footprint) {
     work.set_capacity(id, util::capacity_for(amount));
@@ -218,51 +200,6 @@ void single_job(net::Graph& work, const net::Graph& base,
   work = std::move(inst.mutable_graph());
   CHRONUS_ENSURES(restored(work, base, p.footprint),
                   "the working graph came back narrowed");
-}
-
-/// Plans a conflict group jointly under the group reservation and, when
-/// the plan is feasible and `opts.execute` is set, executes each member on
-/// its planning instance once `base`'s capacities are back.
-void group_job(const net::Graph& group_graph, const net::Graph& base,
-               const std::vector<PendingRequest>& pending,
-               const ServiceOptions& opts, sim::SimTime now, GroupJob* job) {
-  const obs::Span span = job_span();
-  PlanResult& out = job->plan;
-  try {
-    std::vector<net::UpdateInstance> flows;
-    flows.reserve(job->group.members.size());
-    for (const std::size_t idx : job->group.members) {
-      flows.push_back(make_instance(group_graph, *pending[idx].request));
-    }
-    out.joint = core::schedule_flows_jointly(flows);
-    if (!out.joint.feasible()) {
-      out.message =
-          out.joint.message.empty() ? "joint plan infeasible" : out.joint.message;
-      return;
-    }
-    std::vector<timenet::FlowTransition> transitions;
-    transitions.reserve(flows.size());
-    for (std::size_t k = 0; k < flows.size(); ++k) {
-      timenet::FlowTransition ft;
-      ft.instance = &flows[k];
-      ft.schedule = &out.joint.schedules[k];
-      transitions.push_back(ft);
-    }
-    const timenet::TransitionReport rep =
-        timenet::verify_transitions(transitions);
-    out.feasible = true;
-    out.verified = rep.ok();
-    out.violations = violation_count(rep);
-    if (!opts.execute) return;
-    for (std::size_t m = 0; m < flows.size(); ++m) {
-      restore_capacities(flows[m].mutable_graph(), base,
-                         job->group.reservation);
-      exec_job(flows[m], *pending[job->group.members[m]].request,
-               out.joint.schedules[m], opts, now, &job->execs[m]);
-    }
-  } catch (const std::exception& e) {
-    out.message = e.what();
-  }
 }
 
 }  // namespace
@@ -319,19 +256,6 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
 
   const DegradationPolicy& ladder = opts_.degradation;
   DegradationMode health = DegradationMode::kFull;
-  const auto exit_depth = [&ladder](DegradationMode m) -> std::size_t {
-    switch (m) {
-      case DegradationMode::kGreedyOnly:
-        return ladder.greedy_exit;
-      case DegradationMode::kDefer:
-        return ladder.defer_exit;
-      case DegradationMode::kShed:
-        return ladder.shed_exit;
-      case DegradationMode::kFull:
-        break;
-    }
-    return 0;
-  };
 
   // Each entry points into `requests`, which is not reordered after the
   // sort above.
@@ -410,14 +334,11 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
     }
 
     // Walk the ladder on the post-watchdog queue depth: escalate straight
-    // to the highest tripped rung, de-escalate one rung per epoch once the
-    // depth reaches the current rung's exit threshold.
+    // to the highest tripped rung, de-escalate one enabled rung per epoch
+    // once the depth reaches the current rung's exit threshold.
     if (ladder.enabled()) {
       const std::size_t depth = pending.size();
       DegradationMode tripped = DegradationMode::kFull;
-      if (ladder.greedy_enter > 0 && depth >= ladder.greedy_enter) {
-        tripped = DegradationMode::kGreedyOnly;
-      }
       if (ladder.defer_enter > 0 && depth >= ladder.defer_enter) {
         tripped = DegradationMode::kDefer;
       }
@@ -426,10 +347,13 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
       }
       if (tripped > health) {
         set_health(tripped);
-      } else if (health > DegradationMode::kFull &&
-                 depth <= exit_depth(health)) {
-        set_health(
-            static_cast<DegradationMode>(static_cast<int>(health) - 1));
+      } else if (health == DegradationMode::kShed &&
+                 depth <= ladder.shed_exit) {
+        set_health(ladder.defer_enter > 0 ? DegradationMode::kDefer
+                                          : DegradationMode::kFull);
+      } else if (health == DegradationMode::kDefer &&
+                 depth <= ladder.defer_exit) {
+        set_health(DegradationMode::kFull);
       }
       if (health != DegradationMode::kFull) obs::add("service.degraded_epochs");
     }
@@ -454,67 +378,52 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
     // Defer and shed pause admission — but only while the backlog can
     // still drain through in-flight completions or future arrivals can
     // still deepen it. Once neither holds, holding the queue would starve
-    // it forever, so the effective mode falls back to greedy-only.
-    DegradationMode effective = health;
-    if (effective >= DegradationMode::kDefer && inflight.empty() &&
-        next_arrival >= requests.size()) {
-      effective = DegradationMode::kGreedyOnly;
-    }
+    // it forever, so admission runs as on the full rung.
+    const bool admit = health == DegradationMode::kFull ||
+                       (inflight.empty() && next_arrival >= requests.size());
 
     // 3. One admission round over the queue, in service order.
-    if (!pending.empty() && effective < DegradationMode::kDefer) {
+    if (!pending.empty() && admit) {
       std::sort(pending.begin(), pending.end(), served_before);
-      // The greedy-only rung plans through the same controller with joint
-      // batching off — the cheapest way to keep admitting under pressure.
-      AdmissionRound round =
-          admission.decide(pending, ledger, now,
-                           effective != DegradationMode::kGreedyOnly);
+      const AdmissionRound round = admission.decide(pending, ledger, now);
       ++report.admission_rounds;
 
       std::vector<char> resolved(pending.size(), 0);
-      for (const auto& [idx, status] : round.rejected) {
+      const auto reject = [&](std::size_t idx, RequestStatus status) {
         RequestRecord& rec = record(*pending[idx].request);
         rec.status = status;
         rec.completed = now;
         rec.defers = pending[idx].defers;
         rec.degradation = health;
         resolved[idx] = 1;
-      }
+      };
+      for (const auto& [idx, status] : round.rejected) reject(idx, status);
 
-      // 4. Run each reserved single, then each group, as one job: plan,
-      // then (for a feasible plan) execute. Each single borrows the working
-      // graph; a group plans on copies narrowed to its reservation.
-      std::vector<SingleJob> singles(round.singles.size());
-      for (std::size_t s = 0; s < round.singles.size(); ++s) {
-        SingleJob& job = singles[s];
-        job.pend_idx = round.singles[s];
-        single_job(*work_, base_, pending[job.pend_idx], opts_, now, &job);
-      }
-      std::vector<GroupJob> groups(round.groups.size());
-      for (std::size_t gi = 0; gi < round.groups.size(); ++gi) {
-        GroupJob& job = groups[gi];
-        job.group = std::move(round.groups[gi]);
-        job.execs.resize(job.group.members.size());
-        group_job(ledger.restricted_graph(base_, job.group.reservation), base_,
-                  pending, opts_, now, &job);
-      }
-
-      // 5. Commit results in request order; all ledger and record
-      // mutations happen here, on the dispatcher.
-      const auto commit_member = [&](const UpdateRequest& r,
-                                     const PendingRequest& p,
-                                     const PlanResult& plan,
-                                     const ExecResult& exec,
-                                     std::int64_t span, bool count_plan,
-                                     bool joint) -> sim::SimTime {
+      // 4. Run each admitted request as one job: plan on the borrowed
+      // working graph, then (for a feasible plan) execute. 5. Commit its
+      // result; all ledger and record mutations happen here, on the
+      // dispatcher, in round order.
+      for (const std::size_t idx : round.singles) {
+        const PendingRequest& p = pending[idx];
+        const UpdateRequest& r = *p.request;
+        SingleJob job;
+        single_job(*work_, base_, p, opts_, now, &job);
         RequestRecord& rec = record(r);
+        if (!job.plan.feasible) {
+          // The plan read only the request and its own reservation, and
+          // neither changes between rounds, so no later round could plan it.
+          ledger.release(p.footprint);
+          reject(idx, RequestStatus::kRejectedInfeasible);
+          rec.message = job.plan.message;
+          continue;
+        }
         rec.admitted = now;
         rec.defers = p.defers;
-        rec.joint = joint;
-        rec.plan_span = span;
-        rec.plan_verified = plan.verified;
+        rec.plan_span = job.plan.schedule.step_span();
+        rec.plan_verified = job.plan.verified;
         rec.degradation = health;
-        if (count_plan) rec.violations += plan.violations;
+        rec.violations += job.plan.violations;
+        const ExecResult& exec = job.exec;
         sim::SimTime duration = 0;
         if (opts_.execute) {
           if (exec.ran) {
@@ -536,8 +445,8 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
           }
         } else {
           rec.status = RequestStatus::kCompleted;
-          rec.run_verified = plan.verified;
-          duration = opts_.dispatch_lead + span * opts_.step_unit;
+          rec.run_verified = job.plan.verified;
+          duration = opts_.dispatch_lead + rec.plan_span * opts_.step_unit;
         }
         const sim::SimTime due = quantize_up(now + std::max<sim::SimTime>(
                                                        duration, 1));
@@ -546,55 +455,8 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
         // epoch dispatch alone, so it replays bit-identically — deliberately
         // not a _wall_us metric.
         obs::observe("service.request_latency_us", due - r.arrival);
-        return due;
-      };
-
-      for (SingleJob& job : singles) {
-        const PendingRequest& p = pending[job.pend_idx];
-        const UpdateRequest& r = *p.request;
-        if (!job.plan.feasible) {
-          ledger.release(p.footprint);
-          record(r).message = job.plan.message;
-          continue;  // stays pending, deferred below
-        }
-        const sim::SimTime due =
-            commit_member(r, p, job.plan, job.exec,
-                          job.plan.schedule.step_span(), /*count_plan=*/true,
-                          /*joint=*/false);
         inflight.emplace(std::make_pair(due, admit_seq++), p.footprint);
-        resolved[job.pend_idx] = 1;
-      }
-
-      for (GroupJob& job : groups) {
-        if (!job.plan.feasible) {
-          ledger.release(job.group.reservation);
-          for (const std::size_t idx : job.group.members) {
-            record(*pending[idx].request).message = job.plan.message;
-            // Don't re-attempt the same doomed batch next epoch; its
-            // members go back to the individual path for a while.
-            pending[idx].joint_cooldown = opts_.admission.joint_after_defers;
-          }
-          continue;  // members stay pending
-        }
-        ++report.joint_batches;
-        sim::SimTime group_due = 0;
-        for (std::size_t m = 0; m < job.group.members.size(); ++m) {
-          const PendingRequest& p = pending[job.group.members[m]];
-          const UpdateRequest& r = *p.request;
-          // Group-level plan violations are attributed to the first member
-          // only, so the report-wide sum counts each event once.
-          const sim::SimTime due = commit_member(
-              r, p, job.plan, job.execs[m],
-              job.plan.joint.schedules[m].step_span(),
-              /*count_plan=*/m == 0, /*joint=*/true);
-          RequestRecord& rec = record(r);
-          rec.batch = report.joint_batches;
-          group_due = std::max(group_due, due);
-          resolved[job.group.members[m]] = 1;
-        }
-        // The group reservation is held until the last member releases.
-        inflight.emplace(std::make_pair(group_due, admit_seq++),
-                         job.group.reservation);
+        resolved[idx] = 1;
       }
 
       std::vector<PendingRequest> survivors;
@@ -603,7 +465,6 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
         if (resolved[i]) continue;
         PendingRequest p = std::move(pending[i]);
         ++p.defers;  // spent one more round in the queue
-        if (p.joint_cooldown > 0) --p.joint_cooldown;
         survivors.push_back(std::move(p));
       }
       pending = std::move(survivors);
@@ -643,7 +504,6 @@ ServiceReport UpdateService::run(std::vector<UpdateRequest> requests) {
     obs::add("service.completed", completed);
     obs::add("service.failed", failed);
     obs::add("service.rejected", rejected);
-    obs::add("service.joint_batches", report.joint_batches);
   }
   return report;
 }

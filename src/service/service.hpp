@@ -4,17 +4,18 @@
 // (admission quanta). Every epoch boundary the dispatcher, single-threaded
 // and deterministic, (1) folds due completions back into the capacity
 // ledger, (2) ingests new arrivals, (3) runs one admission round
-// (service/admission.hpp) that reserves ledger capacity for independent
-// requests and conflict batches, (4) runs one job per reserved single and
-// per batch, in round order — greedy planning against the reservation-
-// restricted graph (joint planning for a batch), then timed execution
-// through sim::ResilientExecutor in a private simulation of the planning
-// instance with the original capacities put back — and (5) commits the
-// results in request order.
+// (service/admission.hpp) that reserves each admitted request's footprint
+// on the capacity ledger, (4) runs one job per admitted request, in round
+// order — greedy planning against the reservation-restricted graph, then
+// timed execution through sim::ResilientExecutor in a private simulation
+// of the planning instance with the original capacities put back — and
+// (5) commits the results in request order. A request whose plan fails is
+// rejected as infeasible in that round: its plan depends only on the
+// request and its own reservation, so no later round could plan it.
 //
-// A single's job copies no topology: it borrows the service's one working
-// copy, narrows its footprint links to the reservation, plans and executes
-// on it, and hands it back with the original capacities (DESIGN.md §9).
+// A job copies no topology: it borrows the service's one working copy,
+// narrows its footprint links to the reservation, plans and executes on
+// it, and hands it back with the original capacities (DESIGN.md §9).
 //
 // Jobs run inline on the dispatcher thread. A round holds about one job,
 // so a worker pool spent more on threads and barriers than it won back in
@@ -60,7 +61,8 @@ struct ServiceTrace {
 /// and virtual time — never the wall clock, so a degraded run replays
 /// bit-identically from its seed. Escalation is immediate (an epoch whose
 /// queue depth trips a higher `*_enter` threshold jumps straight to that
-/// mode); de-escalation is one rung per epoch and only once the depth has
+/// mode); de-escalation is one enabled rung per epoch (shed -> defer ->
+/// full, skipping a disabled defer rung) and only once the depth has
 /// fallen to the current rung's `*_exit` threshold. Keeping exit below
 /// enter gives the hysteresis band that stops the ladder from flapping at
 /// a threshold.
@@ -72,16 +74,13 @@ struct DegradationPolicy {
 
   /// Queue depths (pending requests at an epoch boundary) entering and
   /// leaving each rung; 0 disables the rung.
-  std::size_t greedy_enter = 0;  ///< full planning -> greedy-only
-  std::size_t greedy_exit = 0;
-  std::size_t defer_enter = 0;   ///< greedy-only -> defer (no admissions)
+  std::size_t defer_enter = 0;  ///< full -> defer (no admissions)
   std::size_t defer_exit = 0;
-  std::size_t shed_enter = 0;    ///< defer -> shed (reject the excess)
-  std::size_t shed_exit = 0;     ///< shed down to this depth, then recover
+  std::size_t shed_enter = 0;   ///< defer -> shed (reject the excess)
+  std::size_t shed_exit = 0;    ///< shed down to this depth, then recover
 
   bool enabled() const {
-    return latency_slo > 0 || greedy_enter > 0 || defer_enter > 0 ||
-           shed_enter > 0;
+    return latency_slo > 0 || defer_enter > 0 || shed_enter > 0;
   }
   /// Throws util::ContractViolation unless every enabled rung has
   /// exit < enter and the enter thresholds are non-decreasing up the
@@ -155,7 +154,7 @@ class UpdateService {
  private:
   net::Graph base_;
   ServiceOptions opts_;
-  /// base_'s working copy, lent to one single's job at a time and equal
+  /// base_'s working copy, lent to one job at a time and equal
   /// to base_ link for link between jobs. The first run() makes it, so
   /// building a service (as rpc::Server does at start) copies the topology
   /// once.

@@ -110,10 +110,10 @@ ServiceTrace make_workload(const WorkloadOptions& opt) {
     reqs.push_back(std::move(req));
   }
 
-  // Joint-rescue sites: a contested link sized for ~1.25 flows, an enterer
-  // that grabs it, then a vacater and a second enterer arriving while the
-  // first transition is still in flight. The second enterer stays blocked
-  // until the admission controller batches it with the vacater.
+  // Rescue sites: a contested link sized for ~1.25 flows, an enterer that
+  // grabs it, then a vacater and a second enterer arriving while the first
+  // transition is still in flight. The second enterer stays blocked until
+  // the vacater's transition has released the link.
   const double span_sec =
       static_cast<double>(opt.requests) / opt.arrival_rate_hz;
   for (int k = 0; k < opt.rescue_sites; ++k) {

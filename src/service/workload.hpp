@@ -6,11 +6,11 @@
 // request reroutes one pair's flow between two of its rails; with
 // probability `conflict_density` the request contests the shared core, so
 // the knob directly controls how often independent requests collide on the
-// ledger (and hence how much admission deferral and joint batching the
-// service performs). Inter-arrival times are exponential with the given
-// rate. Everything is drawn from util::Rng, so a (options, seed) pair
-// always yields the identical trace — the property the determinism tests
-// and the bench sweeps rely on.
+// ledger (and hence how much admission deferral the service performs).
+// Inter-arrival times are exponential with the given rate. Everything is
+// drawn from util::Rng, so a (options, seed) pair always yields the
+// identical trace — the property the determinism tests and the bench
+// sweeps rely on.
 #pragma once
 
 #include <cstdint>
@@ -40,13 +40,15 @@ struct WorkloadOptions {
   net::Capacity private_capacity{2.0};  ///< per-pair rails
   net::Capacity edge_capacity{64.0};    ///< access links (not a bottleneck)
 
-  /// Number of joint-rescue sites. Each site is a private contested link
-  /// sized for ~1.25 flows and a trio of requests: an enterer that takes
-  /// the link first, then — while it is still in flight — a vacater and a
-  /// second enterer. The second enterer cannot fit until the vacater
-  /// leaves, which is exactly the conflict the admission controller
-  /// resolves with a joint batch (vacate before enter in one window). Each
-  /// site consumes three slots of `requests`.
+  /// Number of rescue sites. Each site is a private contested link sized
+  /// for ~1.25 flows and a trio of requests: an enterer that takes the link
+  /// first, then — while it is still in flight — a vacater and a second
+  /// enterer. Neither fits beside the first enterer, and the second
+  /// enterer not beside the vacater, so the site drains by waiting for
+  /// each in-flight release in turn. (A joint plan could order the vacate
+  /// before the enter inside one window, as schedule_flows_jointly does
+  /// offline; the service plans each request alone.) Each site consumes
+  /// three slots of `requests`.
   int rescue_sites = 0;
 
   /// Optional chaos scenario whose arrival surges compress the background

@@ -260,16 +260,19 @@ TEST(DegradationPolicy, ValidatesThresholdOrdering) {
   service::DegradationPolicy p;
   EXPECT_FALSE(p.enabled());
   EXPECT_NO_THROW(p.validate());
-  p.greedy_enter = 4;
-  p.greedy_exit = 2;
-  p.defer_enter = 8;
-  p.defer_exit = 4;
+  p.defer_enter = 4;
+  p.defer_exit = 2;
+  p.shed_enter = 8;
+  p.shed_exit = 4;
   EXPECT_TRUE(p.enabled());
   EXPECT_NO_THROW(p.validate());
-  p.greedy_exit = 4;  // exit must sit strictly below enter
+  p.defer_exit = 4;  // exit must sit strictly below enter
   EXPECT_THROW(p.validate(), util::ContractViolation);
-  p.greedy_exit = 2;
-  p.defer_enter = 2;  // rungs out of order
+  p.defer_exit = 2;
+  p.shed_exit = 8;
+  EXPECT_THROW(p.validate(), util::ContractViolation);
+  p.shed_exit = 4;
+  p.shed_enter = 3;  // rungs out of order
   EXPECT_THROW(p.validate(), util::ContractViolation);
 }
 
@@ -343,10 +346,10 @@ TEST(ChaosCampaign, NonzeroCampaignReplaysBitIdentically) {
   service::ServiceOptions sopt = fast_service();
   sopt.chaos = &storm;
   sopt.degradation.latency_slo = 30 * kSecond;
-  sopt.degradation.greedy_enter = 5;
-  sopt.degradation.greedy_exit = 2;
-  sopt.degradation.defer_enter = 8;
-  sopt.degradation.defer_exit = 4;
+  sopt.degradation.defer_enter = 5;
+  sopt.degradation.defer_exit = 2;
+  sopt.degradation.shed_enter = 8;
+  sopt.degradation.shed_exit = 4;
 
   const CampaignResult once = run_campaign(wopt, sopt);
   const CampaignResult twice = run_campaign(wopt, sopt);
@@ -389,8 +392,6 @@ TEST(DegradationLadder, EscalatesShedsAndRecoversWithHysteresis) {
   wopt.arrival_rate_hz = 2000.0;
   wopt.conflict_density = 1.0;  // all contested: the queue must build
   service::ServiceOptions sopt = fast_service();
-  sopt.degradation.greedy_enter = 4;
-  sopt.degradation.greedy_exit = 2;
   sopt.degradation.defer_enter = 8;
   sopt.degradation.defer_exit = 4;
   sopt.degradation.shed_enter = 12;
@@ -442,6 +443,56 @@ TEST(DegradationLadder, EscalatesShedsAndRecoversWithHysteresis) {
   for (const auto& rec : report.records) {
     EXPECT_NE(rec.status, service::RequestStatus::kPending) << rec.id;
   }
+}
+
+// Defer is the rung above full: stepping down from it lands on full, and
+// no request is decided on any rung but the two enabled ones.
+TEST(DegradationLadder, StepsDownFromDeferStraightToFull) {
+  service::WorkloadOptions wopt = small_workload();
+  wopt.requests = 24;
+  wopt.arrival_rate_hz = 2000.0;
+  wopt.conflict_density = 1.0;
+  service::ServiceOptions sopt = fast_service();
+  sopt.degradation.defer_enter = 8;
+  sopt.degradation.defer_exit = 4;
+  const CampaignResult run = run_campaign(wopt, sopt);
+
+  const auto& log = run.report.health_log;
+  std::size_t exits = 0;
+  for (std::size_t i = 1; i < log.size(); ++i) {
+    if (log[i - 1].second != service::DegradationMode::kDefer) continue;
+    ++exits;
+    EXPECT_EQ(log[i].second, service::DegradationMode::kFull)
+        << "transition " << i;
+  }
+  EXPECT_GT(exits, 0u);
+  for (const auto& rec : run.report.records) {
+    EXPECT_TRUE(rec.degradation == service::DegradationMode::kFull ||
+                rec.degradation == service::DegradationMode::kDefer)
+        << rec.id;
+  }
+}
+
+// A disabled rung is never entered: with the defer rung off, stepping
+// down from shed lands on full.
+TEST(DegradationLadder, StepsDownFromShedStraightToFullWhenDeferIsOff) {
+  service::WorkloadOptions wopt = small_workload();
+  wopt.requests = 24;
+  wopt.arrival_rate_hz = 2000.0;
+  wopt.conflict_density = 1.0;
+  service::ServiceOptions sopt = fast_service();
+  sopt.degradation.shed_enter = 12;
+  sopt.degradation.shed_exit = 6;
+  const CampaignResult run = run_campaign(wopt, sopt);
+
+  const auto& log = run.report.health_log;
+  ASSERT_FALSE(log.empty());
+  EXPECT_EQ(log.front().second, service::DegradationMode::kShed);
+  EXPECT_EQ(log.back().second, service::DegradationMode::kFull);
+  for (const auto& [t, mode] : log) {
+    EXPECT_NE(mode, service::DegradationMode::kDefer) << "at " << t;
+  }
+  EXPECT_GT(run.report.shed, 0u);
 }
 
 TEST(DegradationLadder, WatchdogCancelsRequestsPastTheSlo) {

@@ -203,8 +203,8 @@ TEST(MetricsRegistry, ConcurrentUpdateHammer) {
 
 // Deterministic replay over the full instrumented pipeline: the same
 // 200-request workload run twice must produce bit-identical logical
-// metrics (admissions, rejections, rescues, ledger totals, B&B and
-// scheduler work counts, virtual-time latency histograms).
+// metrics (admissions, rejections, ledger totals, B&B and scheduler work
+// counts, virtual-time latency histograms).
 service::ServiceTrace replay_trace() {
   service::WorkloadOptions wopt;
   wopt.requests = 200;
@@ -269,20 +269,20 @@ TEST(ObsReplay, ServiceMetricsAreBitIdenticalAcrossRuns) {
 }
 
 // The layer readout (perfbench) finds the service's jobs at fixed span
-// paths: one "workerpool.job" root per admitted single and per joint
-// group, with the plan verify and the timed execution directly beneath
-// it. A job span that nested under "service.run" would move every one of
-// those paths.
+// paths: one "workerpool.job" root per admitted request, which plans it
+// with one greedy call, with the plan verify and the timed execution
+// directly beneath it. A job span that nested under "service.run" would
+// move every one of those paths.
 TEST(ObsReplay, EveryServiceJobIsOneRootSpan) {
   const obs::MetricsSnapshot snap = traced_run(replay_trace());
   const auto counter = [&snap](const std::string& name) -> std::uint64_t {
     const auto it = snap.counters.find(name);
     return it == snap.counters.end() ? 0 : it->second;
   };
-  const std::uint64_t groups = counter("admission.joint_groups");
-  ASSERT_GT(groups, 0u);
-  const std::uint64_t jobs = counter("admission.singles") + groups;
+  const std::uint64_t jobs = counter("admission.singles");
+  ASSERT_GT(jobs, 0u);
   EXPECT_EQ(counter("workerpool.jobs"), jobs);
+  EXPECT_EQ(counter("greedy.calls"), jobs);
   EXPECT_EQ(counter("span.workerpool.job.calls"), jobs);
   EXPECT_GT(counter("span.workerpool.job.verifier.transitions.calls"), 0u);
   EXPECT_GT(counter("span.workerpool.job.executor.run_timed.calls"), 0u);

@@ -351,19 +351,22 @@ TEST(RpcProtocolTest, MalformedSessionFailsAloneOthersKeepWorking) {
     EXPECT_NE(replies[0].text.find("expected hello"), std::string::npos);
   }
 
-  // Session 4: wrong protocol version.
-  {
+  // Sessions 4 and 5: wrong protocol versions. Version 1 records carried
+  // joint and batch fields, so a version 1 client is refused at hello.
+  for (const std::uint32_t version : {99u, 1u}) {
     const int fd = dial(server.port());
-    send_all(fd, json_line(hello(99)));
+    send_all(fd, json_line(hello(version)));
     const std::vector<Message> replies = read_until_eof(fd, Codec::kJson);
     ::close(fd);
-    ASSERT_EQ(replies.size(), 1u);
+    ASSERT_EQ(replies.size(), 1u) << version;
     EXPECT_EQ(replies[0].type, MsgType::kError);
-    EXPECT_NE(replies[0].text.find("version"), std::string::npos);
+    EXPECT_NE(replies[0].text.find("version " + std::to_string(version)),
+              std::string::npos)
+        << replies[0].text;
   }
 
   // The server is undisturbed: a well-behaved client still gets full
-  // service after four hostile sessions.
+  // service after five hostile sessions.
   std::vector<service::UpdateRequest> reqs;
   for (std::uint64_t id = 1; id <= 3; ++id) reqs.push_back(small_request(id));
   LoadOptions lopt;
@@ -375,8 +378,8 @@ TEST(RpcProtocolTest, MalformedSessionFailsAloneOthersKeepWorking) {
   EXPECT_EQ(load.acked, 3u);
   EXPECT_EQ(load.records.size(), 3u);
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.sessions, 5u);
-  EXPECT_EQ(stats.protocol_errors, 4u);
+  EXPECT_EQ(stats.sessions, 6u);
+  EXPECT_EQ(stats.protocol_errors, 5u);
   EXPECT_EQ(stats.accepted, 3u);
 }
 

@@ -83,16 +83,15 @@ TEST(CapacityLedger, ReserveIsAllOrNothing) {
   EXPECT_DOUBLE_EQ(ledger.committed(2).value(), 0.0);
 
   Footprint ok{{0, net::Demand{1.5}}, {1, net::Demand{1.5}}};
-  EXPECT_TRUE(ledger.fits(ok));
   EXPECT_TRUE(ledger.try_reserve(ok));
-  EXPECT_DOUBLE_EQ(ledger.headroom(0).value(), 0.5);
+  EXPECT_DOUBLE_EQ(ledger.committed(1).value(), 1.5);
   // A second copy no longer fits; ledger unchanged by the failed attempt.
   EXPECT_FALSE(ledger.try_reserve(ok));
   EXPECT_DOUBLE_EQ(ledger.committed(0).value(), 1.5);
 
   ledger.release(ok);
   EXPECT_TRUE(ledger.idle());
-  EXPECT_DOUBLE_EQ(ledger.headroom(0).value(), 2.0);
+  EXPECT_DOUBLE_EQ(ledger.committed(0).value(), 0.0);
 }
 
 TEST(CapacityLedger, OverReleaseThrows) {
@@ -309,11 +308,11 @@ TEST(UpdateService, StarvedRequestsAreRejectedAtMaxDefers) {
   EXPECT_EQ(rep.records[1].status, RequestStatus::kRejectedCapacity);
 }
 
-TEST(UpdateService, JointBatchRescuesABlockedEnterer) {
-  // One rescue site: an enterer grabs the contested link, then a vacater
-  // and a second enterer arrive while it is in flight. The second enterer
-  // only fits if admission batches it with the vacater and
-  // schedule_flows_jointly orders the vacate before the enter.
+TEST(UpdateService, BlockedEntererWaitsForTheInFlightRelease) {
+  // One rescue site: an enterer (0) grabs the contested link, then a
+  // vacater (1) and a second enterer (2) arrive while it is in flight. The
+  // link carries 1.25 flows, so neither fits beside the first enterer:
+  // both wait for its release, and the second enterer for the vacater's.
   WorkloadOptions wopt;
   wopt.requests = 3;
   wopt.rescue_sites = 1;
@@ -321,12 +320,27 @@ TEST(UpdateService, JointBatchRescuesABlockedEnterer) {
   const ServiceTrace trace = make_workload(wopt);
   UpdateService svc(trace.graph);
   const ServiceReport rep = svc.run(trace);
+  ASSERT_EQ(rep.records.size(), 3u);
   EXPECT_EQ(rep.completed, 3);
-  EXPECT_EQ(rep.joint_batches, 1);
   EXPECT_EQ(rep.violations, 0);
-  int joint = 0;
-  for (const RequestRecord& r : rep.records) joint += r.joint;
-  EXPECT_EQ(joint, 2);  // the vacater and the rescued enterer
+  EXPECT_GT(rep.records[2].defers, 0);
+  EXPECT_GE(rep.records[2].admitted, rep.records[0].completed);
+  EXPECT_GE(rep.records[2].admitted, rep.records[1].completed);
+}
+
+// Rescue sites were built for joint planning; waiting for the in-flight
+// release completes every request of them, with no violation.
+TEST(UpdateService, RescueSitesDrainByWaiting) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    WorkloadOptions wopt;
+    wopt.requests = 60;
+    wopt.rescue_sites = 20;
+    wopt.seed = seed;
+    const ServiceTrace trace = make_workload(wopt);
+    const ServiceReport rep = UpdateService(trace.graph).run(trace);
+    EXPECT_EQ(rep.completed, 60u) << "seed " << seed;
+    EXPECT_EQ(rep.violations, 0) << "seed " << seed;
+  }
 }
 
 TEST(UpdateService, PlanOnlyModeSkipsExecution) {
@@ -368,12 +382,11 @@ TEST(UpdateService, TwoHundredRequestTraceIsDeterministicAndClean) {
   EXPECT_EQ(rep2.violations, 0);
   EXPECT_EQ(rep2.failed, 0);
   EXPECT_GT(rep2.completed, 100);
-  EXPECT_GE(rep2.joint_batches, 1);
   EXPECT_GT(rep2.throughput_hz(), 0.0);
   EXPECT_EQ(rep1.digest(), rep2.digest());
 
   // The determinism contract extends to every logical metric: counters
-  // (admissions, rejections, rescues, ledger reserve/release totals, ...)
+  // (admissions, rejections, ledger reserve/release totals, ...)
   // and virtual-time histograms must be bit-identical; only wall-clock
   // durations and gauges may differ between runs.
   const obs::MetricsSnapshot logical1 = snap1.logical();
@@ -390,14 +403,14 @@ TEST(UpdateService, TwoHundredRequestTraceIsDeterministicAndClean) {
 // Golden digests of whole service runs: a 64-bit FNV-1a of
 // ServiceReport::digest() (every record field and the health log) over six
 // traces that between them reach every path of the dispatcher — deferral
-// and max-defers rejection, joint batches, chaos faults with retries and
+// and max-defers rejection, rescue sites, chaos faults with retries and
 // the degradation ladder, plan-only mode, and fat-tree reroutes the
-// guarded greedy cannot plan. The values were recorded before the service
-// ran its jobs inline; a change that moves one changes some request's
-// outcome, so re-pin only deliberately and say which records moved. The
-// storm value moved once, when the executor began re-sending rejected
-// timed bundles before their instant (only records that had a bundle
-// rejected changed).
+// guarded greedy cannot plan. A change that moves one changes some
+// request's outcome, so re-pin only deliberately and say which records
+// moved. All six were re-pinned when the record lost its joint-batch
+// fields, from a build whose admission never formed a joint batch; the
+// fat-tree value moved again when an unplannable request became final at
+// its first plan (only requests queued at or after that plan changed).
 
 std::uint64_t digest_hash(const ServiceReport& rep) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -445,7 +458,7 @@ TEST(UpdateService, RejectedBundlesLeaveNoViolation) {
 }
 
 TEST(ServiceGoldenDigest, Trace400) {
-  EXPECT_EQ(hex(golden_run(golden_trace_400())), "0x1c8e99cf1310ec9f");
+  EXPECT_EQ(hex(golden_run(golden_trace_400())), "0x5c095ffeebf905fd");
 }
 
 TEST(ServiceGoldenDigest, Burst2000) {
@@ -453,18 +466,17 @@ TEST(ServiceGoldenDigest, Burst2000) {
   w.requests = 2000;
   w.arrival_rate_hz = 1000.0;
   w.pairs = 16;
-  EXPECT_EQ(hex(golden_run(w)), "0x1a81924f6a3160d");
+  EXPECT_EQ(hex(golden_run(w)), "0x488b8dfe32bbb0e");
 }
 
-TEST(ServiceGoldenDigest, RescueTraceWithJointBatches) {
+TEST(ServiceGoldenDigest, RescueTrace) {
   WorkloadOptions w = golden_trace_400();
   w.conflict_density = 0.6;
   w.rescue_sites = 20;
   w.seed = 3;
   const ServiceTrace trace = make_workload(w);
   const ServiceReport rep = UpdateService(trace.graph).run(trace);
-  EXPECT_GT(rep.joint_batches, 0);
-  EXPECT_EQ(hex(digest_hash(rep)), "0x92ffc5578203a4a2");
+  EXPECT_EQ(hex(digest_hash(rep)), "0x78a7c7b0f3d1f817");
 }
 
 TEST(ServiceGoldenDigest, Trace400UnderStormScenario) {
@@ -475,8 +487,6 @@ TEST(ServiceGoldenDigest, Trace400UnderStormScenario) {
   ServiceOptions o;
   o.chaos = &storm;
   o.degradation.latency_slo = 10 * sim::kSecond;
-  o.degradation.greedy_enter = 8;
-  o.degradation.greedy_exit = 4;
   o.degradation.defer_enter = 40;
   o.degradation.defer_exit = 20;
   const ServiceTrace trace = make_workload(w);
@@ -487,13 +497,13 @@ TEST(ServiceGoldenDigest, Trace400UnderStormScenario) {
   EXPECT_GT(retried, 0);
   EXPECT_FALSE(rep.health_log.empty());
   EXPECT_GT(rep.watchdog_cancelled, 0u);
-  EXPECT_EQ(hex(digest_hash(rep)), "0xfb4e751ee6eabb95");
+  EXPECT_EQ(hex(digest_hash(rep)), "0xffd9cb6e5a14465a");
 }
 
 TEST(ServiceGoldenDigest, Trace400PlanOnly) {
   ServiceOptions o;
   o.execute = false;
-  EXPECT_EQ(hex(golden_run(golden_trace_400(), o)), "0x81c230d4693ed38f");
+  EXPECT_EQ(hex(golden_run(golden_trace_400(), o)), "0xc7f45b64364fc2f6");
 }
 
 /// A reroute between edge switches of two pods of fat_tree(8), drawn from
@@ -541,7 +551,7 @@ TEST(ServiceGoldenDigest, FatTreeWithUnplannableReroutes) {
   ASSERT_GT(unplannable, 0);
   const ServiceReport rep = UpdateService(ft.graph).run(requests);
   EXPECT_EQ(rep.violations, 0);
-  EXPECT_EQ(hex(digest_hash(rep)), "0xc7e8d53d8af26ee3");
+  EXPECT_EQ(hex(digest_hash(rep)), "0xbd79fc85fa06d7fc");
 }
 
 /// Every field of a record, as one comparable line.
@@ -609,7 +619,80 @@ TEST(UpdateService, LentWorkingGraphComesBackUnchanged) {
   EXPECT_EQ(together.completed, 3u);
   EXPECT_EQ(together.records[1].message,
             "paths must share source and destination");
-  EXPECT_EQ(together.records[3].status, RequestStatus::kRejectedCapacity);
+  EXPECT_EQ(together.records[3].status, RequestStatus::kRejectedInfeasible);
+}
+
+/// The first reroute drawn from `rng` that the guarded greedy cannot plan
+/// alone; nullopt if none turns up within `draws` draws.
+std::optional<UpdateRequest> draw_unplannable(const net::FatTree& ft,
+                                              util::Rng& rng, int draws) {
+  for (int draw = 0; draw < draws; ++draw) {
+    const std::optional<UpdateRequest> r = draw_reroute(ft, rng);
+    if (r && !plannable_alone(ft.graph, *r)) return r;
+  }
+  return std::nullopt;
+}
+
+// A single's plan reads only the request and its own reservation, so an
+// infeasible plan is final: the request is rejected as infeasible in the
+// round of its first plan, with the greedy's message, after one greedy
+// call.
+TEST(UpdateService, UnplannableRequestIsFinalAtItsFirstPlan) {
+  const net::FatTree ft = net::fat_tree(8, net::Capacity{4.0});
+  util::Rng rng(20170605);
+  const std::optional<UpdateRequest> stuck = draw_unplannable(ft, rng, 4000);
+  ASSERT_TRUE(stuck.has_value());
+  obs::MetricsRegistry reg;
+  ServiceReport rep;
+  {
+    const obs::ScopedMetrics scope(reg);
+    rep = UpdateService(ft.graph).run({*stuck});
+  }
+  ASSERT_EQ(rep.records.size(), 1u);
+  const RequestRecord& r = rep.records[0];
+  EXPECT_EQ(r.status, RequestStatus::kRejectedInfeasible);
+  EXPECT_EQ(r.defers, 0);
+  EXPECT_FALSE(r.message.empty());
+  const auto counters = reg.snapshot().counters;
+  EXPECT_EQ(counters.at("greedy.calls"), 1u);
+  EXPECT_EQ(counters.at("greedy.infeasible"), 1u);
+  EXPECT_EQ(counters.at("ledger.reserves"), counters.at("ledger.releases"));
+}
+
+// A plannable request that arrives with an unplannable one it cannot fit
+// beside, and is served after it. The unplannable one is rejected at its
+// first plan and releases its footprint, so the other is admitted in the
+// next round instead of waiting behind a reservation that no plan uses.
+TEST(UpdateService, PlannableRequestBehindAnUnplannableOneCompletes) {
+  const net::FatTree ft = net::fat_tree(8, net::Capacity{4.0});
+  util::Rng rng(20170605);
+  std::optional<UpdateRequest> stuck = draw_unplannable(ft, rng, 4000);
+  ASSERT_TRUE(stuck.has_value());
+  const Footprint a = transition_footprint(ft.graph, stuck->p_init,
+                                           stuck->p_fin, stuck->demand);
+  std::optional<UpdateRequest> blocked;
+  for (int draw = 0; draw < 4000 && !blocked; ++draw) {
+    const std::optional<UpdateRequest> r = draw_reroute(ft, rng);
+    if (!r || !plannable_alone(ft.graph, *r)) continue;
+    const Footprint b =
+        transition_footprint(ft.graph, r->p_init, r->p_fin, r->demand);
+    // The two footprints overrun a link they share.
+    const bool clash = std::any_of(a.begin(), a.end(), [&](const auto& e) {
+      const auto it = b.find(e.first);
+      return it != b.end() &&
+             e.second + it->second > ft.graph.link(e.first).capacity;
+    });
+    if (clash) blocked = r;
+  }
+  ASSERT_TRUE(blocked.has_value());
+  stuck->id = 0;
+  blocked->id = 1;  // same arrival, served second
+  const ServiceReport rep = UpdateService(ft.graph).run({*stuck, *blocked});
+  ASSERT_EQ(rep.records.size(), 2u);
+  EXPECT_EQ(rep.records[0].status, RequestStatus::kRejectedInfeasible);
+  EXPECT_EQ(rep.records[1].status, RequestStatus::kCompleted);
+  EXPECT_EQ(rep.records[1].defers, 1);
+  EXPECT_EQ(rep.violations, 0);
 }
 
 // testdata/malformed_paths.trace holds one request, `init s0 A B t0` /

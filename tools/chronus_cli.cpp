@@ -331,7 +331,6 @@ int cmd_serve(const util::Cli& cli) {
       json.field("admitted_us", r.admitted);
       json.field("completed_us", r.completed);
       json.field("defers", static_cast<std::int64_t>(r.defers));
-      json.field("joint", r.joint);
       json.field("plan_span", r.plan_span);
       json.field("exec_duration_us", r.exec_duration);
       json.field("retries", static_cast<std::int64_t>(r.exec_retries));

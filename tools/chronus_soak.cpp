@@ -5,8 +5,7 @@
 //   chronus_soak --scenario=storm.scn [--requests=N] [--rate=HZ]
 //                [--pairs=N] [--conflict=P] [--rescue=N] [--seed=N]
 //                [--epoch-ms=N] [--step-ms=N] [--budget-s=N]
-//                [--slo-ms=N] [--greedy-enter=N --greedy-exit=N]
-//                [--defer-enter=N --defer-exit=N]
+//                [--slo-ms=N] [--defer-enter=N --defer-exit=N]
 //                [--shed-enter=N --shed-exit=N]
 //                [--replay] [--minimize] [--json=FILE] [--metrics=FILE]
 //                [--log=FILE]
@@ -159,8 +158,6 @@ int soak_main(const chronus::util::Cli& cli) {
 
   auto& ladder = cfg.service.degradation;
   ladder.latency_slo = cli.get_int("slo-ms", 0) * chronus::sim::kMillisecond;
-  ladder.greedy_enter = static_cast<std::size_t>(cli.get_int("greedy-enter", 0));
-  ladder.greedy_exit = static_cast<std::size_t>(cli.get_int("greedy-exit", 0));
   ladder.defer_enter = static_cast<std::size_t>(cli.get_int("defer-enter", 0));
   ladder.defer_exit = static_cast<std::size_t>(cli.get_int("defer-exit", 0));
   ladder.shed_enter = static_cast<std::size_t>(cli.get_int("shed-enter", 0));
